@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Iterator, Mapping, Union
 
 from .blind import blind_enclosure, forget_tokens
@@ -30,12 +29,11 @@ from .expr import (
     Neg,
     Sub,
     Token,
-    Unbounded,
     effective_intervals,
     is_exact,
     tokens_of,
 )
-from .semantics import TokenEnv, evaluate, exact_value, token_consistent
+from .semantics import TokenEnv, compile_expr, evaluate, exact_value, token_consistent
 
 DEFAULT_GRID_POINTS = 5
 DEFAULT_ENV_BUDGET = 100_000
@@ -109,7 +107,7 @@ class Unknown:
     truncated: bool = False
 
 
-EnclosureOutcome = Union[EmptySet, ExactInterval, Unbounded, Unknown]
+EnclosureOutcome = Union[EmptySet, ExactInterval, Unknown]
 
 
 # --- the affine fragment -----------------------------------------------------
@@ -278,12 +276,17 @@ def over_approx(e: Expr) -> Bounds:
 
 def grid_values(box: Interval, n: int) -> list[Fraction]:
     """Both endpoints plus n-2 evenly spaced interior rationals."""
+    first, step, size = _grid_axis(box, n)
+    return [first + k * step for k in range(size)]
+
+
+def _grid_axis(box: Interval, n: int) -> tuple[Fraction, Fraction, int]:
+    """(first, step, size) of a token's grid: value k is first + k * step."""
     if n < 2:
         raise ValueError("grid needs at least 2 points per token")
     if box.lo == box.hi:
-        return [box.lo]
-    step = (box.hi - box.lo) / (n - 1)
-    return [box.lo + k * step for k in range(n)]
+        return box.lo, Fraction(0), 1
+    return box.lo, (box.hi - box.lo) / (n - 1), n
 
 
 def _corner_values(box: Interval) -> list[Fraction]:
@@ -297,14 +300,23 @@ def _env_stream(
 ) -> Iterator[tuple[Fraction, ...]]:
     # Corner environments first: affine extremes live there, and the
     # refutation search in the classifier checks them before interiors.
-    corner_lists = [_corner_values(boxes[t]) for t in tokens]
-    corner_sets = [frozenset(c) for c in corner_lists]
-    yield from itertools.product(*corner_lists)
-    grid_lists = [grid_values(boxes[t], grid_points) for t in tokens]
-    for combo in itertools.product(*grid_lists):
-        if all(v in s for v, s in zip(combo, corner_sets)):
-            continue  # already emitted in the corner pass
-        yield combo
+    yield from itertools.product(*(_corner_values(boxes[t]) for t in tokens))
+    # Then the rest of the grid in itertools.product order, driven by an
+    # odometer over grid indices so no per-token grid is materialised.
+    axes = [_grid_axis(boxes[t], grid_points) for t in tokens]
+    index = [0] * len(axes)
+    combo = [first for first, _, _ in axes]
+    while True:
+        if any(0 < k < size - 1 for k, (_, _, size) in zip(index, axes)):
+            yield tuple(combo)  # all-corner combinations were emitted above
+        for i in reversed(range(len(axes))):
+            first, step, size = axes[i]
+            index[i] = (index[i] + 1) % size
+            combo[i] = first + index[i] * step
+            if index[i]:
+                break
+        else:
+            return
 
 
 def under_approx_samples(
@@ -323,14 +335,23 @@ def under_approx_samples(
     except InfeasibleTokenError:
         return []
     tokens = sorted(boxes, key=lambda t: t.name)
-    required = prod(len(grid_values(boxes[t], grid_points)) for t in tokens)
+    required = 1
+    for t in tokens:
+        # Each box is the intersection of every interval declared for t,
+        # and grid values are monotone in their index: once both ends of
+        # t's grid sit in its box, every environment below is consistent.
+        box = boxes[t]
+        first, step, size = _grid_axis(box, grid_points)
+        if not (box.contains(first) and box.contains(first + (size - 1) * step)):
+            raise AssertionError(f"grid for token {t} leaves its box {box}")
+        required *= size
+    run = compile_expr(e)
     samples: list[tuple[TokenEnv, Fraction]] = []
     for combo in _env_stream(tokens, boxes, grid_points):
         if len(samples) >= budget:
             raise BudgetExceededError(required, budget, samples)
-        env = TokenEnv(dict(zip(tokens, combo)))
-        if token_consistent(env, e):
-            samples.append((env, evaluate(env, e)))
+        bindings = dict(zip(tokens, combo))
+        samples.append((TokenEnv(bindings), run(bindings.__getitem__)))
     return samples
 
 
@@ -417,7 +438,11 @@ def membership(
     budget: int = DEFAULT_ENV_BUDGET,
 ) -> MembershipResult:
     """Decide whether q is a warranted value of e, where a certificate exists."""
-    out = enclosure(e, grid_points, budget)
+    return membership_in(e, q, enclosure(e, grid_points, budget))
+
+
+def membership_in(e: Expr, q: Fraction, out: EnclosureOutcome) -> MembershipResult:
+    """`membership` given e's already computed enclosure outcome `out`."""
     match out:
         case EmptySet():
             return NonMember(ExclusionCertificate("empty"))

@@ -27,7 +27,7 @@ from .enclosure import (
     Unknown,
     affine_witness,
     enclosure,
-    membership,
+    membership_in,
     over_approx,
 )
 from .expr import Expr, Interval, is_exact
@@ -137,11 +137,18 @@ def licensed(
     """Decide whether every value warranted for tgt is warranted for src."""
     if src == tgt:
         return Holds(SameExpression())
-
     enc_tgt = enclosure(tgt, grid_points, budget)
     if isinstance(enc_tgt, EmptySet):
+        return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
+    return _decide(src, tgt, enclosure(src, grid_points, budget), enc_tgt)
+
+
+def _decide(
+    src: Expr, tgt: Expr, enc_src: EnclosureOutcome, enc_tgt: EnclosureOutcome
+) -> Verdict:
+    """The ladder behind `licensed`, for src != tgt with both sides enclosed."""
+    if isinstance(enc_tgt, EmptySet):
         return Holds(EmptyTarget(enc_tgt.token.name))
-    enc_src = enclosure(src, grid_points, budget)
 
     if isinstance(enc_src, EmptySet):
         # Nothing is warranted for src; any tgt value refutes containment.
@@ -167,7 +174,7 @@ def licensed(
     if isinstance(enc_tgt, ExactInterval) and enc_tgt.interval.is_point:
         # Single-valued target: containment is exactly a membership query.
         q = enc_tgt.interval.lo
-        found = membership(src, q, grid_points, budget)
+        found = membership_in(src, q, enc_src)
         if isinstance(found, Member):
             return Holds(MembershipWitness(found.env, found.value))
         if isinstance(found, NonMember):
@@ -225,9 +232,18 @@ def classify(
     grid_points: int = DEFAULT_GRID_POINTS,
     budget: int = DEFAULT_ENV_BUDGET,
 ) -> Classification:
-    """Combine both containment directions into a rewrite class."""
-    forward = licensed(src, tgt, grid_points, budget)
-    backward = licensed(tgt, src, grid_points, budget)
+    """Combine both containment directions into a rewrite class.
+
+    Each side is enclosed at most once and its outcome serves both
+    directions; the verdicts equal those of `licensed` in each direction.
+    """
+    if src == tgt:
+        forward = backward = Holds(SameExpression())
+    else:
+        enc_src = enclosure(src, grid_points, budget)
+        enc_tgt = enclosure(tgt, grid_points, budget)
+        forward = _decide(src, tgt, enc_src, enc_tgt)
+        backward = _decide(tgt, src, enc_tgt, enc_src)
     match forward, backward:
         case Holds(), Holds():
             kind = RewriteClass.INTERCHANGEABLE

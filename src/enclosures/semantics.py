@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .expr import Add, Div, Exact, Expr, Meas, Mul, Neg, Sub, Token, is_exact
 from .parser import ParseError, parse_rational
@@ -50,27 +50,50 @@ class TokenEnv:
 EMPTY_ENV = TokenEnv()
 
 
-def evaluate(env: TokenEnv, e: Expr) -> Fraction:
-    """Total structural evaluation under one hidden-value world."""
+# A compiled expression maps a token lookup to the expression's value.
+Compiled = Callable[[Callable[[Token], Fraction]], Fraction]
+
+
+def compile_expr(e: Expr) -> Compiled:
+    """Walk the tree once into nested closures that evaluate it per world.
+
+    The closure takes a token lookup (for instance ``env.value``), so one
+    compiled expression can be run under many environments without
+    re-dispatching on node types; division is total, as in `evaluate`.
+    """
     match e:
         case Exact(value, _):
-            return value
+            return lambda value_of: value
         case Meas(token, _, _):
-            return env.value(token)
+            return lambda value_of: value_of(token)
         case Add(lhs, rhs):
-            return evaluate(env, lhs) + evaluate(env, rhs)
+            left, right = compile_expr(lhs), compile_expr(rhs)
+            return lambda value_of: left(value_of) + right(value_of)
         case Sub(lhs, rhs):
-            return evaluate(env, lhs) - evaluate(env, rhs)
+            left, right = compile_expr(lhs), compile_expr(rhs)
+            return lambda value_of: left(value_of) - right(value_of)
         case Mul(lhs, rhs):
-            return evaluate(env, lhs) * evaluate(env, rhs)
+            left, right = compile_expr(lhs), compile_expr(rhs)
+            return lambda value_of: left(value_of) * right(value_of)
         case Div(lhs, rhs):
-            denominator = evaluate(env, rhs)
-            if denominator == 0:
-                return _ZERO
-            return evaluate(env, lhs) / denominator
+            left, right = compile_expr(lhs), compile_expr(rhs)
+
+            def quotient(value_of: Callable[[Token], Fraction]) -> Fraction:
+                denominator = right(value_of)
+                if denominator == 0:
+                    return _ZERO
+                return left(value_of) / denominator
+
+            return quotient
         case Neg(operand):
-            return -evaluate(env, operand)
+            inner = compile_expr(operand)
+            return lambda value_of: -inner(value_of)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def evaluate(env: TokenEnv, e: Expr) -> Fraction:
+    """Total structural evaluation under one hidden-value world."""
+    return compile_expr(e)(env.value)
 
 
 def token_consistent(env: TokenEnv, e: Expr) -> bool:

@@ -12,14 +12,17 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 from enclosures import (
     Add,
+    BudgetExceededError,
     Dim,
     Div,
     Exact,
     Expr,
     FamilySpec,
+    InfeasibleTokenError,
     Interval,
     Meas,
     Mul,
@@ -30,6 +33,7 @@ from enclosures import (
     effective_intervals,
     evaluate,
     exact_value,
+    grid_values,
 )
 
 D = Dim("d")
@@ -177,3 +181,89 @@ def corner_min_max(e: Expr) -> tuple[Fraction, Fraction]:
         for combo in itertools.product(*corners)
     ]
     return min(values), max(values)
+
+
+# --- reference semantics, written independently of the library ---------------
+
+
+def naive_evaluate(env: TokenEnv, e: Expr) -> Fraction:
+    """Direct recursive evaluation with total division (x / 0 = 0)."""
+    match e:
+        case Exact(value, _):
+            return value
+        case Meas(token, _, _):
+            return env.value(token)
+        case Add(l, r):
+            return naive_evaluate(env, l) + naive_evaluate(env, r)
+        case Sub(l, r):
+            return naive_evaluate(env, l) - naive_evaluate(env, r)
+        case Mul(l, r):
+            return naive_evaluate(env, l) * naive_evaluate(env, r)
+        case Div(l, r):
+            den = naive_evaluate(env, r)
+            return Fraction(0) if den == 0 else naive_evaluate(env, l) / den
+        case Neg(operand):
+            return -naive_evaluate(env, operand)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def naive_consistent(env: TokenEnv, e: Expr) -> bool:
+    """Every measured leaf's declared interval contains its token's value."""
+    match e:
+        case Exact():
+            return True
+        case Meas(token, interval, _):
+            return interval.contains(env.value(token))
+        case Neg(operand):
+            return naive_consistent(env, operand)
+        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r):
+            return naive_consistent(env, l) and naive_consistent(env, r)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def naive_samples(e: Expr, grid_points: int, budget: int) -> list[tuple[TokenEnv, Fraction]]:
+    """Reference grid sampler: full grids, corners first, checked per environment.
+
+    Mirrors the documented contract of under_approx_samples, including
+    BudgetExceededError with the required grid size and the partial list.
+    """
+    try:
+        boxes = effective_intervals(e)
+    except InfeasibleTokenError:
+        return []
+    tokens = sorted(boxes, key=lambda t: t.name)
+    grids = [grid_values(boxes[t], grid_points) for t in tokens]
+    corners = [sorted({g[0], g[-1]}) for g in grids]
+    stream = list(itertools.product(*corners)) + [
+        combo
+        for combo in itertools.product(*grids)
+        if not all(v in c for v, c in zip(combo, corners))
+    ]
+    samples: list[tuple[TokenEnv, Fraction]] = []
+    for combo in stream:
+        if len(samples) >= budget:
+            raise BudgetExceededError(prod(len(g) for g in grids), budget, samples)
+        env = TokenEnv(dict(zip(tokens, combo)))
+        if naive_consistent(env, e):
+            samples.append((env, naive_evaluate(env, e)))
+    return samples
+
+
+def redeclare(rng: random.Random, e: Expr, spread: int = 3) -> Expr:
+    """Re-declare every measured leaf with its own interval around the old one.
+
+    Repeated tokens then carry different declared intervals whose
+    intersection still contains the original box.
+    """
+    match e:
+        case Exact():
+            return e
+        case Meas(token, interval, dim):
+            lo = interval.lo - rng.randint(0, spread) * rng.choice((0, Fraction(1, 2), 1))
+            hi = interval.hi + rng.randint(0, spread) * rng.choice((0, Fraction(1, 3), 1))
+            return Meas(token, Interval(lo, hi), dim)
+        case Neg(operand):
+            return Neg(redeclare(rng, operand, spread))
+        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r):
+            return type(e)(redeclare(rng, l, spread), redeclare(rng, r, spread))
+    raise TypeError(f"not an expression node: {e!r}")

@@ -1,6 +1,7 @@
 """Affine normalization, enclosure outcomes, sampling, membership."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,14 @@ from enclosures import (
     token_consistent,
     under_approx_samples,
 )
-from exprgen import corner_min_max, gen_affine, gen_any, token_boxes
+from exprgen import (
+    corner_min_max,
+    gen_affine,
+    gen_any,
+    naive_samples,
+    redeclare,
+    token_boxes,
+)
 
 T = Token("t")
 T1, T2 = Token("t1"), Token("t2")
@@ -224,6 +232,69 @@ class TestUnderApproxSamples:
             current = {v for _, v in under_approx_samples(DIST_DIV, grid)}
             assert previous <= current
             previous = current
+
+
+def _sampled(e, grid_points, budget):
+    """Samples, or (required, partial) when the budget cuts the grid."""
+    try:
+        return under_approx_samples(e, grid_points, budget)
+    except BudgetExceededError as ex:
+        return ex.required, ex.partial
+
+
+def _reference(e, grid_points, budget):
+    try:
+        return naive_samples(e, grid_points, budget)
+    except BudgetExceededError as ex:
+        return ex.required, ex.partial
+
+
+class TestUnderApproxMatchesReference:
+    """The compiled, lazily enumerated sampler agrees with a naive one."""
+
+    CASES = [
+        # repeated tokens under different declared intervals
+        "meas(t,[0,4],d) * meas(u,[-1,1],d) + meas(t,[1,6],d) * meas(u,[-3,1/2],d)",
+        # zero-containing denominator that the grid hits exactly
+        "meas(t,[-1,1],d) / meas(u,[-2,2],d)",
+        "(meas(a,[1,3],d) + exact(2,d)) / (meas(b,[-1,1],d) - meas(a,[1,3],d) + exact(2,d))",
+        # degenerate and infeasible boxes, and no tokens at all
+        "meas(t,[2,2],d) * meas(u,[0,3],d)",
+        "meas(t,[0,1],d) * meas(t,[2,3],d)",
+        "exact(3,d) / exact(0,d)",
+    ]
+
+    @pytest.mark.parametrize("text", CASES)
+    @pytest.mark.parametrize("grid", [2, 3, 5])
+    @pytest.mark.parametrize("budget", [1, 4, 7, 100_000])
+    def test_fixed_cases(self, text, grid, budget):
+        e = parse(text)
+        assert _sampled(e, grid, budget) == _reference(e, grid, budget)
+
+    def test_denominator_zero_is_sampled(self):
+        samples = under_approx_samples(parse("meas(t,[-1,1],d) / meas(u,[-2,2],d)"), 5)
+        assert any(env.value(Token("u")) == 0 and v == 0 for env, v in samples)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_corpus(self, seed):
+        rng = random.Random(seed)
+        boxes = token_boxes(rng)
+        e = redeclare(rng, gen_any(rng, boxes, rng.randint(3, 11)))
+        for grid, budget in [(2, 100_000), (3, 100_000), (4, 5), (3, rng.randint(1, 30))]:
+            assert _sampled(e, grid, budget) == _reference(e, grid, budget), (grid, budget)
+
+    def test_huge_grid_is_enumerated_lazily(self):
+        e = parse("meas(a,[1,2],d) * meas(b,[1,3],d)")
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                under_approx_samples(e, 200_000, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.required == 200_000**2
+        assert len(err.value.partial) == 10
+        assert peak < 1 << 20
 
 
 class TestEnclosure:

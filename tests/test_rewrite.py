@@ -1,5 +1,7 @@
 """Containment verdicts, rewrite classes, and evidence auditing."""
 
+import importlib
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -13,10 +15,12 @@ from enclosures import (
     ExactInterval,
     ExclusionCertificate,
     Exact,
+    FAMILIES,
     Fails,
     Holds,
     Interval,
     IntervalContainment,
+    MODES,
     Meas,
     MembershipWitness,
     Mul,
@@ -28,6 +32,7 @@ from enclosures import (
     Undecided,
     audit_classification,
     audit_verdict,
+    build_pair,
     check_conservativity,
     classify,
     enclosure,
@@ -36,7 +41,16 @@ from enclosures import (
     parse,
     token_consistent,
 )
-from exprgen import D, gen_affine, gen_exact, rand_rational, token_boxes
+from exprgen import (
+    D,
+    gen_affine,
+    gen_any,
+    gen_exact,
+    rand_family_spec,
+    rand_rational,
+    redeclare,
+    token_boxes,
+)
 
 SAME_DIFF = parse("meas(t,[2,5],d) - meas(t,[2,5],d)")
 DIST_DIFF = parse("meas(t1,[2,5],d) - meas(t2,[2,5],d)")
@@ -329,3 +343,64 @@ class TestEnclosureGridArguments:
         cls = classify(UNDET_SRC, UNDET_TGT, grid_points=3, budget=1000)
         assert isinstance(cls, Classification)
         assert audit_classification(cls, UNDET_SRC, UNDET_TGT)
+
+
+def _assert_classify_matches_licensed(src, tgt, **grid):
+    cls = classify(src, tgt, **grid)
+    assert cls.forward == licensed(src, tgt, **grid)
+    assert cls.backward == licensed(tgt, src, **grid)
+
+
+class TestClassifySharesEnclosures:
+    """classify encloses each side once, with licensed's verdicts exactly."""
+
+    def test_family_pairs(self):
+        for family, mode in itertools.product(FAMILIES, MODES):
+            spec = rand_family_spec(random.Random(11), family, mode)
+            _assert_classify_matches_licensed(*build_pair(spec))
+
+    def test_fixed_pairs(self):
+        infeasible = parse("meas(t,[0,1],d) + meas(t,[2,3],d)")
+        pairs = [
+            (SAME_DIFF, ZERO),
+            (DIST_DIV, ONE),
+            (UNDET_SRC, UNDET_TGT),
+            (infeasible, DIST_DIFF),
+            (infeasible, infeasible),
+            (DIST_DIV, DIST_DIV),
+        ]
+        for src, tgt in pairs:
+            _assert_classify_matches_licensed(src, tgt)
+            _assert_classify_matches_licensed(tgt, src, grid_points=3, budget=5)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_affine_corpus(self, seed):
+        rng = random.Random(seed)
+        boxes = token_boxes(rng)
+        src = gen_affine(rng, boxes, rng.randint(1, 9))
+        tgt = redeclare(rng, gen_affine(rng, boxes, rng.randint(1, 9)), spread=1)
+        _assert_classify_matches_licensed(src, tgt)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_any_fragment_corpus(self, seed):
+        rng = random.Random(seed)
+        boxes = token_boxes(rng, 3)
+        src = gen_any(rng, boxes, rng.randint(1, 9))
+        tgt = gen_any(rng, boxes, rng.randint(1, 9))
+        _assert_classify_matches_licensed(src, tgt, grid_points=3)
+        _assert_classify_matches_licensed(src, tgt, grid_points=4, budget=10)
+
+    def test_grid_is_enumerated_once_per_classify(self, monkeypatch):
+        module = importlib.import_module("enclosures.enclosure")
+        stream = module._env_stream
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stream(*args)
+
+        monkeypatch.setattr(module, "_env_stream", counted)
+        src = parse("meas(a,[1,2],d) * meas(b,[1,2],d)")
+        cls = classify(src, ONE, grid_points=2, budget=100)
+        assert cls.kind is RewriteClass.ONE_WAY_ONLY_FORWARD
+        assert len(calls) == 1

@@ -21,7 +21,7 @@ from enclosures import (
     token_consistent,
     tokens_of,
 )
-from exprgen import gen_any, gen_exact, rand_rational, token_boxes
+from exprgen import gen_any, gen_exact, naive_evaluate, rand_rational, token_boxes
 
 
 class TestEvaluate:
@@ -50,6 +50,18 @@ class TestEvaluate:
         noise = dict(env.bindings)
         noise[Token("unused_elsewhere")] = rand_rational(rng)
         assert evaluate(env, e) == evaluate(TokenEnv(noise), e)
+
+    @given(st.integers(0, 10**9))
+    def test_matches_reference_evaluator(self, seed):
+        # Partial environments exercise the default for unbound tokens, and
+        # small rationals make zero denominators common.
+        rng = random.Random(seed)
+        e = gen_any(rng, token_boxes(rng), rng.randint(1, 15))
+        for _ in range(3):
+            env = TokenEnv(
+                {t: rand_rational(rng, -2, 2, 2) for t in tokens_of(e) if rng.random() < 0.8}
+            )
+            assert evaluate(env, e) == naive_evaluate(env, e)
 
     @given(st.integers(0, 10**9))
     def test_exact_value_ignores_environment(self, seed):
