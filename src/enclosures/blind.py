@@ -29,6 +29,8 @@ from .expr import (
     Neg,
     Sub,
     Unbounded,
+    fold,
+    format_tree,
 )
 
 if TYPE_CHECKING:
@@ -56,22 +58,19 @@ BlindExpr = Union[BlindExact, BlindMeas, Add, Sub, Mul, Div, Neg]
 
 def forget_tokens(e: Expr) -> BlindExpr:
     """Erase tokens from measured leaves; homomorphic everywhere else."""
-    match e:
-        case Exact(value, dim):
-            return BlindExact(value, dim)
-        case Meas(_, interval, dim):
-            return BlindMeas(interval, dim)
-        case Add(lhs, rhs):
-            return Add(forget_tokens(lhs), forget_tokens(rhs))
-        case Sub(lhs, rhs):
-            return Sub(forget_tokens(lhs), forget_tokens(rhs))
-        case Mul(lhs, rhs):
-            return Mul(forget_tokens(lhs), forget_tokens(rhs))
-        case Div(lhs, rhs):
-            return Div(forget_tokens(lhs), forget_tokens(rhs))
-        case Neg(operand):
-            return Neg(forget_tokens(operand))
+    return fold(e, _forget_leaf, _REBUILD)
+
+
+def _forget_leaf(e: Expr) -> BlindExpr:
+    if isinstance(e, Exact):
+        return BlindExact(e.value, e.dim)
+    if isinstance(e, Meas):
+        return BlindMeas(e.interval, e.dim)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# Each operator is rebuilt as itself over the erased operands.
+_REBUILD = {cls: cls for cls in (Add, Sub, Mul, Div, Neg)}
 
 
 # --- interval arithmetic on Bounds ------------------------------------------
@@ -115,6 +114,15 @@ def bounds_div(a: Bounds, b: Bounds) -> Bounds:
     return Interval(min(quotients), max(quotients))
 
 
+_BOUNDS = {
+    Add: bounds_add,
+    Sub: bounds_sub,
+    Mul: bounds_mul,
+    Div: bounds_div,
+    Neg: bounds_neg,
+}
+
+
 def blind_enclosure(b: BlindExpr) -> Bounds:
     """Compositional interval image of a token-erased expression.
 
@@ -122,48 +130,28 @@ def blind_enclosure(b: BlindExpr) -> Bounds:
     interval, and every occurrence is treated independently because no
     token identity survives erasure.
     """
-    match b:
-        case BlindExact(value, _):
-            return Interval.point(value)
-        case BlindMeas(interval, _):
-            return interval
-        case Add(lhs, rhs):
-            return bounds_add(blind_enclosure(lhs), blind_enclosure(rhs))
-        case Sub(lhs, rhs):
-            return bounds_sub(blind_enclosure(lhs), blind_enclosure(rhs))
-        case Mul(lhs, rhs):
-            return bounds_mul(blind_enclosure(lhs), blind_enclosure(rhs))
-        case Div(lhs, rhs):
-            return bounds_div(blind_enclosure(lhs), blind_enclosure(rhs))
-        case Neg(operand):
-            return bounds_neg(blind_enclosure(operand))
+    return fold(b, _leaf_bounds, _BOUNDS)
+
+
+def _leaf_bounds(b: BlindExpr) -> Bounds:
+    if isinstance(b, BlindExact):
+        return Interval.point(b.value)
+    if isinstance(b, BlindMeas):
+        return b.interval
     raise TypeError(f"not a blind expression node: {b!r}")
 
 
 def format_blind(b: BlindExpr) -> str:
     """Render a token-erased tree; measured leaves print without a token."""
-    return _fmt(b, 0)
+    return format_tree(b, _blind_leaf_text)
 
 
-def _fmt(b: BlindExpr, min_prec: int) -> str:
-    match b:
-        case BlindExact(value, dim):
-            text, prec = f"exact({value},{dim})", 4
-        case BlindMeas(interval, dim):
-            text, prec = f"meas({interval},{dim})", 4
-        case Add(lhs, rhs):
-            text, prec = f"{_fmt(lhs, 1)} + {_fmt(rhs, 2)}", 1
-        case Sub(lhs, rhs):
-            text, prec = f"{_fmt(lhs, 1)} - {_fmt(rhs, 2)}", 1
-        case Mul(lhs, rhs):
-            text, prec = f"{_fmt(lhs, 2)} * {_fmt(rhs, 3)}", 2
-        case Div(lhs, rhs):
-            text, prec = f"{_fmt(lhs, 2)} / {_fmt(rhs, 3)}", 2
-        case Neg(operand):
-            text, prec = f"-{_fmt(operand, 3)}", 3
-        case _:
-            raise TypeError(f"not a blind expression node: {b!r}")
-    return f"({text})" if prec < min_prec else text
+def _blind_leaf_text(b: BlindExpr) -> str:
+    if isinstance(b, BlindExact):
+        return f"exact({b.value},{b.dim})"
+    if isinstance(b, BlindMeas):
+        return f"meas({b.interval},{b.dim})"
+    raise TypeError(f"not a blind expression node: {b!r}")
 
 
 # --- the blind-view comparator ------------------------------------------------

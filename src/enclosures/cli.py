@@ -103,17 +103,15 @@ def _outcome_json(out: EnclosureOutcome, with_samples: bool = True) -> dict:
         return {"outcome": "empty", "infeasible_token": out.token.name}
     if isinstance(out, ExactInterval):
         return {"outcome": "exact-interval", "interval": _interval_json(out.interval)}
-    if isinstance(out, Unknown):
-        payload = {
-            "outcome": "unknown",
-            "over": _bounds_json(out.over),
-            "truncated": out.truncated,
-            "under_count": len(out.under),
-        }
-        if with_samples:
-            payload["under"] = [_sample_json(env, v) for env, v in out.under]
-        return payload
-    return {"outcome": "unbounded"}
+    payload = {
+        "outcome": "unknown",
+        "over": _bounds_json(out.over),
+        "truncated": out.truncated,
+        "under_count": len(out.under),
+    }
+    if with_samples:
+        payload["under"] = [_sample_json(env, v) for env, v in out.under]
+    return payload
 
 
 def _certificate_json(cert: ExclusionCertificate) -> dict:
@@ -240,19 +238,17 @@ def _outcome_pretty(out: EnclosureOutcome) -> list[str]:
         return [f"result: empty (token {out.token.name} has no possible value)"]
     if isinstance(out, ExactInterval):
         return [f"result: exact interval {out.interval}"]
-    if isinstance(out, Unknown):
-        lines = [
-            "result: unknown",
-            f"over: {_bounds_text(out.over)}",
-            f"under samples: {len(out.under)}"
-            + (" (truncated by budget)" if out.truncated else ""),
-        ]
-        for env, value in out.under[:PRETTY_SAMPLE_LIMIT]:
-            lines.append(f"  {_env_text(env)} -> {value}")
-        if len(out.under) > PRETTY_SAMPLE_LIMIT:
-            lines.append(f"  ... {len(out.under) - PRETTY_SAMPLE_LIMIT} more")
-        return lines
-    return ["result: unbounded"]
+    lines = [
+        "result: unknown",
+        f"over: {_bounds_text(out.over)}",
+        f"under samples: {len(out.under)}"
+        + (" (truncated by budget)" if out.truncated else ""),
+    ]
+    for env, value in out.under[:PRETTY_SAMPLE_LIMIT]:
+        lines.append(f"  {_env_text(env)} -> {value}")
+    if len(out.under) > PRETTY_SAMPLE_LIMIT:
+        lines.append(f"  ... {len(out.under) - PRETTY_SAMPLE_LIMIT} more")
+    return lines
 
 
 def _cmd_enclosure(args) -> int:

@@ -11,6 +11,7 @@ over-approximation, and stays honest about the gap.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -30,10 +31,12 @@ from .expr import (
     Sub,
     Token,
     effective_intervals,
-    is_exact,
-    tokens_of,
+    postorder,
 )
-from .semantics import TokenEnv, compile_expr, evaluate, exact_value, token_consistent
+from .semantics import TokenEnv, compile_expr, evaluate, token_consistent
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 DEFAULT_GRID_POINTS = 5
 DEFAULT_ENV_BUDGET = 100_000
@@ -132,67 +135,63 @@ def to_affine(e: Expr) -> AffineForm:
 def _affine_parts(
     e: Expr, boxes: Mapping[Token, Interval]
 ) -> tuple[Fraction, dict[Token, Fraction]]:
-    match e:
-        case Exact(value, _):
-            return value, {}
-        case Meas(token, _, _):
-            return Fraction(0), {token: Fraction(1)}
-        case Add(lhs, rhs):
-            cl, kl = _affine_parts(lhs, boxes)
-            cr, kr = _affine_parts(rhs, boxes)
-            return cl + cr, _merge(kl, kr, Fraction(1))
-        case Sub(lhs, rhs):
-            cl, kl = _affine_parts(lhs, boxes)
-            cr, kr = _affine_parts(rhs, boxes)
-            return cl - cr, _merge(kl, kr, Fraction(-1))
-        case Neg(operand):
-            c, k = _affine_parts(operand, boxes)
-            return -c, {t: -v for t, v in k.items()}
-        case Mul(lhs, rhs):
-            if is_exact(lhs):
-                scale = exact_value(lhs)
-                c, k = _affine_parts(rhs, boxes)
-            elif is_exact(rhs):
-                scale = exact_value(rhs)
-                c, k = _affine_parts(lhs, boxes)
+    """Fold e bottom-up to (constant, coeffs), or raise NotAffineError.
+
+    A subtree's coeffs have an entry for each token below it, so it is
+    measurement-free exactly when they are empty.  Outside the fragment the
+    constant is the NotAffineError saying why, and the coeffs still list
+    the tokens, because dividing by an exact zero makes any numerator 0.
+    """
+    done: list[tuple[Fraction | NotAffineError, dict[Token, Fraction]]] = []
+    for node in postorder(e):
+        cls, factor = type(node), None
+        if cls is Exact:
+            c, k = node.value, {}
+        elif cls is Meas:
+            c, k = _ZERO, {node.token: _ONE}
+        elif cls is Neg:
+            (c, k), factor = done.pop(), -_ONE
+        elif cls in (Add, Sub, Mul, Div):
+            (cr, kr), (c, k) = done.pop(), done.pop()
+            if cls is Add or cls is Sub:
+                combine = operator.add if cls is Add else operator.sub
+                for t, v in kr.items():  # each pair has one consumer: update in place
+                    k[t] = combine(k.get(t, _ZERO), v)
+                if not isinstance(c, NotAffineError):
+                    c = cr if isinstance(cr, NotAffineError) else combine(c, cr)
+            elif cls is Mul and not (k and kr):
+                # A measurement-free factor scales the other one.
+                c, k, factor = (cr, kr, c) if not k else (c, k, cr)
+            elif cls is Div and not kr:
+                # Total division: x / 0 = 0 for every x, affine or not.
+                c, factor = (_ZERO, _ZERO) if cr == 0 else (c, 1 / cr)
+            elif cls is Div and node.lhs == node.rhs:
+                # Same subtree above and below: 1 where it is nonzero, 0 where zero.
+                if not isinstance(c, NotAffineError):
+                    lo, hi = _linear_bounds(c, k, boxes)
+                    if lo > 0 or hi < 0:
+                        c, k = _ONE, dict.fromkeys(k, _ZERO)
+                    elif lo == 0 and hi == 0:
+                        c, k = _ZERO, dict.fromkeys(k, _ZERO)
+                    else:
+                        c = NotAffineError(
+                            "self-quotient can take both 0 and 1 over the boxes"
+                        )
+            elif cls is Mul:
+                k.update(kr)
+                c = NotAffineError("product of two measured subexpressions")
             else:
-                raise NotAffineError("product of two measured subexpressions")
-            return scale * c, {t: scale * v for t, v in k.items()}
-        case Div(lhs, rhs):
-            if is_exact(rhs):
-                divisor = exact_value(rhs)
-                if divisor == 0:
-                    # x / 0 = 0 for every x; no need to reduce the numerator.
-                    return Fraction(0), _zero_coeffs(tokens_of(lhs))
-                c, k = _affine_parts(lhs, boxes)
-                return c / divisor, {t: v / divisor for t, v in k.items()}
-            if lhs == rhs:
-                # Same subtree above and below: the quotient is 1 wherever
-                # the shared value is nonzero and 0 where it is zero.
-                c, k = _affine_parts(lhs, boxes)
-                lo, hi = _linear_bounds(c, k, boxes)
-                if lo > 0 or hi < 0:
-                    return Fraction(1), _zero_coeffs(k)
-                if lo == 0 and hi == 0:
-                    return Fraction(0), _zero_coeffs(k)
-                raise NotAffineError(
-                    "self-quotient can take both 0 and 1 over the boxes"
-                )
-            raise NotAffineError("measured denominator")
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _merge(
-    a: dict[Token, Fraction], b: dict[Token, Fraction], sign: Fraction
-) -> dict[Token, Fraction]:
-    out = dict(a)
-    for t, v in b.items():
-        out[t] = out.get(t, Fraction(0)) + sign * v
-    return out
-
-
-def _zero_coeffs(tokens) -> dict[Token, Fraction]:
-    return {t: Fraction(0) for t in tokens}
+                k.update(kr)
+                c = NotAffineError("measured denominator")
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        if factor is not None and not isinstance(c, NotAffineError):
+            c, k = factor * c, {t: factor * v for t, v in k.items()}
+        done.append((c, k))
+    constant, coeffs = done[0]
+    if isinstance(constant, NotAffineError):
+        raise constant
+    return constant, coeffs
 
 
 def _linear_bounds(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Mapping, TypeVar, Union
 
 
 class IntervalOrderError(ValueError):
@@ -135,50 +135,102 @@ class Meas:
     dim: Dim
 
 
-@dataclass(frozen=True)
-class Add:
+class _Op:
+    """Shared base of the operator nodes: equality and hashing by shape.
+
+    With fixed arities a tree is determined by its post-order, so trees are
+    equal exactly when their post-orders agree, operators compared by class
+    and leaves by value.  Unlike the dataclass methods, this never recurses.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return _shape(self) == _shape(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_shape(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class Add(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Sub:
+@dataclass(frozen=True, eq=False)
+class Sub(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False)
+class Mul(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Div:
+@dataclass(frozen=True, eq=False)
+class Div(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Op):
     operand: "Expr"
 
 
 Expr = Union[Exact, Meas, Add, Sub, Mul, Div, Neg]
 
+T = TypeVar("T")
+
+
+def postorder(e: Expr) -> list[Expr]:
+    """Every node of e, children before parents and left before right.
+
+    The one place that knows each node's children.  An explicit stack
+    keeps deep trees off the interpreter's recursion limit; reversing a
+    node-right-left preorder gives the left-right-node post-order.
+    """
+    order = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if type(node) is Neg:
+            stack.append(node.operand)
+        elif isinstance(node, _Op):
+            stack.append(node.lhs)
+            stack.append(node.rhs)
+    order.reverse()
+    return order
+
+
+def fold(
+    e: Expr, leaf: Callable[[Expr], T], combine: Mapping[type, Callable[..., T]]
+) -> T:
+    """Bottom-up value of e: leaf(node) at each leaf, and at each operator
+    combine[type(node)] applied to its operands' values, left to right."""
+    values: list[T] = []
+    for node in postorder(e):
+        if type(node) is Neg:
+            values[-1] = combine[Neg](values[-1])
+        elif isinstance(node, _Op):
+            rhs = values.pop()
+            values[-1] = combine[type(node)](values[-1], rhs)
+        else:
+            values.append(leaf(node))
+    return values[0]
+
+
+def _shape(e: Expr) -> list:
+    return [type(node) if isinstance(node, _Op) else node for node in postorder(e)]
+
 
 def meas_leaves(e: Expr) -> Iterator[Meas]:
     """Yield every measured leaf in left-to-right syntactic order."""
-    match e:
-        case Meas():
-            yield e
-        case Exact():
-            return
-        case Add(lhs, rhs) | Sub(lhs, rhs) | Mul(lhs, rhs) | Div(lhs, rhs):
-            yield from meas_leaves(lhs)
-            yield from meas_leaves(rhs)
-        case Neg(operand):
-            yield from meas_leaves(operand)
+    return (node for node in postorder(e) if isinstance(node, Meas))
 
 
 def is_exact(e: Expr) -> bool:
@@ -191,16 +243,7 @@ def tokens_of(e: Expr) -> set[Token]:
 
 
 def dims_of(e: Expr) -> set[Dim]:
-    out: set[Dim] = set()
-    match e:
-        case Exact(_, dim) | Meas(_, _, dim):
-            out.add(dim)
-        case Add(lhs, rhs) | Sub(lhs, rhs) | Mul(lhs, rhs) | Div(lhs, rhs):
-            out |= dims_of(lhs)
-            out |= dims_of(rhs)
-        case Neg(operand):
-            out |= dims_of(operand)
-    return out
+    return {node.dim for node in postorder(e) if isinstance(node, (Exact, Meas))}
 
 
 def effective_intervals(e: Expr) -> dict[Token, Interval]:
@@ -230,33 +273,50 @@ _PREC_NEG = 3
 _PREC_LEAF = 4
 
 
+_INFIX = {
+    Add: (" + ", _PREC_ADD),
+    Sub: (" - ", _PREC_ADD),
+    Mul: (" * ", _PREC_MUL),
+    Div: (" / ", _PREC_MUL),
+}
+
+
 def format_expr(e: Expr) -> str:
     """Canonical text; parsing the result reproduces the tree exactly."""
-    return _fmt(e, 0)
+    return format_tree(e, _leaf_text)
 
 
-def _fmt(e: Expr, min_prec: int) -> str:
-    match e:
-        case Exact(value, dim):
-            text, prec = f"exact({value},{dim})", _PREC_LEAF
-        case Meas(token, interval, dim):
-            text, prec = f"meas({token},{interval},{dim})", _PREC_LEAF
-        case Add(lhs, rhs):
-            text = f"{_fmt(lhs, _PREC_ADD)} + {_fmt(rhs, _PREC_ADD + 1)}"
-            prec = _PREC_ADD
-        case Sub(lhs, rhs):
-            text = f"{_fmt(lhs, _PREC_ADD)} - {_fmt(rhs, _PREC_ADD + 1)}"
-            prec = _PREC_ADD
-        case Mul(lhs, rhs):
-            text = f"{_fmt(lhs, _PREC_MUL)} * {_fmt(rhs, _PREC_MUL + 1)}"
-            prec = _PREC_MUL
-        case Div(lhs, rhs):
-            text = f"{_fmt(lhs, _PREC_MUL)} / {_fmt(rhs, _PREC_MUL + 1)}"
-            prec = _PREC_MUL
-        case Neg(operand):
-            text, prec = f"-{_fmt(operand, _PREC_NEG)}", _PREC_NEG
-        case _:
-            raise TypeError(f"not an expression node: {e!r}")
-    if prec < min_prec:
-        return f"({text})"
-    return text
+def _leaf_text(e: Expr) -> str:
+    if isinstance(e, Exact):
+        return f"exact({e.value},{e.dim})"
+    if isinstance(e, Meas):
+        return f"meas({e.token},{e.interval},{e.dim})"
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def format_tree(e: Expr, leaf_text: Callable[[Expr], str]) -> str:
+    """Print e with the fewest parentheses; leaf_text renders each leaf.
+
+    Binary operators are left-associative, so a right operand of equal
+    precedence is parenthesised and a left one is not.
+    """
+    done: list[tuple[str, int]] = []  # (text, precedence) of printed subtrees
+    for node in postorder(e):
+        cls = type(node)
+        if cls is Neg:
+            text, prec = done[-1]
+            if prec < _PREC_NEG:
+                text = f"({text})"
+            done[-1] = ("-" + text, _PREC_NEG)
+        elif cls in _INFIX:
+            symbol, prec = _INFIX[cls]
+            right, right_prec = done.pop()
+            left, left_prec = done[-1]
+            if left_prec < prec:
+                left = f"({left})"
+            if right_prec <= prec:
+                right = f"({right})"
+            done[-1] = (left + symbol + right, prec)
+        else:
+            done.append((leaf_text(node), _PREC_LEAF))
+    return done[0][0]

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the expression grammar.
+"""Operator-precedence parser for the expression grammar.
 
     expr   := term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*
@@ -28,6 +28,13 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
+
+
+# Precedences: "(" waits below every operator, and unary minus binds
+# tighter than "*" and "/", which bind tighter than "+" and "-".
+_OPEN_PAREN = (0, None)
+_INFIX = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
+_PREFIX_MINUS = (3, Neg)
 
 
 @dataclass(frozen=True)
@@ -92,33 +99,47 @@ class _Parser:
         return self.advance()
 
     def expression(self) -> Expr:
-        node = self.term()
-        while True:
-            if self.accept("+"):
-                node = Add(node, self.term())
-            elif self.accept("-"):
-                node = Sub(node, self.term())
-            else:
-                return node
+        """Operator-precedence loop over explicit operand and operator stacks.
 
-    def term(self) -> Expr:
-        node = self.factor()
+        Equivalent to the `expr`/`term`/`factor` rules above, without
+        recursion: prefix minus and "(" wait on the operator stack until
+        the operand they govern is complete.
+        """
+        operands: list[Expr] = []
+        pending: list[tuple[int, type | None]] = []  # (precedence, node class)
+        open_parens = 0
         while True:
-            if self.accept("*"):
-                node = Mul(node, self.factor())
-            elif self.accept("/"):
-                node = Div(node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        if self.accept("-"):
-            return Neg(self.factor())
-        if self.accept("("):
-            node = self.expression()
-            self.expect(")")
-            return node
-        return self.leaf()
+            while True:  # prefix position: unary minus and "(" before a leaf
+                if self.accept("-"):
+                    pending.append(_PREFIX_MINUS)
+                elif self.accept("("):
+                    pending.append(_OPEN_PAREN)
+                    open_parens += 1
+                else:
+                    break
+            operands.append(self.leaf())
+            while True:  # after an operand: ")" repeats, an infix operator ends
+                kind = self.peek().kind
+                infix = _INFIX.get(kind)
+                # Left associativity: apply pending operators of equal or
+                # higher precedence; ")" and the end apply all down to "(".
+                floor = infix[0] if infix else 1
+                while pending and pending[-1][0] >= floor:
+                    _, cls = pending.pop()
+                    if cls is Neg:
+                        operands[-1] = Neg(operands[-1])
+                    else:
+                        rhs = operands.pop()
+                        operands[-1] = cls(operands[-1], rhs)
+                if infix:
+                    self.advance()
+                    pending.append(infix)
+                    break
+                if not open_parens:
+                    return operands[0]
+                self.expect(")")
+                pending.pop()
+                open_parens -= 1
 
     def leaf(self) -> Expr:
         tok = self.peek()

@@ -10,12 +10,13 @@ makes repeated occurrences of one token carry one shared value.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .expr import Add, Div, Exact, Expr, Meas, Mul, Neg, Sub, Token, is_exact
+from .expr import Add, Div, Exact, Expr, Meas, Mul, Neg, Sub, Token, is_exact, postorder
 from .parser import ParseError, parse_rational
 
 _ZERO = Fraction(0)
@@ -54,41 +55,53 @@ EMPTY_ENV = TokenEnv()
 Compiled = Callable[[Callable[[Token], Fraction]], Fraction]
 
 
+def _quotient(a: Fraction, b: Fraction) -> Fraction:
+    return a / b if b else _ZERO
+
+
+def _negate(a: Fraction, _: Fraction) -> Fraction:
+    return -a
+
+
+_STEP = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _quotient}
+
+
 def compile_expr(e: Expr) -> Compiled:
-    """Walk the tree once into nested closures that evaluate it per world.
+    """Flatten the tree once into a straight-line program over registers.
 
-    The closure takes a token lookup (for instance ``env.value``), so one
-    compiled expression can be run under many environments without
-    re-dispatching on node types; division is total, as in `evaluate`.
+    Register k holds the value of the k-th node in post-order: constants
+    are filled in here, measured leaves are loaded through the token
+    lookup (for instance ``env.value``), and each operator is one step
+    over earlier registers.  One compiled expression can then be run under
+    many environments; division is total, as in `evaluate`.
     """
-    match e:
-        case Exact(value, _):
-            return lambda value_of: value
-        case Meas(token, _, _):
-            return lambda value_of: value_of(token)
-        case Add(lhs, rhs):
-            left, right = compile_expr(lhs), compile_expr(rhs)
-            return lambda value_of: left(value_of) + right(value_of)
-        case Sub(lhs, rhs):
-            left, right = compile_expr(lhs), compile_expr(rhs)
-            return lambda value_of: left(value_of) - right(value_of)
-        case Mul(lhs, rhs):
-            left, right = compile_expr(lhs), compile_expr(rhs)
-            return lambda value_of: left(value_of) * right(value_of)
-        case Div(lhs, rhs):
-            left, right = compile_expr(lhs), compile_expr(rhs)
+    registers: list[Fraction | None] = []
+    loads: list[tuple[int, Token]] = []
+    steps: list[tuple[int, Callable[[Fraction, Fraction], Fraction], int, int]] = []
+    pending: list[int] = []  # registers of subtrees whose parent is still to come
+    for k, node in enumerate(postorder(e)):
+        cls = type(node)
+        registers.append(node.value if cls is Exact else None)
+        if cls is Meas:
+            loads.append((k, node.token))
+        elif cls is Neg:
+            steps.append((k, _negate, pending[-1], pending.pop()))
+        elif cls in _STEP:
+            rhs = pending.pop()
+            steps.append((k, _STEP[cls], pending.pop(), rhs))
+        elif cls is not Exact:
+            raise TypeError(f"not an expression node: {node!r}")
+        pending.append(k)
 
-            def quotient(value_of: Callable[[Token], Fraction]) -> Fraction:
-                denominator = right(value_of)
-                if denominator == 0:
-                    return _ZERO
-                return left(value_of) / denominator
+    def run(value_of: Callable[[Token], Fraction]) -> Fraction:
+        values = registers.copy()
+        for k, token in loads:
+            values[k] = value_of(token)
+        for k, step, i, j in steps:
+            values[k] = step(values[i], values[j])
+        return values[-1]
 
-            return quotient
-        case Neg(operand):
-            inner = compile_expr(operand)
-            return lambda value_of: -inner(value_of)
-    raise TypeError(f"not an expression node: {e!r}")
+    return run
 
 
 def evaluate(env: TokenEnv, e: Expr) -> Fraction:
@@ -103,16 +116,11 @@ def token_consistent(env: TokenEnv, e: Expr) -> bool:
     sharing a token are checked against the same assigned value, once per
     declared interval.
     """
-    match e:
-        case Exact():
-            return True
-        case Meas(token, interval, _):
-            return interval.contains(env.value(token))
-        case Add(lhs, rhs) | Sub(lhs, rhs) | Mul(lhs, rhs) | Div(lhs, rhs):
-            return token_consistent(env, lhs) and token_consistent(env, rhs)
-        case Neg(operand):
-            return token_consistent(env, operand)
-    raise TypeError(f"not an expression node: {e!r}")
+    return all(
+        node.interval.contains(env.value(node.token))
+        for node in postorder(e)
+        if isinstance(node, Meas)
+    )
 
 
 def exact_value(e: Expr) -> Fraction:
