@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: eval, enclosure, classify, blind, demo, oracle.  Output is
-line-delimited JSON by default (one object per line, stable field order)
-so reports can be diffed byte for byte; --pretty switches to a plain
-text rendering.  Exit codes: 0 success/decided, 2 bad input, 3 an
-undetermined classification, 4 enumeration budget exceeded.
+Subcommands: eval, enclosure, classify, blind, demo, oracle.  Each builds
+one JSON payload with a stable field order and prints it as one line
+(oracle prints one object per sampled row), so reports can be diffed
+byte for byte; --pretty renders that same payload as plain text.  Exit
+codes: 0 success/decided, 2 bad input, 3 an undetermined classification,
+4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .enclosure import (
     EmptySet,
     EnclosureOutcome,
     ExactInterval,
-    ExclusionCertificate,
     Unknown,
     enclosure,
     under_approx_samples,
@@ -68,7 +68,7 @@ from .semantics import EMPTY_ENV, TokenEnv, evaluate, parse_env, token_consisten
 PRETTY_SAMPLE_LIMIT = 20
 
 
-# --- serialization (field order here is the output contract) -----------------
+# --- payloads (field order here is the output contract) -----------------------
 
 
 def _interval_json(iv: Interval) -> list[str]:
@@ -79,19 +79,8 @@ def _bounds_json(b: Bounds):
     return "unbounded" if isinstance(b, Unbounded) else _interval_json(b)
 
 
-def _bounds_text(b: Bounds) -> str:
-    return "unbounded" if isinstance(b, Unbounded) else str(b)
-
-
 def _env_json(env: TokenEnv) -> dict:
     return {t.name: str(v) for t, v in env.sorted_items()}
-
-
-def _env_text(env: TokenEnv) -> str:
-    items = env.sorted_items()
-    if not items:
-        return "(none)"
-    return ", ".join(f"{t.name} = {v}" for t, v in items)
 
 
 def _sample_json(env: TokenEnv, value: Fraction) -> dict:
@@ -112,13 +101,6 @@ def _outcome_json(out: EnclosureOutcome, with_samples: bool = True) -> dict:
     if with_samples:
         payload["under"] = [_sample_json(env, v) for env, v in out.under]
     return payload
-
-
-def _certificate_json(cert: ExclusionCertificate) -> dict:
-    return {
-        "kind": cert.kind,
-        "bounds": None if cert.bounds is None else _interval_json(cert.bounds),
-    }
 
 
 def _evidence_json(evidence) -> dict:
@@ -146,11 +128,15 @@ def _verdict_json(verdict: Verdict) -> dict:
         case Holds(evidence):
             return {"verdict": "holds", "evidence": _evidence_json(evidence)}
         case Fails(env, value, certificate):
+            bounds = certificate.bounds
             return {
                 "verdict": "fails",
                 "env": _env_json(env),
                 "value": str(value),
-                "certificate": _certificate_json(certificate),
+                "certificate": {
+                    "kind": certificate.kind,
+                    "bounds": None if bounds is None else _interval_json(bounds),
+                },
             }
         case Undecided(source_outcome, target_outcome):
             return {
@@ -169,16 +155,140 @@ def _classification_json(cls: Classification) -> dict:
     }
 
 
-def _emit(args, payload: dict, pretty_lines: list[str]) -> None:
-    if args.fmt == "pretty":
-        print("\n".join(pretty_lines))
-    else:
-        print(json.dumps(payload))
+def _blind_json(report: ComparisonReport) -> dict:
+    """The comparison, with an audit of both classifications it made."""
+    # Each side is classified against the shared target, else the other side.
+    target = report.target
+    others = (report.expr2, report.expr1) if target is None else (target, target)
+    return {
+        "expr1": format_expr(report.expr1),
+        "expr2": format_expr(report.expr2),
+        "target": None if target is None else format_expr(target),
+        "blind1": format_blind(report.blind1),
+        "blind2": format_blind(report.blind2),
+        "erased_equal": report.erased_equal,
+        "bounds1": _bounds_json(report.bounds1),
+        "bounds2": _bounds_json(report.bounds2),
+        "bounds_equal": report.bounds_equal,
+        "class1": _classification_json(report.class1),
+        "class2": _classification_json(report.class2),
+        "classes_differ": report.classes_differ,
+        "demonstrates_insufficiency": report.demonstrates_insufficiency,
+        "audit": audit_classification(report.class1, report.expr1, others[0])
+        and audit_classification(report.class2, report.expr2, others[1]),
+    }
+
+
+# --- pretty text, rendered from a payload alone --------------------------------
+
+
+def _text(v) -> str:
+    """One payload value as text: an interval as [lo,hi], an env as bindings."""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, list):
+        return f"[{v[0]},{v[1]}]"
+    if isinstance(v, dict):
+        bindings = ", ".join(f"{name} = {value}" for name, value in v.items())
+        return bindings or "(none)"
+    return str(v)
+
+
+def _outcome_text(out: dict) -> list[str]:
+    if out["outcome"] == "empty":
+        token = out["infeasible_token"]
+        return [f"result: empty (token {token} has no possible value)"]
+    if out["outcome"] == "exact-interval":
+        return [f"result: exact interval {_text(out['interval'])}"]
+    count = out["under_count"]
+    truncated = " (truncated by budget)" if out["truncated"] else ""
+    lines = ["result: unknown", f"over: {_text(out['over'])}"]
+    lines.append(f"under samples: {count}{truncated}")
+    for s in out["under"][:PRETTY_SAMPLE_LIMIT]:
+        lines.append(f"  {_text(s['env'])} -> {s['value']}")
+    if count > PRETTY_SAMPLE_LIMIT:
+        lines.append(f"  ... {count - PRETTY_SAMPLE_LIMIT} more")
+    return lines
+
+
+def _verdict_text(label: str, verdict: dict) -> str:
+    if verdict["verdict"] == "holds":
+        detail = dict(verdict["evidence"])
+        kind = detail.pop("kind")
+        extra = f" {detail}" if detail else ""
+        return f"{label}: holds ({kind}){extra}"
+    if verdict["verdict"] == "fails":
+        cert = verdict["certificate"]
+        bounds = "" if cert["bounds"] is None else f" {_text(cert['bounds'])}"
+        return (
+            f"{label}: fails (value {verdict['value']} under {_text(verdict['env'])} "
+            f"is outside {cert['kind']}{bounds})"
+        )
+    return f"{label}: undecided"
+
+
+def _fields(p: dict, *keys: str, prefix: str = "") -> list[str]:
+    """One `key: value` line per key, with spaces for the key's underscores."""
+    return [f"{prefix}{key.replace('_', ' ')}: {_text(p[key])}" for key in keys]
+
+
+def _pretty(p: dict) -> list[str]:
+    """The --pretty report of one command's payload."""
+    command = p["command"]
+    if command == "eval":
+        lines = _fields(p, "expr", "env", "value", "consistent")
+        if p["effective_intervals"] is None:
+            token = p["infeasible_token"]
+            return lines + [f"effective intervals: infeasible token {token}"]
+        return lines + ["effective intervals:"] + [
+            f"  {name}: {_text(iv)}" for name, iv in p["effective_intervals"].items()
+        ]
+    if command == "enclosure":
+        return _fields(p, "expr") + _outcome_text(p["result"])
+    if command == "classify":
+        cls = p["classification"]
+        return [
+            *_fields(p, "source", "target"),
+            f"class: {cls['class']}",
+            _verdict_text("forward", cls["forward"]),
+            _verdict_text("backward", cls["backward"]),
+            *_fields(p, "audit"),
+        ]
+    if command == "blind":
+        return [
+            *_fields(p, "expr1", "expr2"),
+            f"target: {'(each other)' if p['target'] is None else p['target']}",
+            *_fields(p, "blind1", "blind2", "erased_equal"),
+            f"bounds: {_text(p['bounds1'])} vs {_text(p['bounds2'])}"
+            f" (equal: {_text(p['bounds_equal'])})",
+            f"classes: {p['class1']['class']} vs {p['class2']['class']}",
+            *_fields(p, "classes_differ", "demonstrates_insufficiency", "audit"),
+        ]
+    blind = p["blind"]  # demo
+    return [
+        *_fields(p, "family", "mode"),
+        *_fields(p["params"], *(key for key in p["params"] if key != "dim")),
+        *_fields(p, "source", "target"),
+        f"expected: {p['expected_class']}",
+        f"computed: {p['computed_class']}",
+        *_fields(p, "match"),
+        *_fields(blind, "erased_equal", "bounds_equal", prefix="blind "),
+        f"blind classes: {blind['class1']['class']} vs {blind['class2']['class']}",
+        *_fields(blind, "classes_differ", prefix="blind "),
+        *_fields(p, "audit"),
+    ]
+
+
+def _emit(args, payload: dict) -> None:
+    print("\n".join(_pretty(payload)) if args.fmt == "pretty" else json.dumps(payload))
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as ex:
+        raise ParseError(f"{path} is not UTF-8 text", ex.start) from None
 
 
 def _lint_dims(args, exprs: list[Expr]) -> None:
@@ -196,59 +306,24 @@ def _cmd_eval(args) -> int:
     expr = parse(_read(args.expr_file))
     env = parse_env(_read(args.env_file)) if args.env_file else EMPTY_ENV
     _lint_dims(args, [expr])
-    value = evaluate(env, expr)
-    consistent = token_consistent(env, expr)
-    infeasible = None
-    try:
-        effective = effective_intervals(expr)
-        intervals_json = {
-            t.name: _interval_json(iv)
-            for t, iv in sorted(effective.items(), key=lambda kv: kv[0].name)
-        }
-    except InfeasibleTokenError as ex:
-        intervals_json = None
-        infeasible = ex.token.name
     payload = {
         "command": "eval",
         "expr": format_expr(expr),
         "env": _env_json(env),
-        "value": str(value),
-        "consistent": consistent,
-        "effective_intervals": intervals_json,
+        "value": str(evaluate(env, expr)),
+        "consistent": token_consistent(env, expr),
     }
-    if infeasible is not None:
-        payload["infeasible_token"] = infeasible
-    lines = [
-        f"expr: {payload['expr']}",
-        f"env: {_env_text(env)}",
-        f"value: {value}",
-        f"consistent: {str(consistent).lower()}",
-    ]
-    if intervals_json is None:
-        lines.append(f"effective intervals: infeasible token {infeasible}")
-    else:
-        lines.append("effective intervals:")
-        lines += [f"  {name}: [{lo},{hi}]" for name, (lo, hi) in intervals_json.items()]
-    _emit(args, payload, lines)
+    try:
+        effective = effective_intervals(expr)
+        payload["effective_intervals"] = {
+            t.name: _interval_json(iv)
+            for t, iv in sorted(effective.items(), key=lambda kv: kv[0].name)
+        }
+    except InfeasibleTokenError as ex:
+        payload["effective_intervals"] = None
+        payload["infeasible_token"] = ex.token.name
+    _emit(args, payload)
     return 0
-
-
-def _outcome_pretty(out: EnclosureOutcome) -> list[str]:
-    if isinstance(out, EmptySet):
-        return [f"result: empty (token {out.token.name} has no possible value)"]
-    if isinstance(out, ExactInterval):
-        return [f"result: exact interval {out.interval}"]
-    lines = [
-        "result: unknown",
-        f"over: {_bounds_text(out.over)}",
-        f"under samples: {len(out.under)}"
-        + (" (truncated by budget)" if out.truncated else ""),
-    ]
-    for env, value in out.under[:PRETTY_SAMPLE_LIMIT]:
-        lines.append(f"  {_env_text(env)} -> {value}")
-    if len(out.under) > PRETTY_SAMPLE_LIMIT:
-        lines.append(f"  ... {len(out.under) - PRETTY_SAMPLE_LIMIT} more")
-    return lines
 
 
 def _cmd_enclosure(args) -> int:
@@ -262,26 +337,8 @@ def _cmd_enclosure(args) -> int:
         "budget": args.budget,
         "result": _outcome_json(out),
     }
-    lines = [f"expr: {payload['expr']}"] + _outcome_pretty(out)
-    _emit(args, payload, lines)
+    _emit(args, payload)
     return 4 if isinstance(out, Unknown) and out.truncated else 0
-
-
-def _verdict_pretty(label: str, verdict: Verdict) -> str:
-    match verdict:
-        case Holds(evidence):
-            detail = _evidence_json(evidence)
-            kind = detail.pop("kind")
-            extra = f" {detail}" if detail else ""
-            return f"{label}: holds ({kind}){extra}"
-        case Fails(env, value, certificate):
-            bounds = "" if certificate.bounds is None else f" {certificate.bounds}"
-            return (
-                f"{label}: fails (value {value} under {_env_text(env)} "
-                f"is outside {certificate.kind}{bounds})"
-            )
-        case _:
-            return f"{label}: undecided"
 
 
 def _cmd_classify(args) -> int:
@@ -289,7 +346,6 @@ def _cmd_classify(args) -> int:
     tgt = parse(_read(args.target_file))
     _lint_dims(args, [src, tgt])
     cls = classify(src, tgt, args.grid, args.budget)
-    audit = audit_classification(cls, src, tgt)
     payload = {
         "command": "classify",
         "source": format_expr(src),
@@ -297,64 +353,10 @@ def _cmd_classify(args) -> int:
         "grid": args.grid,
         "budget": args.budget,
         "classification": _classification_json(cls),
-        "audit": audit,
+        "audit": audit_classification(cls, src, tgt),
     }
-    lines = [
-        f"source: {payload['source']}",
-        f"target: {payload['target']}",
-        f"class: {cls.kind.value}",
-        _verdict_pretty("forward", cls.forward),
-        _verdict_pretty("backward", cls.backward),
-        f"audit: {str(audit).lower()}",
-    ]
-    _emit(args, payload, lines)
+    _emit(args, payload)
     return 3 if cls.kind is RewriteClass.UNDETERMINED else 0
-
-
-def _blind_report_json(report: ComparisonReport, audit: bool) -> dict:
-    return {
-        "expr1": format_expr(report.expr1),
-        "expr2": format_expr(report.expr2),
-        "target": None if report.target is None else format_expr(report.target),
-        "blind1": format_blind(report.blind1),
-        "blind2": format_blind(report.blind2),
-        "erased_equal": report.erased_equal,
-        "bounds1": _bounds_json(report.bounds1),
-        "bounds2": _bounds_json(report.bounds2),
-        "bounds_equal": report.bounds_equal,
-        "class1": _classification_json(report.class1),
-        "class2": _classification_json(report.class2),
-        "classes_differ": report.classes_differ,
-        "demonstrates_insufficiency": report.demonstrates_insufficiency,
-        "audit": audit,
-    }
-
-
-def _audit_report(report: ComparisonReport) -> bool:
-    if report.target is not None:
-        return audit_classification(
-            report.class1, report.expr1, report.target
-        ) and audit_classification(report.class2, report.expr2, report.target)
-    return audit_classification(
-        report.class1, report.expr1, report.expr2
-    ) and audit_classification(report.class2, report.expr2, report.expr1)
-
-
-def _blind_pretty(report: ComparisonReport, audit: bool) -> list[str]:
-    return [
-        f"expr1: {format_expr(report.expr1)}",
-        f"expr2: {format_expr(report.expr2)}",
-        f"target: {'(each other)' if report.target is None else format_expr(report.target)}",
-        f"blind1: {format_blind(report.blind1)}",
-        f"blind2: {format_blind(report.blind2)}",
-        f"erased equal: {str(report.erased_equal).lower()}",
-        f"bounds: {_bounds_text(report.bounds1)} vs {_bounds_text(report.bounds2)}"
-        f" (equal: {str(report.bounds_equal).lower()})",
-        f"classes: {report.class1.kind.value} vs {report.class2.kind.value}",
-        f"classes differ: {str(report.classes_differ).lower()}",
-        f"demonstrates insufficiency: {str(report.demonstrates_insufficiency).lower()}",
-        f"audit: {str(audit).lower()}",
-    ]
 
 
 def _cmd_blind(args) -> int:
@@ -362,84 +364,42 @@ def _cmd_blind(args) -> int:
     e2 = parse(_read(args.expr2_file))
     tgt = parse(_read(args.target_file)) if args.target_file else None
     _lint_dims(args, [e1, e2] + ([tgt] if tgt is not None else []))
-    report = blind_compare(
-        e1, e2, tgt, grid_points=args.grid, budget=args.budget
-    )
-    audit = _audit_report(report)
-    payload = {"command": "blind", **_blind_report_json(report, audit)}
-    _emit(args, payload, _blind_pretty(report, audit))
+    report = blind_compare(e1, e2, tgt, grid_points=args.grid, budget=args.budget)
+    _emit(args, {"command": "blind", **_blind_json(report)})
     return 0
 
 
 def _cmd_demo(args) -> int:
-    spec = FamilySpec(
-        family=args.family,
-        mode=args.mode,
-        interval=_parse_flag_interval(args.interval),
-        signal=_parse_flag_interval(args.signal_interval),
-        background=_parse_flag_interval(args.background_interval),
-        dim=Dim(args.dim),
-    )
+    intervals = {}
+    for field, _, _ in _INTERVAL_FLAGS:
+        if getattr(args, field) is not None:
+            intervals[field] = parse_interval(getattr(args, field))
+    spec = FamilySpec(args.family, args.mode, **intervals, dim=Dim(args.dim))
     src, tgt = build_pair(spec)
     _lint_dims(args, [src, tgt])
     cls = classify(src, tgt, args.grid, args.budget)
     audit = audit_classification(cls, src, tgt)
-    same_src, distinct_src, variant_tgt = build_variants(spec)
-    report = blind_compare(
-        same_src, distinct_src, variant_tgt, grid_points=args.grid, budget=args.budget
-    )
-    report_audit = _audit_report(report)
+    variants = build_variants(spec)  # same-mode source, distinct-mode source, target
+    report = blind_compare(*variants, grid_points=args.grid, budget=args.budget)
+    blind = _blind_json(report)
     expected = expected_class(spec.mode)
-    params: dict = {}
-    if spec.interval is not None:
-        params["interval"] = _interval_json(spec.interval)
-    if spec.signal is not None:
-        params["signal"] = _interval_json(spec.signal)
-    if spec.background is not None:
-        params["background"] = _interval_json(spec.background)
-    params["dim"] = spec.dim.tag
+    params = {field: _interval_json(iv) for field, iv in intervals.items()}
     payload = {
         "command": "demo",
         "family": spec.family,
         "mode": spec.mode,
-        "params": params,
+        "params": {**params, "dim": spec.dim.tag},
         "source": format_expr(src),
         "target": format_expr(tgt),
         "expected_class": expected.value,
         "computed_class": cls.kind.value,
         "match": cls.kind is expected,
         "classification": _classification_json(cls),
-        "blind": _blind_report_json(report, report_audit),
-        "audit": audit and report_audit,
+        "blind": blind,
+        "audit": audit and blind["audit"],
     }
-    lines = [
-        f"family: {spec.family}",
-        f"mode: {spec.mode}",
-    ]
-    if spec.interval is not None:
-        lines.append(f"interval: {spec.interval}")
-    if spec.signal is not None:
-        lines.append(f"signal: {spec.signal}")
-    if spec.background is not None:
-        lines.append(f"background: {spec.background}")
-    lines += [
-        f"source: {payload['source']}",
-        f"target: {payload['target']}",
-        f"expected: {expected.value}",
-        f"computed: {cls.kind.value}",
-        f"match: {str(payload['match']).lower()}",
-        f"blind erased equal: {str(report.erased_equal).lower()}",
-        f"blind bounds equal: {str(report.bounds_equal).lower()}",
-        f"blind classes: {report.class1.kind.value} vs {report.class2.kind.value}",
-        f"blind classes differ: {str(report.classes_differ).lower()}",
-        f"audit: {str(payload['audit']).lower()}",
-    ]
-    _emit(args, payload, lines)
+    _emit(args, payload)
     return 3 if cls.kind is RewriteClass.UNDETERMINED else 0
-
-
-def _parse_flag_interval(text: str | None) -> Interval | None:
-    return None if text is None else parse_interval(text)
 
 
 def _cmd_oracle(args) -> int:
@@ -457,10 +417,9 @@ def _cmd_oracle(args) -> int:
         )
         code = 4
     for env, value in samples:
-        if args.fmt == "pretty":
-            print(f"{_env_text(env)} -> {value}")
-        else:
-            print(json.dumps(_sample_json(env, value)))
+        row = _sample_json(env, value)
+        pretty = f"{_text(row['env'])} -> {row['value']}"
+        print(pretty if args.fmt == "pretty" else json.dumps(row))
     return code
 
 
@@ -468,17 +427,63 @@ def _cmd_oracle(args) -> int:
 
 
 def _grid_arg(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("grid needs at least 2 points per token")
-    return value
+    return _int_arg(text, 2, "grid needs at least 2 points per token")
 
 
 def _budget_arg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("budget must be nonnegative")
+    return _int_arg(text, 0, "budget must be nonnegative")
+
+
+def _int_arg(text: str, least: int, too_small: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(too_small)
     return value
+
+
+_EXPR_FILE = ("expr_file", "file with one expression", None)
+
+# (name, help, positionals as (name, help, nargs), handler)
+_COMMANDS = (
+    (
+        "eval",
+        "evaluate under an environment",
+        [_EXPR_FILE, ("env_file", "file with token bindings (optional)", "?")],
+        _cmd_eval,
+    ),
+    ("enclosure", "compute the enclosure", [_EXPR_FILE], _cmd_enclosure),
+    (
+        "classify",
+        "classify a rewrite pair",
+        [
+            ("source_file", "file with the source expression", None),
+            ("target_file", "file with the target expression", None),
+        ],
+        _cmd_classify,
+    ),
+    (
+        "blind",
+        "compare two expressions after token erasure",
+        [
+            ("expr1_file", "file with the first expression", None),
+            ("expr2_file", "file with the second expression", None),
+            ("target_file", "optional file with a shared rewrite target", "?"),
+        ],
+        _cmd_blind,
+    ),
+    ("demo", "run a rewrite-family demonstration", [], _cmd_demo),
+    ("oracle", "dump sampled (environment, value) rows", [_EXPR_FILE], _cmd_oracle),
+)
+
+# demo's interval flags: (FamilySpec field, flag, help)
+_INTERVAL_FLAGS = (
+    ("interval", "--interval", "interval for cancellation/division"),
+    ("signal", "--signal-interval", "signal interval for background"),
+    ("background", "--background-interval", "background interval for background"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -525,56 +530,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "for measurement-bearing arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, positionals, handler in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg, arg_help, nargs in positionals:
+            p.add_argument(arg, nargs=nargs, help=arg_help)
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate under an environment")
-    p.add_argument("expr_file", help="file with one expression")
-    p.add_argument("env_file", nargs="?", help="file with token bindings (optional)")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("enclosure", parents=[common], help="compute the enclosure")
-    p.add_argument("expr_file", help="file with one expression")
-    p.set_defaults(handler=_cmd_enclosure)
-
-    p = sub.add_parser("classify", parents=[common], help="classify a rewrite pair")
-    p.add_argument("source_file", help="file with the source expression")
-    p.add_argument("target_file", help="file with the target expression")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser(
-        "blind", parents=[common], help="compare two expressions after token erasure"
-    )
-    p.add_argument("expr1_file", help="file with the first expression")
-    p.add_argument("expr2_file", help="file with the second expression")
-    p.add_argument(
-        "target_file", nargs="?", help="optional file with a shared rewrite target"
-    )
-    p.set_defaults(handler=_cmd_blind)
-
-    p = sub.add_parser(
-        "demo", parents=[common], help="run a rewrite-family demonstration"
-    )
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument(
-        "--interval", metavar="[LO,HI]", help="interval for cancellation/division"
-    )
-    p.add_argument(
-        "--signal-interval", metavar="[LO,HI]", help="signal interval for background"
-    )
-    p.add_argument(
-        "--background-interval",
-        metavar="[LO,HI]",
-        help="background interval for background",
-    )
-    p.add_argument("--dim", default="d", metavar="TAG", help="dimension tag")
-    p.set_defaults(handler=_cmd_demo)
-
-    p = sub.add_parser(
-        "oracle", parents=[common], help="dump sampled (environment, value) rows"
-    )
-    p.add_argument("expr_file", help="file with one expression")
-    p.set_defaults(handler=_cmd_oracle)
-
+    demo = sub.choices["demo"]
+    demo.add_argument("--family", required=True, choices=FAMILIES)
+    demo.add_argument("--mode", required=True, choices=MODES)
+    for field, flag, help_text in _INTERVAL_FLAGS:
+        demo.add_argument(flag, dest=field, metavar="[LO,HI]", help=help_text)
+    demo.add_argument("--dim", default="d", metavar="TAG", help="dimension tag")
     return parser
 
 

@@ -136,11 +136,13 @@ class Meas:
 
 
 class _Op:
-    """Shared base of the operator nodes: equality and hashing by shape.
+    """Shared base of the operator nodes: equality, hashing, repr and pickling
+    by shape.
 
     With fixed arities a tree is determined by its post-order, so trees are
     equal exactly when their post-orders agree, operators compared by class
-    and leaves by value.  Unlike the dataclass methods, this never recurses.
+    and leaves by value.  Unlike the dataclass methods, none of these
+    recurse; repr prints the text the dataclass repr would.
     """
 
     def __eq__(self, other: object) -> bool:
@@ -151,32 +153,38 @@ class _Op:
     def __hash__(self) -> int:
         return hash(tuple(_shape(self)))
 
+    def __repr__(self) -> str:
+        return fold(self, repr, _REPR)
 
-@dataclass(frozen=True, eq=False)
+    def __reduce__(self):
+        return _rebuild, (_shape(self),)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sub(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Div(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Op):
     operand: "Expr"
 
@@ -226,6 +234,25 @@ def fold(
 
 def _shape(e: Expr) -> list:
     return [type(node) if isinstance(node, _Op) else node for node in postorder(e)]
+
+
+def _rebuild(shape: list) -> Expr:
+    """The tree whose `_shape` is shape; unpickling calls it."""
+    built: list = []
+    for item in shape:
+        if item is Neg:
+            built[-1] = Neg(built[-1])
+        elif isinstance(item, type):
+            rhs = built.pop()
+            built[-1] = item(built[-1], rhs)
+        else:
+            built.append(item)
+    return built[0]
+
+
+# Each operator's dataclass repr, given the reprs of its fields.
+_REPR = {op: (op.__name__ + "(lhs={}, rhs={})").format for op in (Add, Sub, Mul, Div)}
+_REPR[Neg] = "Neg(operand={})".format
 
 
 def meas_leaves(e: Expr) -> Iterator[Meas]:

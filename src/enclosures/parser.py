@@ -16,8 +16,8 @@ binary operators are left-associative, and unary minus binds tighter than
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .expr import Add, Div, Dim, Exact, Expr, Interval, Meas, Mul, Neg, Sub, Token
 
@@ -37,8 +37,7 @@ _INFIX = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
 _PREFIX_MINUS = (3, Neg)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # IDENT, NUMBER, or the symbol itself
     text: str
     pos: int

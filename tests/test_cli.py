@@ -555,3 +555,25 @@ class TestInstalledEntryPoints:
     )
     def test_installed_console_script(self, tmp_path):
         check_script(tmp_path, [shutil.which("enclosures")])
+
+
+class TestUndecodableInput:
+    def test_expression_file_with_bad_bytes_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "e.expr"
+        path.write_bytes(b"exact(1,d) \xff\n")
+        code, out, err = run(capsys, "enclosure", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path} is not UTF-8 text (at offset 11)\n"
+
+    def test_env_file_with_bad_bytes_exits_2(self, files, tmp_path, capsys):
+        env = tmp_path / "e.env"
+        env.write_bytes(b"t1 = \xff\n")
+        code, out, err = run(capsys, "eval", files("e.expr", DIST_DIFF), str(env))
+        assert code == 2 and out == ""
+        assert err == f"error: {env} is not UTF-8 text (at offset 5)\n"
+
+    @pytest.mark.parametrize("flag, value", [("--grid", "abc"), ("--budget", "1.5")])
+    def test_non_integer_count_is_a_plain_usage_error(self, files, capsys, flag, value):
+        code, out, err = run(capsys, "enclosure", flag, value, files("e.expr", "exact(1,d)"))
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: argument {flag}: expected an integer, got '{value}'\n")

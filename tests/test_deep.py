@@ -5,7 +5,10 @@ any recursive tree walk left in the package would fail with
 RecursionError instead of an answer or a documented exit code.
 """
 
+import copy
+import dataclasses
 import json
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -31,6 +34,7 @@ from enclosures import (
     parse,
     to_affine,
 )
+from enclosures.blind import forget_tokens
 from enclosures.cli import main
 from enclosures.expr import Dim
 from enclosures.rewrite import Holds, SameExpression
@@ -240,3 +244,51 @@ def test_scaling_by_zero_does_not_absorb_a_product():
     # leaves the product outside the fragment, as before.
     with pytest.raises(NotAffineError):
         to_affine(parse("exact(0,d) * (meas(t,[1,2],d) * meas(u,[1,2],d))"))
+
+
+def ref_repr(e) -> str:
+    """The dataclass repr, field by field; recursion is fine on small trees."""
+    if not isinstance(e, (Add, Sub, Mul, Div, Neg)):
+        return repr(e)
+    fields = (f"{f.name}={ref_repr(getattr(e, f.name))}" for f in dataclasses.fields(e))
+    return f"{type(e).__qualname__}({', '.join(fields)})"
+
+
+def test_repr_text():
+    e = parse("-meas(t,[1,2],d) / exact(1/2,d)")
+    assert repr(e) == (
+        "Div(lhs=Neg(operand=Meas(token=Token(name='t'), interval=Interval("
+        "lo=Fraction(1, 1), hi=Fraction(2, 1)), dim=Dim(tag='d'))),"
+        " rhs=Exact(value=Fraction(1, 2), dim=Dim(tag='d')))"
+    )
+    assert repr(forget_tokens(e)) == (
+        "Div(lhs=Neg(operand=BlindMeas(interval=Interval(lo=Fraction(1, 1),"
+        " hi=Fraction(2, 1)), dim=Dim(tag='d'))),"
+        " rhs=BlindExact(value=Fraction(1, 2), dim=Dim(tag='d')))"
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_repr_matches_reference(seed):
+    trees, _ = corpus(3000 + seed, 30, 15)
+    for e in trees:
+        assert repr(e) == ref_repr(e)
+        assert repr(forget_tokens(e)) == ref_repr(forget_tokens(e))
+
+
+@pytest.mark.parametrize("name, src, tgt", DEEP_PAIRS, ids=[p[0] for p in DEEP_PAIRS])
+def test_deep_inputs_repr_pickle_and_deepcopy(name, src, tgt):
+    e = parse(src)
+    assert repr(e).startswith(type(e).__name__ + "(")
+    for tree in (e, forget_tokens(e)):
+        back = pickle.loads(pickle.dumps(tree))
+        assert back is not tree and back == tree
+        twin = copy.deepcopy(tree)
+        assert twin is not tree and twin == tree
+
+
+@pytest.mark.parametrize("name", ["left-sum", "right-chain", "negs", "mixed"])
+def test_deep_trees_pickle_and_deepcopy(name):
+    e = deep_trees()[name]
+    assert pickle.loads(pickle.dumps(e)) == e
+    assert copy.deepcopy(e) == e
