@@ -10,6 +10,7 @@ over-approximation, and stays honest about the gap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -318,6 +319,74 @@ def _env_stream(
             return
 
 
+class SampleStream:
+    """Memoised, lazy (environment, value) samples of one expression.
+
+    Environments come from `_env_stream` in corner-first order and are
+    evaluated one at a time, only when a reader asks for the next sample.
+    Every sample drawn is kept, so each new iteration replays them before
+    drawing more, and the enumeration never restarts.  Drawing stops at the
+    end of the grid, or when a sample beyond `budget` exists, which marks
+    the stream truncated.  `over` is the sound bound every value lies in.
+    Raises InfeasibleTokenError when some token has no possible value.
+    """
+
+    def __init__(self, e: Expr, grid_points: int, budget: int):
+        boxes = effective_intervals(e)
+        tokens = sorted(boxes, key=lambda t: t.name)
+        required = 1
+        for t in tokens:
+            # Each box is the intersection of every interval declared for t,
+            # and grid values are monotone in their index: once both ends of
+            # t's grid sit in its box, every environment below is consistent.
+            box = boxes[t]
+            first, step, size = _grid_axis(box, grid_points)
+            if not (box.contains(first) and box.contains(first + (size - 1) * step)):
+                raise AssertionError(f"grid for token {t} leaves its box {box}")
+            required *= size
+        self.expr = e
+        self.budget = budget
+        self.required = required
+        self.truncated = False
+        self.samples: list[tuple[TokenEnv, Fraction]] = []
+        self._tokens = tokens
+        self._run = compile_expr(e)
+        self._combos = _env_stream(tokens, boxes, grid_points)
+
+    @functools.cached_property
+    def over(self) -> Bounds:
+        return over_approx(self.expr)
+
+    def __iter__(self) -> Iterator[tuple[TokenEnv, Fraction]]:
+        i = 0
+        while i < len(self.samples) or self._draw():
+            yield self.samples[i]
+            i += 1
+
+    def _draw(self) -> bool:
+        """Append the next sample; False once the grid or the budget is spent."""
+        combo = next(self._combos, None)
+        if combo is None:
+            return False
+        if len(self.samples) >= self.budget:
+            self.truncated = True
+            self._combos = iter(())
+            return False
+        bindings = dict(zip(self._tokens, combo))
+        self.samples.append((TokenEnv(bindings), self._run(bindings.__getitem__)))
+        return True
+
+    def drain(self) -> list[tuple[TokenEnv, Fraction]]:
+        """Every sample, drawing the ones left."""
+        while self._draw():
+            pass
+        return self.samples
+
+    def outcome(self) -> Unknown:
+        """The sandwich of all the samples and `over`."""
+        return Unknown(tuple(self.drain()), self.over, self.truncated)
+
+
 def under_approx_samples(
     e: Expr,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -330,31 +399,38 @@ def under_approx_samples(
     when the full grid would exceed the budget.
     """
     try:
-        boxes = effective_intervals(e)
+        stream = SampleStream(e, grid_points, budget)
     except InfeasibleTokenError:
         return []
-    tokens = sorted(boxes, key=lambda t: t.name)
-    required = 1
-    for t in tokens:
-        # Each box is the intersection of every interval declared for t,
-        # and grid values are monotone in their index: once both ends of
-        # t's grid sit in its box, every environment below is consistent.
-        box = boxes[t]
-        first, step, size = _grid_axis(box, grid_points)
-        if not (box.contains(first) and box.contains(first + (size - 1) * step)):
-            raise AssertionError(f"grid for token {t} leaves its box {box}")
-        required *= size
-    run = compile_expr(e)
-    samples: list[tuple[TokenEnv, Fraction]] = []
-    for combo in _env_stream(tokens, boxes, grid_points):
-        if len(samples) >= budget:
-            raise BudgetExceededError(required, budget, samples)
-        bindings = dict(zip(tokens, combo))
-        samples.append((TokenEnv(bindings), run(bindings.__getitem__)))
+    samples = stream.drain()
+    if stream.truncated:
+        raise BudgetExceededError(stream.required, budget, samples)
     return samples
 
 
 # --- the enclosure entry point -----------------------------------------------
+
+# An enclosure whose samples are drawn only as readers ask for them.
+LazyOutcome = Union[EmptySet, ExactInterval, SampleStream]
+
+
+def lazy_enclosure(
+    e: Expr,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    budget: int = DEFAULT_ENV_BUDGET,
+) -> LazyOutcome:
+    """`enclosure` with the samples of a non-affine e left undrawn."""
+    try:
+        return affine_enclosure(to_affine(e))
+    except InfeasibleTokenError as ex:
+        return EmptySet(ex.token)
+    except NotAffineError:
+        return SampleStream(e, grid_points, budget)
+
+
+def settle(out: LazyOutcome) -> EnclosureOutcome:
+    """The enclosure outcome `out` stands for, drawing any samples left."""
+    return out.outcome() if isinstance(out, SampleStream) else out
 
 
 def enclosure(
@@ -368,20 +444,7 @@ def enclosure(
     the under samples and over bounds may coincide in hull without the
     interior rationals being certified, so the outcome stays Unknown.
     """
-    try:
-        return affine_enclosure(to_affine(e))
-    except InfeasibleTokenError as ex:
-        return EmptySet(ex.token)
-    except NotAffineError:
-        pass
-    over = over_approx(e)
-    truncated = False
-    try:
-        under = under_approx_samples(e, grid_points, budget)
-    except BudgetExceededError as ex:
-        under = ex.partial
-        truncated = True
-    return Unknown(tuple(under), over, truncated)
+    return settle(lazy_enclosure(e, grid_points, budget))
 
 
 # --- membership with certificates --------------------------------------------
@@ -437,11 +500,11 @@ def membership(
     budget: int = DEFAULT_ENV_BUDGET,
 ) -> MembershipResult:
     """Decide whether q is a warranted value of e, where a certificate exists."""
-    return membership_in(e, q, enclosure(e, grid_points, budget))
+    return membership_in(e, q, lazy_enclosure(e, grid_points, budget))
 
 
-def membership_in(e: Expr, q: Fraction, out: EnclosureOutcome) -> MembershipResult:
-    """`membership` given e's already computed enclosure outcome `out`."""
+def membership_in(e: Expr, q: Fraction, out: LazyOutcome) -> MembershipResult:
+    """`membership` given e's lazy enclosure `out`; samples stop at a witness."""
     match out:
         case EmptySet():
             return NonMember(ExclusionCertificate("empty"))
@@ -452,11 +515,13 @@ def membership_in(e: Expr, q: Fraction, out: EnclosureOutcome) -> MembershipResu
             if env is not None:
                 return Member(env, q)
             return Inconclusive(out)
-        case Unknown(under, over, _):
-            for env, value in under:
-                if value == q:
-                    return Member(env, value)
+        case SampleStream(over=over):
+            # over_approx is sound, so every sample value lies inside `over`:
+            # a q outside it can never be a sample, and no sample is drawn.
             if isinstance(over, Interval) and not over.contains(q):
                 return NonMember(ExclusionCertificate("over-approx", over))
-            return Inconclusive(out)
+            for env, value in out:
+                if value == q:
+                    return Member(env, value)
+            return Inconclusive(out.outcome())
     return Inconclusive(out)

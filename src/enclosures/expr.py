@@ -154,7 +154,7 @@ class _Op:
         return hash(tuple(_shape(self)))
 
     def __repr__(self) -> str:
-        return fold(self, repr, _REPR)
+        return _render(self, _repr_parts)
 
     def __reduce__(self):
         return _rebuild, (_shape(self),)
@@ -250,9 +250,30 @@ def _rebuild(shape: list) -> Expr:
     return built[0]
 
 
-# Each operator's dataclass repr, given the reprs of its fields.
-_REPR = {op: (op.__name__ + "(lhs={}, rhs={})").format for op in (Add, Sub, Mul, Div)}
-_REPR[Neg] = "Neg(operand={})".format
+def _render(e: Expr, parts: Callable[[Expr], list]) -> str:
+    """Text of e joined once from its pieces, so long trees print in linear time.
+
+    parts(node) lists the node's text in order: str pieces, and child
+    nodes whose own pieces go in their place.
+    """
+    out: list[str] = []
+    stack: list = [e]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack.extend(reversed(parts(item)))
+    return "".join(out)
+
+
+def _repr_parts(node: Expr) -> list:
+    """The pieces of the dataclass repr of node."""
+    if type(node) is Neg:
+        return ["Neg(operand=", node.operand, ")"]
+    if isinstance(node, _Op):
+        return [type(node).__name__ + "(lhs=", node.lhs, ", rhs=", node.rhs, ")"]
+    return [repr(node)]
 
 
 def meas_leaves(e: Expr) -> Iterator[Meas]:
@@ -327,23 +348,29 @@ def format_tree(e: Expr, leaf_text: Callable[[Expr], str]) -> str:
     Binary operators are left-associative, so a right operand of equal
     precedence is parenthesised and a left one is not.
     """
-    done: list[tuple[str, int]] = []  # (text, precedence) of printed subtrees
-    for node in postorder(e):
+
+    def parts(node: Expr) -> list:
         cls = type(node)
         if cls is Neg:
-            text, prec = done[-1]
-            if prec < _PREC_NEG:
-                text = f"({text})"
-            done[-1] = ("-" + text, _PREC_NEG)
-        elif cls in _INFIX:
+            return ["-", *_operand(node.operand, _precedence(node.operand) < _PREC_NEG)]
+        if cls in _INFIX:
             symbol, prec = _INFIX[cls]
-            right, right_prec = done.pop()
-            left, left_prec = done[-1]
-            if left_prec < prec:
-                left = f"({left})"
-            if right_prec <= prec:
-                right = f"({right})"
-            done[-1] = (left + symbol + right, prec)
-        else:
-            done.append((leaf_text(node), _PREC_LEAF))
-    return done[0][0]
+            return [
+                *_operand(node.lhs, _precedence(node.lhs) < prec),
+                symbol,
+                *_operand(node.rhs, _precedence(node.rhs) <= prec),
+            ]
+        return [leaf_text(node)]
+
+    return _render(e, parts)
+
+
+def _precedence(node: Expr) -> int:
+    cls = type(node)
+    if cls is Neg:
+        return _PREC_NEG
+    return _INFIX[cls][1] if cls in _INFIX else _PREC_LEAF
+
+
+def _operand(node: Expr, parenthesised: bool) -> list:
+    return ["(", node, ")"] if parenthesised else [node]

@@ -22,13 +22,16 @@ from .enclosure import (
     EnclosureOutcome,
     ExactInterval,
     ExclusionCertificate,
+    LazyOutcome,
     Member,
     NonMember,
-    Unknown,
+    SampleStream,
     affine_witness,
     enclosure,
+    lazy_enclosure,
     membership_in,
     over_approx,
+    settle,
 )
 from .expr import Expr, Interval, is_exact
 from .semantics import TokenEnv, evaluate, exact_value, token_consistent
@@ -137,16 +140,20 @@ def licensed(
     """Decide whether every value warranted for tgt is warranted for src."""
     if src == tgt:
         return Holds(SameExpression())
-    enc_tgt = enclosure(tgt, grid_points, budget)
+    enc_tgt = lazy_enclosure(tgt, grid_points, budget)
     if isinstance(enc_tgt, EmptySet):
         return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
-    return _decide(src, tgt, enclosure(src, grid_points, budget), enc_tgt)
+    return _decide(src, tgt, lazy_enclosure(src, grid_points, budget), enc_tgt)
 
 
 def _decide(
-    src: Expr, tgt: Expr, enc_src: EnclosureOutcome, enc_tgt: EnclosureOutcome
+    src: Expr, tgt: Expr, enc_src: LazyOutcome, enc_tgt: LazyOutcome
 ) -> Verdict:
-    """The ladder behind `licensed`, for src != tgt with both sides enclosed."""
+    """The ladder behind `licensed`, for src != tgt with both sides enclosed.
+
+    Samples are read from the lazy enclosures in order and drawn only until
+    a rung is decided; an Undecided verdict settles both outcomes in full.
+    """
     if isinstance(enc_tgt, EmptySet):
         return Holds(EmptyTarget(enc_tgt.token.name))
 
@@ -154,7 +161,7 @@ def _decide(
         # Nothing is warranted for src; any tgt value refutes containment.
         for env, value in _target_members(tgt, enc_tgt):
             return Fails(env, value, ExclusionCertificate("empty"))
-        return Undecided(enc_src, enc_tgt)
+        return _undecided(enc_src, enc_tgt)
 
     if isinstance(enc_src, ExactInterval) and isinstance(enc_tgt, ExactInterval):
         si, ti = enc_src.interval, enc_tgt.interval
@@ -169,7 +176,7 @@ def _decide(
         env = affine_witness(tgt, q)
         if env is not None:
             return Fails(env, q, ExclusionCertificate("exact-interval", si))
-        return Undecided(enc_src, enc_tgt)
+        return _undecided(enc_src, enc_tgt)
 
     if isinstance(enc_tgt, ExactInterval) and enc_tgt.interval.is_point:
         # Single-valued target: containment is exactly a membership query.
@@ -181,7 +188,7 @@ def _decide(
             env = affine_witness(tgt, q)
             if env is not None:
                 return Fails(env, q, found.certificate)
-        return Undecided(enc_src, enc_tgt)
+        return _undecided(enc_src, enc_tgt)
 
     # Refutation: a tgt value certified outside src's bound, corners first.
     cert = _source_certificate(enc_src)
@@ -190,27 +197,32 @@ def _decide(
             if cert.excludes(value):
                 return Fails(env, value, cert)
 
-    # Confirmation without exactness on the target side.
+    # Confirmation without exactness on the target side (tgt is sampled
+    # here: every other pairing with an exact source was settled above).
     if isinstance(enc_src, ExactInterval):
-        over_tgt = over_approx(tgt)
+        over_tgt = enc_tgt.over
         if isinstance(over_tgt, Interval) and enc_src.interval.encloses(over_tgt):
             return Holds(
                 IntervalContainment(enc_src.interval, over_tgt, "over-approx")
             )
 
-    return Undecided(enc_src, enc_tgt)
+    return _undecided(enc_src, enc_tgt)
 
 
-def _source_certificate(enc_src: EnclosureOutcome) -> ExclusionCertificate | None:
+def _undecided(enc_src: LazyOutcome, enc_tgt: LazyOutcome) -> Undecided:
+    return Undecided(settle(enc_src), settle(enc_tgt))
+
+
+def _source_certificate(enc_src: LazyOutcome) -> ExclusionCertificate | None:
     if isinstance(enc_src, ExactInterval):
         return ExclusionCertificate("exact-interval", enc_src.interval)
-    if isinstance(enc_src, Unknown) and isinstance(enc_src.over, Interval):
+    if isinstance(enc_src, SampleStream) and isinstance(enc_src.over, Interval):
         return ExclusionCertificate("over-approx", enc_src.over)
     return None
 
 
 def _target_members(
-    tgt: Expr, enc_tgt: EnclosureOutcome
+    tgt: Expr, enc_tgt: LazyOutcome
 ) -> Iterator[tuple[TokenEnv, Fraction]]:
     """Warranted (env, value) pairs of the target, extremes first."""
     if isinstance(enc_tgt, ExactInterval):
@@ -219,8 +231,8 @@ def _target_members(
             env = affine_witness(tgt, q)
             if env is not None:
                 yield env, q
-    elif isinstance(enc_tgt, Unknown):
-        yield from enc_tgt.under
+    elif isinstance(enc_tgt, SampleStream):
+        yield from enc_tgt
 
 
 # --- classification ----------------------------------------------------------
@@ -234,14 +246,15 @@ def classify(
 ) -> Classification:
     """Combine both containment directions into a rewrite class.
 
-    Each side is enclosed at most once and its outcome serves both
-    directions; the verdicts equal those of `licensed` in each direction.
+    Each side is enclosed at most once and its samples serve both
+    directions, drawn only as far as a decision needs them; the verdicts
+    equal those of `licensed` in each direction.
     """
     if src == tgt:
         forward = backward = Holds(SameExpression())
     else:
-        enc_src = enclosure(src, grid_points, budget)
-        enc_tgt = enclosure(tgt, grid_points, budget)
+        enc_src = lazy_enclosure(src, grid_points, budget)
+        enc_tgt = lazy_enclosure(tgt, grid_points, budget)
         forward = _decide(src, tgt, enc_src, enc_tgt)
         backward = _decide(tgt, src, enc_tgt, enc_src)
     match forward, backward:

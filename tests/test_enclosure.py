@@ -1,5 +1,6 @@
 """Affine normalization, enclosure outcomes, sampling, membership."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from enclosures import (
     BudgetExceededError,
     EmptySet,
     ExactInterval,
+    ExclusionCertificate,
     Inconclusive,
     Interval,
     Member,
@@ -380,3 +382,26 @@ class TestMembership:
         # 7/5 is inside the over bounds but not on the default grid
         res = membership(DIST_DIV, F(7, 5), grid_points=3)
         assert isinstance(res, Inconclusive)
+
+    def test_point_outside_over_draws_nothing(self, env_draws):
+        res = membership(DIST_DIV, F(10))
+        assert res == NonMember(ExclusionCertificate("over-approx", over_approx(DIST_DIV)))
+        assert env_draws == []
+
+    def test_inconclusive_outcomes_are_full_enclosures(self):
+        seen = truncated = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            e = gen_any(rng, token_boxes(rng, 3), rng.randint(3, 9))
+            over = over_approx(e)
+            if not isinstance(over, Interval):
+                continue
+            for grid, budget in itertools.product((3, 4), (10, 2000)):
+                for k in range(1, 7):
+                    q = over.lo + (over.hi - over.lo) * F(k, 7)
+                    res = membership(e, q, grid, budget)
+                    if isinstance(res, Inconclusive):
+                        assert res.outcome == enclosure(e, grid, budget)
+                        seen += 1
+                        truncated += getattr(res.outcome, "truncated", False)
+        assert seen and truncated, (seen, truncated)

@@ -404,3 +404,46 @@ class TestClassifySharesEnclosures:
         cls = classify(src, ONE, grid_points=2, budget=100)
         assert cls.kind is RewriteClass.ONE_WAY_ONLY_FORWARD
         assert len(calls) == 1
+
+
+class TestSamplesDrawnOnDemand:
+    """The ladder draws grid samples only until a rung decides."""
+
+    def test_product_against_one_draws_two_environments(self, env_draws):
+        src = parse(" * ".join(f"meas(t{i},[1,2],d)" for i in range(7)))
+        cls = classify(src, ONE)
+        # the all-low corner witnesses 1, the next corner refutes
+        assert len(env_draws) <= 2
+        assert cls.kind is RewriteClass.ONE_WAY_ONLY_FORWARD
+        assert cls.forward == licensed(src, ONE)
+        assert cls.backward == licensed(ONE, src)
+        assert audit_classification(cls, src, ONE)
+
+    def test_point_target_outside_over_draws_nothing(self, env_draws):
+        verdict = licensed(DIST_DIV, parse("exact(5,d)"))
+        assert isinstance(verdict, Fails)
+        assert verdict.value == 5
+        assert verdict.certificate == ExclusionCertificate(
+            "over-approx", Interval.of(F(1, 2), 2)
+        )
+        assert env_draws == []
+
+    def test_undecided_outcomes_are_full_enclosures(self):
+        seen = truncated = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            boxes = token_boxes(rng, 3)
+            src = gen_any(rng, boxes, rng.randint(1, 9))
+            tgt = gen_any(rng, boxes, rng.randint(1, 9))
+            for grid, budget in itertools.product((3, 4), (10, 2000)):
+                cls = classify(src, tgt, grid, budget)
+                for verdict, a, b in ((cls.forward, src, tgt), (cls.backward, tgt, src)):
+                    if isinstance(verdict, Undecided):
+                        assert verdict.source_outcome == enclosure(a, grid, budget)
+                        assert verdict.target_outcome == enclosure(b, grid, budget)
+                        seen += 1
+                        truncated += any(
+                            getattr(o, "truncated", False)
+                            for o in (verdict.source_outcome, verdict.target_outcome)
+                        )
+        assert seen and truncated, (seen, truncated)
