@@ -48,7 +48,7 @@ from .families import (
     build_variants,
     expected_class,
 )
-from .parser import ParseError, parse, parse_interval
+from .parser import ParseError, parse, parse_env, parse_interval
 from .rewrite import (
     Classification,
     EmptyTarget,
@@ -63,7 +63,7 @@ from .rewrite import (
     audit_classification,
     classify,
 )
-from .semantics import EMPTY_ENV, TokenEnv, evaluate, parse_env, token_consistent
+from .semantics import EMPTY_ENV, TokenEnv, evaluate, token_consistent
 
 PRETTY_SAMPLE_LIMIT = 20
 

@@ -232,14 +232,14 @@ def _extremal_env(f: AffineForm, *, high: bool) -> TokenEnv:
     return TokenEnv(values)
 
 
-def affine_witness(e: Expr, q: Fraction, form: AffineForm | None = None) -> TokenEnv | None:
+def affine_witness(e: Expr, q: Fraction) -> TokenEnv | None:
     """Consistent environment making the affine expression e evaluate to q.
 
     Interpolates between the two extremal environments; returns None when
     q is outside the exact interval.  The returned environment is checked
     against the original expression before being handed out.
     """
-    f = to_affine(e) if form is None else form
+    f = to_affine(e)
     lo, hi = _linear_bounds(f.constant, f.coeffs, f.boxes)
     if q < lo or q > hi:
         return None

@@ -1,4 +1,4 @@
-"""Operator-precedence parser for the expression grammar.
+"""Readers for every text format the package accepts.
 
     expr   := term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*
@@ -11,15 +11,17 @@
 Whitespace is insignificant, "#" starts a comment running to end of line,
 binary operators are left-associative, and unary minus binds tighter than
 "*" and "/".  Leaf keywords keep numbers and identifiers unambiguous.
+Interval and rational literals stand alone in the same syntax, and an
+environment file holds one "ident = rat" binding per line.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .expr import Add, Div, Dim, Exact, Expr, Interval, Meas, Mul, Neg, Sub, Token
+from .semantics import TokenEnv
 
 
 class ParseError(ValueError):
@@ -32,177 +34,162 @@ class ParseError(ValueError):
 
 # Precedences: "(" waits below every operator, and unary minus binds
 # tighter than "*" and "/", which bind tighter than "+" and "-".
-_OPEN_PAREN = (0, None)
+_PREFIX = {"(": (0, None), "-": (3, Neg)}
 _INFIX = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
-_PREFIX_MINUS = (3, Neg)
 
-
-class _Tok(NamedTuple):
-    kind: str  # IDENT, NUMBER, or the symbol itself
-    text: str
-    pos: int
-
-
+# One match per lexeme, blanks and comments before it included.  A match
+# always succeeds where the previous one ended, so nothing is skipped.
 _LEXEME = re.compile(
-    r"""
-      (?P<ws>\s+|\#[^\n]*)
-    | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-    | (?P<number>[0-9]+)
-    | (?P<sym>[-+*/()\[\],])
-    """,
-    re.VERBOSE,
+    r"(?:\s+|#[^\n]*)*(?:(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)|(?P<NUMBER>[0-9]+)"
+    r"|(?P<SYM>[-+*/()\[\],])|(?P<EOF>\Z)|(?P<BAD>.))"
 )
 
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i = 0
-    while i < len(text):
-        m = _LEXEME.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        if m.lastgroup == "ident":
-            toks.append(_Tok("IDENT", m.group(), i))
-        elif m.lastgroup == "number":
-            toks.append(_Tok("NUMBER", m.group(), i))
-        elif m.lastgroup == "sym":
-            toks.append(_Tok(m.group(), m.group(), i))
-        i = m.end()
-    toks.append(_Tok("EOF", "", len(text)))
-    return toks
+Lexeme = tuple[str, str, int]  # kind (IDENT, NUMBER, EOF or the symbol), text, offset
 
 
-class _Parser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.i = 0
+def _lexemes(text: str) -> list[Lexeme]:
+    out: list[Lexeme] = []
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        found = m[kind]
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {found!r}", m.start(kind))
+        out.append((found if kind == "SYM" else kind, found, m.start(kind)))
+        if kind == "EOF":
+            break
+    return out
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
 
-    def advance(self) -> _Tok:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+def _mismatch(wanted: str, lexeme: Lexeme) -> ParseError:
+    _, text, pos = lexeme
+    return ParseError(f"expected {wanted}, found {text or 'end of input'!r}", pos)
 
-    def accept(self, kind: str) -> _Tok | None:
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
 
-    def expect(self, kind: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", tok.pos)
-        return self.advance()
+def _expect(lexeme: Lexeme, kind: str) -> str:
+    if lexeme[0] != kind:
+        raise _mismatch(repr(kind), lexeme)
+    return lexeme[1]
 
-    def expression(self) -> Expr:
-        """Operator-precedence loop over explicit operand and operator stacks.
 
-        Equivalent to the `expr`/`term`/`factor` rules above, without
-        recursion: prefix minus and "(" wait on the operator stack until
-        the operand they govern is complete.
-        """
-        operands: list[Expr] = []
-        pending: list[tuple[int, type | None]] = []  # (precedence, node class)
-        open_parens = 0
-        while True:
-            while True:  # prefix position: unary minus and "(" before a leaf
-                if self.accept("-"):
-                    pending.append(_PREFIX_MINUS)
-                elif self.accept("("):
-                    pending.append(_OPEN_PAREN)
-                    open_parens += 1
-                else:
-                    break
-            operands.append(self.leaf())
-            while True:  # after an operand: ")" repeats, an infix operator ends
-                kind = self.peek().kind
-                infix = _INFIX.get(kind)
-                # Left associativity: apply pending operators of equal or
-                # higher precedence; ")" and the end apply all down to "(".
-                floor = infix[0] if infix else 1
-                while pending and pending[-1][0] >= floor:
-                    _, cls = pending.pop()
-                    if cls is Neg:
-                        operands[-1] = Neg(operands[-1])
-                    else:
-                        rhs = operands.pop()
-                        operands[-1] = cls(operands[-1], rhs)
-                if infix:
-                    self.advance()
-                    pending.append(infix)
-                    break
-                if not open_parens:
-                    return operands[0]
-                self.expect(")")
-                pending.pop()
-                open_parens -= 1
+# The shape of each leaf after its keyword, and its builder.
+_LEAVES = {
+    "exact": ("(R,I)", lambda value, dim: Exact(value, Dim(dim))),
+    "meas": ("(I,[R,R],I)", lambda token, iv, dim: Meas(Token(token), iv, Dim(dim))),
+}
 
-    def leaf(self) -> Expr:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text not in ("exact", "meas"):
-            shown = tok.text or "end of input"
-            raise ParseError(f"expected a leaf ('exact' or 'meas'), found {shown!r}", tok.pos)
-        keyword = self.advance().text
-        self.expect("(")
-        if keyword == "exact":
-            value = self.rational()
-            self.expect(",")
-            dim = Dim(self.expect("IDENT").text)
-            self.expect(")")
-            return Exact(value, dim)
-        token = Token(self.expect("IDENT").text)
-        self.expect(",")
-        interval = self.interval()
-        self.expect(",")
-        dim = Dim(self.expect("IDENT").text)
-        self.expect(")")
-        return Meas(token, interval, dim)
 
-    def interval(self) -> Interval:
-        self.expect("[")
-        lo = self.rational()
-        self.expect(",")
-        hi = self.rational()
-        self.expect("]")
-        # Interval construction rejects lo > hi with IntervalOrderError.
-        return Interval(lo, hi)
-
-    def rational(self) -> Fraction:
-        negative = self.accept("-") is not None
-        num_tok = self.expect("NUMBER")
-        numerator = int(num_tok.text)
-        denominator = 1
-        if self.accept("/"):
-            den_tok = self.expect("NUMBER")
-            denominator = int(den_tok.text)
-            if denominator == 0:
-                raise ParseError("rational denominator must be nonzero", den_tok.pos)
-        value = Fraction(numerator, denominator)
-        return -value if negative else value
+def _fields(lexemes: list[Lexeme], i: int, shape: str) -> tuple[list, int]:
+    """Read the slots of `shape` from lexemes[i:]; return their values and
+    the index after them.  R is a rational, I an identifier, $ the end of
+    input, and any other character a lexeme that must appear as written.
+    "]" closes an interval over the two rationals before it, so an endpoint
+    out of order is reported before any error in a later slot."""
+    values: list = []
+    for slot in shape:
+        if slot == "R":  # ["-"] NUMBER ["/" NUMBER]
+            negative = lexemes[i][0] == "-"
+            i += negative
+            numerator, denominator = int(_expect(lexemes[i], "NUMBER")), 1
+            if lexemes[i + 1][0] == "/":
+                i += 2
+                denominator = int(_expect(lexemes[i], "NUMBER"))
+                if not denominator:
+                    raise ParseError("rational denominator must be nonzero", lexemes[i][2])
+            values.append(Fraction(-numerator if negative else numerator, denominator))
+        elif slot == "I":
+            values.append(_expect(lexemes[i], "IDENT"))
+        else:
+            _expect(lexemes[i], "EOF" if slot == "$" else slot)
+            if slot == "]":
+                values[-2:] = [Interval(*values[-2:])]
+        i += 1
+    return values, i
 
 
 def parse(text: str) -> Expr:
-    """Parse one expression; trailing non-comment input is an error."""
-    parser = _Parser(_tokenize(text))
-    node = parser.expression()
-    parser.expect("EOF")
-    return node
+    """Parse one expression; trailing non-comment input is an error.
+
+    An operator-precedence loop over explicit operand and operator stacks,
+    equivalent to the `expr`/`term`/`factor` rules above without recursion:
+    prefix minus and "(" wait on the operator stack until the operand they
+    govern is complete.
+    """
+    lexemes = _lexemes(text)
+    i = 0
+    operands: list[Expr] = []
+    pending: list[tuple[int, type | None]] = []  # (precedence, node class)
+    while True:
+        while lexemes[i][0] in _PREFIX:  # unary minus and "(" before a leaf
+            pending.append(_PREFIX[lexemes[i][0]])
+            i += 1
+        leaf = _LEAVES.get(lexemes[i][1])
+        if leaf is None:
+            raise _mismatch("a leaf ('exact' or 'meas')", lexemes[i])
+        shape, build = leaf
+        values, i = _fields(lexemes, i + 1, shape)
+        operands.append(build(*values))
+        while True:  # after an operand: ")" repeats, an infix operator ends
+            kind = lexemes[i][0]
+            infix = _INFIX.get(kind)
+            # Left associativity: apply pending operators of equal or
+            # higher precedence; ")" and the end apply all down to "(",
+            # so what is left pending then is a "(" or nothing.
+            floor = infix[0] if infix else 1
+            while pending and pending[-1][0] >= floor:
+                _, cls = pending.pop()
+                if cls is Neg:
+                    operands[-1] = Neg(operands[-1])
+                else:
+                    rhs = operands.pop()
+                    operands[-1] = cls(operands[-1], rhs)
+            if infix:
+                i += 1
+                pending.append(infix)
+                break
+            if not pending:
+                _expect(lexemes[i], "EOF")
+                return operands[0]
+            _expect(lexemes[i], ")")
+            i += 1
+            pending.pop()
 
 
 def parse_interval(text: str) -> Interval:
     """Parse a standalone interval literal such as "[2,5]" or "[-1/2,3]"."""
-    parser = _Parser(_tokenize(text))
-    interval = parser.interval()
-    parser.expect("EOF")
-    return interval
+    return _fields(_lexemes(text), 0, "[R,R]$")[0][0]
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a standalone rational literal such as "9/2" or "-3"."""
-    parser = _Parser(_tokenize(text))
-    value = parser.rational()
-    parser.expect("EOF")
-    return value
+    return _fields(_lexemes(text), 0, "R$")[0][0]
+
+
+def parse_env(text: str) -> TokenEnv:
+    """Parse an environment file: one "token = rational" binding per line.
+
+    Blank lines and "#" comments are allowed; later bindings for the same
+    token win; unlisted tokens default to 0.  An error's position is the
+    offset of the name or value it names, or of the line without "=".
+    """
+    bindings: dict[Token, Fraction] = {}
+    end = 0
+    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
+        start, end = end, end + len(raw)
+        line = raw.split("#", 1)[0].rstrip()
+        if not line:
+            continue
+        name, sep, value = line.partition("=")
+        if not sep:
+            raise ParseError(f"line {lineno}: expected 'token = rational'", start)
+        name_at = start + len(name) - len(name.lstrip())
+        value_at = start + len(line) - len(value.lstrip())
+        name, value = name.strip(), value.strip()
+        try:
+            _fields(_lexemes(name), 0, "I$")
+        except ParseError:
+            raise ParseError(f"line {lineno}: bad token name {name!r}", name_at) from None
+        try:
+            bindings[Token(name)] = parse_rational(value)
+        except ParseError:
+            raise ParseError(f"line {lineno}: bad rational {value!r}", value_at) from None
+    return TokenEnv(bindings)

@@ -141,27 +141,19 @@ def licensed(
     if src == tgt:
         return Holds(SameExpression())
     enc_tgt = lazy_enclosure(tgt, grid_points, budget)
-    if isinstance(enc_tgt, EmptySet):
-        return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
     return _decide(src, tgt, lazy_enclosure(src, grid_points, budget), enc_tgt)
 
 
 def _decide(
     src: Expr, tgt: Expr, enc_src: LazyOutcome, enc_tgt: LazyOutcome
 ) -> Verdict:
-    """The ladder behind `licensed`, for src != tgt with both sides enclosed.
+    """The ladder behind `licensed`, for src != tgt.
 
     Samples are read from the lazy enclosures in order and drawn only until
     a rung is decided; an Undecided verdict settles both outcomes in full.
     """
     if isinstance(enc_tgt, EmptySet):
-        return Holds(EmptyTarget(enc_tgt.token.name))
-
-    if isinstance(enc_src, EmptySet):
-        # Nothing is warranted for src; any tgt value refutes containment.
-        for env, value in _target_members(tgt, enc_tgt):
-            return Fails(env, value, ExclusionCertificate("empty"))
-        return _undecided(enc_src, enc_tgt)
+        return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
 
     if isinstance(enc_src, ExactInterval) and isinstance(enc_tgt, ExactInterval):
         si, ti = enc_src.interval, enc_tgt.interval
@@ -214,6 +206,8 @@ def _undecided(enc_src: LazyOutcome, enc_tgt: LazyOutcome) -> Undecided:
 
 
 def _source_certificate(enc_src: LazyOutcome) -> ExclusionCertificate | None:
+    if isinstance(enc_src, EmptySet):
+        return ExclusionCertificate("empty")  # nothing is warranted for src
     if isinstance(enc_src, ExactInterval):
         return ExclusionCertificate("exact-interval", enc_src.interval)
     if isinstance(enc_src, SampleStream) and isinstance(enc_src.over, Interval):

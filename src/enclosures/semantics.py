@@ -11,13 +11,11 @@ makes repeated occurrences of one token carry one shared value.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from .expr import Add, Div, Exact, Expr, Meas, Mul, Neg, Sub, Token, is_exact, postorder
-from .parser import ParseError, parse_rational
 
 _ZERO = Fraction(0)
 
@@ -129,27 +127,3 @@ def exact_value(e: Expr) -> Fraction:
         raise NotExactError("expression contains a measured leaf")
     return evaluate(EMPTY_ENV, e)
 
-
-def parse_env(text: str) -> TokenEnv:
-    """Parse an environment file: one "token = rational" binding per line.
-
-    Blank lines and "#" comments are allowed; later bindings for the same
-    token win; unlisted tokens default to 0.
-    """
-    bindings: dict[Token, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, sep, value_text = line.partition("=")
-        if not sep:
-            raise ParseError(f"line {lineno}: expected 'token = rational'", lineno)
-        name = name.strip()
-        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
-            raise ParseError(f"line {lineno}: bad token name {name!r}", lineno)
-        try:
-            value = parse_rational(value_text.strip())
-        except ParseError:
-            raise ParseError(f"line {lineno}: bad rational {value_text.strip()!r}", lineno) from None
-        bindings[Token(name)] = value
-    return TokenEnv(bindings)

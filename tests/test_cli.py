@@ -1,6 +1,7 @@
 """Command-line behavior: golden outputs, exit codes, and diagnostics."""
 
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -33,6 +34,13 @@ if __name__ == "__main__":
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
+def checkout_env():
+    """This environment with the checkout's `src` first on PYTHONPATH, so a
+    subprocess imports the package under test without an install."""
+    paths = [str(PYPROJECT.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 @pytest.fixture
 def files(tmp_path):
     def write(name, text):
@@ -53,12 +61,12 @@ def json_lines(out):
     return [json.loads(line) for line in out.splitlines() if line]
 
 
-def check_script(tmp_path, command):
+def check_script(tmp_path, command, env=None):
     """Exit 0 enclosing `exact(3/2,d)`, and exit 2 on a missing file."""
     path = tmp_path / "e.expr"
     path.write_text("exact(3/2,d)\n", encoding="utf-8")
     proc = subprocess.run(
-        command + ["enclosure", str(path)], capture_output=True, text=True
+        command + ["enclosure", str(path)], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["interval"] == ["3/2", "3/2"]
@@ -66,6 +74,7 @@ def check_script(tmp_path, command):
         command + ["enclosure", str(tmp_path / "missing.expr")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
@@ -126,6 +135,13 @@ class TestEval:
         code, _, err = run(capsys, "eval", expr, env)
         assert code == 2
         assert "expected 'token = rational'" in err
+
+    def test_malformed_env_reports_file_offset(self, files, capsys):
+        expr = files("e.expr", "meas(t,[0,5],d)")
+        env = files("e.env", "t = 1\nt = x")
+        code, out, err = run(capsys, "eval", expr, env)
+        assert code == 2 and out == ""
+        assert err == "error: line 2: bad rational 'x' (at offset 10)\n"
 
 
 class TestEnclosure:
@@ -525,6 +541,7 @@ class TestInstalledEntryPoints:
             [sys.executable, "-m", "enclosures", "enclosure", str(path)],
             capture_output=True,
             text=True,
+            env=checkout_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["interval"] == ["0", "0"]
@@ -547,7 +564,7 @@ class TestInstalledEntryPoints:
             ),
             encoding="utf-8",
         )
-        check_script(tmp_path, [sys.executable, str(wrapper)])
+        check_script(tmp_path, [sys.executable, str(wrapper)], env=checkout_env())
 
     @pytest.mark.skipif(
         shutil.which("enclosures") is None,

@@ -131,9 +131,22 @@ class TestParseEnv:
     def test_empty_file(self):
         assert parse_env("") == EMPTY_ENV
 
-    @pytest.mark.parametrize(
-        "text", ["t1 9/2", "= 3", "t =", "t = x", "1t = 3", "t = 1/0", "t = 1 extra"]
-    )
+    # Each error sits at the name or value it names, or at the line start.
+    MALFORMED = {
+        "t1 9/2": 0,
+        "= 3": 0,
+        "t =": 3,
+        "t = x": 4,
+        "1t = 3": 0,
+        "t = 1/0": 4,
+        "t = 1 extra": 4,
+        "t = 1\nt = x\n": 10,
+        "t = 1\n  2t = 3": 8,
+        "# c\r\n  t 3": 5,
+    }
+
+    @pytest.mark.parametrize("text", list(MALFORMED))
     def test_malformed_lines(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_env(text)
+        assert err.value.position == self.MALFORMED[text]
