@@ -79,6 +79,11 @@ class AffineForm:
     coeffs: Mapping[Token, Fraction]
     boxes: Mapping[Token, Interval]
 
+    @functools.cached_property
+    def interval(self) -> Interval:
+        """The form's exact image on its boxes, computed once."""
+        return Interval(*_linear_bounds(self.constant, self.coeffs, self.boxes))
+
 
 # --- enclosure outcomes ------------------------------------------------------
 
@@ -157,8 +162,12 @@ def _affine_parts(
             if cls is Add or cls is Sub:
                 combine = operator.add if cls is Add else operator.sub
                 for t, v in kr.items():  # each pair has one consumer: update in place
-                    k[t] = combine(k.get(t, _ZERO), v)
-                if not isinstance(c, NotAffineError):
+                    if t in k:
+                        k[t] = combine(k[t], v)
+                    else:
+                        k[t] = v if cls is Add else -v
+                # A NotAffineError is truthy, and adding an exact 0 changes nothing.
+                if cr and not isinstance(c, NotAffineError):
                     c = cr if isinstance(cr, NotAffineError) else combine(c, cr)
             elif cls is Mul and not (k and kr):
                 # A measurement-free factor scales the other one.
@@ -187,7 +196,9 @@ def _affine_parts(
         else:
             raise TypeError(f"not an expression node: {node!r}")
         if factor is not None and not isinstance(c, NotAffineError):
-            c, k = factor * c, {t: factor * v for t, v in k.items()}
+            if c:  # a scaled exact 0 stays 0
+                c = factor * c
+            k = {t: factor * v for t, v in k.items()}
         done.append((c, k))
     constant, coeffs = done[0]
     if isinstance(constant, NotAffineError):
@@ -203,9 +214,15 @@ def _linear_bounds(
     lo = constant
     hi = constant
     for t, c in coeffs.items():
-        box = boxes[t]
-        lo += min(c * box.lo, c * box.hi)
-        hi += max(c * box.lo, c * box.hi)
+        if c:
+            box = boxes[t]
+            at_lo, at_hi = c * box.lo, c * box.hi
+            if c > 0:
+                lo += at_lo
+                hi += at_hi
+            else:
+                lo += at_hi
+                hi += at_lo
     return lo, hi
 
 
@@ -215,8 +232,7 @@ def affine_enclosure(f: AffineForm) -> EnclosureOutcome:
     Every rational in the result is attained: pick the two extremal
     environments and take the rational convex combination.
     """
-    lo, hi = _linear_bounds(f.constant, f.coeffs, f.boxes)
-    return ExactInterval(Interval(lo, hi))
+    return ExactInterval(f.interval)
 
 
 def _extremal_env(f: AffineForm, *, high: bool) -> TokenEnv:
@@ -239,8 +255,12 @@ def affine_witness(e: Expr, q: Fraction) -> TokenEnv | None:
     q is outside the exact interval.  The returned environment is checked
     against the original expression before being handed out.
     """
-    f = to_affine(e)
-    lo, hi = _linear_bounds(f.constant, f.coeffs, f.boxes)
+    return _form_witness(to_affine(e), e, q)
+
+
+def _form_witness(f: AffineForm, e: Expr, q: Fraction) -> TokenEnv | None:
+    """`affine_witness` for e given its affine form f = to_affine(e)."""
+    lo, hi = f.interval.lo, f.interval.hi
     if q < lo or q > hi:
         return None
     env_lo = _extremal_env(f, high=False)
@@ -410,8 +430,10 @@ def under_approx_samples(
 
 # --- the enclosure entry point -----------------------------------------------
 
-# An enclosure whose samples are drawn only as readers ask for them.
-LazyOutcome = Union[EmptySet, ExactInterval, SampleStream]
+# An enclosure whose samples are drawn only as readers ask for them.  An
+# AffineForm stands for the ExactInterval of its image, a SampleStream for
+# the Unknown of all its samples.
+LazyOutcome = Union[EmptySet, AffineForm, SampleStream]
 
 
 def lazy_enclosure(
@@ -419,9 +441,10 @@ def lazy_enclosure(
     grid_points: int = DEFAULT_GRID_POINTS,
     budget: int = DEFAULT_ENV_BUDGET,
 ) -> LazyOutcome:
-    """`enclosure` with the samples of a non-affine e left undrawn."""
+    """`enclosure` with an affine e left as its form and the samples of any
+    other e left undrawn."""
     try:
-        return affine_enclosure(to_affine(e))
+        return to_affine(e)
     except InfeasibleTokenError as ex:
         return EmptySet(ex.token)
     except NotAffineError:
@@ -430,6 +453,8 @@ def lazy_enclosure(
 
 def settle(out: LazyOutcome) -> EnclosureOutcome:
     """The enclosure outcome `out` stands for, drawing any samples left."""
+    if isinstance(out, AffineForm):
+        return affine_enclosure(out)
     return out.outcome() if isinstance(out, SampleStream) else out
 
 
@@ -508,13 +533,13 @@ def membership_in(e: Expr, q: Fraction, out: LazyOutcome) -> MembershipResult:
     match out:
         case EmptySet():
             return NonMember(ExclusionCertificate("empty"))
-        case ExactInterval(interval):
+        case AffineForm(interval=interval):
             if not interval.contains(q):
                 return NonMember(ExclusionCertificate("exact-interval", interval))
-            env = affine_witness(e, q)
+            env = _form_witness(out, e, q)
             if env is not None:
                 return Member(env, q)
-            return Inconclusive(out)
+            return Inconclusive(ExactInterval(interval))
         case SampleStream(over=over):
             # over_approx is sound, so every sample value lies inside `over`:
             # a q outside it can never be a sample, and no sample is drawn.

@@ -306,10 +306,13 @@ def effective_intervals(e: Expr) -> dict[Token, Interval]:
     out: dict[Token, Interval] = {}
     for leaf in meas_leaves(e):
         seen = out.get(leaf.token)
-        merged = leaf.interval if seen is None else seen.intersect(leaf.interval)
-        if merged is None:
-            raise InfeasibleTokenError(leaf.token)
-        out[leaf.token] = merged
+        if seen is None:
+            out[leaf.token] = leaf.interval
+        elif seen != leaf.interval:  # an equal interval leaves the box as it is
+            merged = seen.intersect(leaf.interval)
+            if merged is None:
+                raise InfeasibleTokenError(leaf.token)
+            out[leaf.token] = merged
     return out
 
 

@@ -171,25 +171,32 @@ def parse_env(text: str) -> TokenEnv:
     token win; unlisted tokens default to 0.  An error's position is the
     offset of the name or value it names, or of the line without "=".
     """
+
+    def error(message: str, at: int) -> ParseError:
+        # Only "\n" starts a new line number, as in an editor; the other
+        # breaks `splitlines` knows still end a binding.
+        lineno = text.count("\n", 0, at) + 1
+        return ParseError(f"line {lineno}: {message}", at)
+
     bindings: dict[Token, Fraction] = {}
     end = 0
-    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
+    for raw in text.splitlines(keepends=True):
         start, end = end, end + len(raw)
         line = raw.split("#", 1)[0].rstrip()
         if not line:
             continue
         name, sep, value = line.partition("=")
         if not sep:
-            raise ParseError(f"line {lineno}: expected 'token = rational'", start)
+            raise error("expected 'token = rational'", start)
         name_at = start + len(name) - len(name.lstrip())
         value_at = start + len(line) - len(value.lstrip())
         name, value = name.strip(), value.strip()
         try:
             _fields(_lexemes(name), 0, "I$")
         except ParseError:
-            raise ParseError(f"line {lineno}: bad token name {name!r}", name_at) from None
+            raise error(f"bad token name {name!r}", name_at) from None
         try:
             bindings[Token(name)] = parse_rational(value)
         except ParseError:
-            raise ParseError(f"line {lineno}: bad rational {value!r}", value_at) from None
+            raise error(f"bad rational {value!r}", value_at) from None
     return TokenEnv(bindings)

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .enclosure import (
     DEFAULT_ENV_BUDGET,
     DEFAULT_GRID_POINTS,
+    AffineForm,
     EmptySet,
     EnclosureOutcome,
     ExactInterval,
@@ -26,7 +27,7 @@ from .enclosure import (
     Member,
     NonMember,
     SampleStream,
-    affine_witness,
+    _form_witness,
     enclosure,
     lazy_enclosure,
     membership_in,
@@ -155,29 +156,29 @@ def _decide(
     if isinstance(enc_tgt, EmptySet):
         return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
 
-    if isinstance(enc_src, ExactInterval) and isinstance(enc_tgt, ExactInterval):
+    if isinstance(enc_src, AffineForm) and isinstance(enc_tgt, AffineForm):
         si, ti = enc_src.interval, enc_tgt.interval
         if si.encloses(ti):
             witness = None
             value = None
             if ti.is_point:
-                witness = affine_witness(src, ti.lo)
+                witness = _form_witness(enc_src, src, ti.lo)
                 value = ti.lo if witness is not None else None
             return Holds(IntervalContainment(si, ti, "exact-interval", witness, value))
         q = ti.hi if ti.hi > si.hi else ti.lo
-        env = affine_witness(tgt, q)
+        env = _form_witness(enc_tgt, tgt, q)
         if env is not None:
             return Fails(env, q, ExclusionCertificate("exact-interval", si))
         return _undecided(enc_src, enc_tgt)
 
-    if isinstance(enc_tgt, ExactInterval) and enc_tgt.interval.is_point:
+    if isinstance(enc_tgt, AffineForm) and enc_tgt.interval.is_point:
         # Single-valued target: containment is exactly a membership query.
         q = enc_tgt.interval.lo
         found = membership_in(src, q, enc_src)
         if isinstance(found, Member):
             return Holds(MembershipWitness(found.env, found.value))
         if isinstance(found, NonMember):
-            env = affine_witness(tgt, q)
+            env = _form_witness(enc_tgt, tgt, q)
             if env is not None:
                 return Fails(env, q, found.certificate)
         return _undecided(enc_src, enc_tgt)
@@ -191,7 +192,7 @@ def _decide(
 
     # Confirmation without exactness on the target side (tgt is sampled
     # here: every other pairing with an exact source was settled above).
-    if isinstance(enc_src, ExactInterval):
+    if isinstance(enc_src, AffineForm):
         over_tgt = enc_tgt.over
         if isinstance(over_tgt, Interval) and enc_src.interval.encloses(over_tgt):
             return Holds(
@@ -208,7 +209,7 @@ def _undecided(enc_src: LazyOutcome, enc_tgt: LazyOutcome) -> Undecided:
 def _source_certificate(enc_src: LazyOutcome) -> ExclusionCertificate | None:
     if isinstance(enc_src, EmptySet):
         return ExclusionCertificate("empty")  # nothing is warranted for src
-    if isinstance(enc_src, ExactInterval):
+    if isinstance(enc_src, AffineForm):
         return ExclusionCertificate("exact-interval", enc_src.interval)
     if isinstance(enc_src, SampleStream) and isinstance(enc_src.over, Interval):
         return ExclusionCertificate("over-approx", enc_src.over)
@@ -219,10 +220,10 @@ def _target_members(
     tgt: Expr, enc_tgt: LazyOutcome
 ) -> Iterator[tuple[TokenEnv, Fraction]]:
     """Warranted (env, value) pairs of the target, extremes first."""
-    if isinstance(enc_tgt, ExactInterval):
+    if isinstance(enc_tgt, AffineForm):
         iv = enc_tgt.interval
         for q in [iv.hi] if iv.is_point else [iv.hi, iv.lo]:
-            env = affine_witness(tgt, q)
+            env = _form_witness(enc_tgt, tgt, q)
             if env is not None:
                 yield env, q
     elif isinstance(enc_tgt, SampleStream):
@@ -287,18 +288,28 @@ def check_conservativity(e: Expr, e2: Expr) -> bool:
 
 def audit_verdict(verdict: Verdict, src: Expr, tgt: Expr) -> bool:
     """Re-derive every claim a verdict makes, from the expressions alone."""
+    return _audit(verdict, src, tgt, enclosure)
+
+
+def _audit(
+    verdict: Verdict,
+    src: Expr,
+    tgt: Expr,
+    enclose: Callable[[Expr], EnclosureOutcome],
+) -> bool:
+    """`audit_verdict`, taking each side's enclosure from `enclose`."""
     match verdict:
         case Holds(SameExpression()):
             return src == tgt
         case Holds(EmptyTarget(token_name)):
-            enc = enclosure(tgt)
+            enc = enclose(tgt)
             return isinstance(enc, EmptySet) and enc.token.name == token_name
         case Holds(IntervalContainment(source, target, target_kind, witness, value)):
-            enc_src = enclosure(src)
+            enc_src = enclose(src)
             if not isinstance(enc_src, ExactInterval) or enc_src.interval != source:
                 return False
             if target_kind == "exact-interval":
-                enc_tgt = enclosure(tgt)
+                enc_tgt = enclose(tgt)
                 if not isinstance(enc_tgt, ExactInterval) or enc_tgt.interval != target:
                     return False
             elif target_kind == "over-approx":
@@ -317,7 +328,7 @@ def audit_verdict(verdict: Verdict, src: Expr, tgt: Expr) -> bool:
                 and target.contains(value)
             )
         case Holds(MembershipWitness(env, value)):
-            enc_tgt = enclosure(tgt)
+            enc_tgt = enclose(tgt)
             return (
                 isinstance(enc_tgt, ExactInterval)
                 and enc_tgt.interval == Interval.point(value)
@@ -330,9 +341,9 @@ def audit_verdict(verdict: Verdict, src: Expr, tgt: Expr) -> bool:
             if not certificate.excludes(value):
                 return False
             if certificate.kind == "empty":
-                return isinstance(enclosure(src), EmptySet)
+                return isinstance(enclose(src), EmptySet)
             if certificate.kind == "exact-interval":
-                enc_src = enclosure(src)
+                enc_src = enclose(src)
                 return (
                     isinstance(enc_src, ExactInterval)
                     and enc_src.interval == certificate.bounds
@@ -346,7 +357,18 @@ def audit_verdict(verdict: Verdict, src: Expr, tgt: Expr) -> bool:
 
 
 def audit_classification(cls: Classification, src: Expr, tgt: Expr) -> bool:
-    """Check both directional verdicts; the backward one swaps the roles."""
-    return audit_verdict(cls.forward, src, tgt) and audit_verdict(
-        cls.backward, tgt, src
+    """Check both directional verdicts; the backward one swaps the roles.
+
+    Each side is enclosed at most once, from the expression alone, and
+    both verdicts read that enclosure.
+    """
+    outcomes: dict[int, EnclosureOutcome] = {}
+
+    def enclose(e: Expr) -> EnclosureOutcome:
+        if id(e) not in outcomes:
+            outcomes[id(e)] = enclosure(e)
+        return outcomes[id(e)]
+
+    return _audit(cls.forward, src, tgt, enclose) and _audit(
+        cls.backward, tgt, src, enclose
     )

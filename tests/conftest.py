@@ -19,3 +19,18 @@ def env_draws(monkeypatch):
 
     monkeypatch.setattr(module, "_env_stream", counted)
     return drawn
+
+
+@pytest.fixture
+def affine_folds(monkeypatch):
+    """The expressions `_affine_parts` folds while the test runs, in order."""
+    module = importlib.import_module("enclosures.enclosure")
+    parts = module._affine_parts
+    folded = []
+
+    def counted(e, boxes):
+        folded.append(e)
+        return parts(e, boxes)
+
+    monkeypatch.setattr(module, "_affine_parts", counted)
+    return folded

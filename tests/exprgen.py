@@ -27,6 +27,7 @@ from enclosures import (
     Meas,
     Mul,
     Neg,
+    NotAffineError,
     Sub,
     Token,
     TokenEnv,
@@ -34,6 +35,8 @@ from enclosures import (
     evaluate,
     exact_value,
     grid_values,
+    is_exact,
+    tokens_of,
 )
 
 D = Dim("d")
@@ -204,6 +207,56 @@ def naive_evaluate(env: TokenEnv, e: Expr) -> Fraction:
             return Fraction(0) if den == 0 else naive_evaluate(env, l) / den
         case Neg(operand):
             return -naive_evaluate(env, operand)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def naive_affine(
+    e: Expr, boxes: dict[Token, Interval]
+) -> tuple[Fraction, dict[Token, Fraction]]:
+    """Reference fold of e to (constant, coeffs): a token-free side scales,
+    x / 0 = 0, and a self-quotient is 1 or 0 where the corners of `boxes`
+    say so.  Every token of e gets a coefficient; NotAffineError otherwise."""
+    match e:
+        case Exact(value, _):
+            return value, {}
+        case Meas(token, _, _):
+            return Fraction(0), {token: Fraction(1)}
+        case Neg(operand):
+            c, k = naive_affine(operand, boxes)
+            return -c, {t: -v for t, v in k.items()}
+        case Add(l, r) | Sub(l, r):
+            sign = 1 if isinstance(e, Add) else -1
+            (cl, kl), (cr, kr) = naive_affine(l, boxes), naive_affine(r, boxes)
+            k = dict(kl)
+            for t, v in kr.items():
+                k[t] = k.get(t, Fraction(0)) + sign * v
+            return cl + sign * cr, k
+        case Mul(l, r) if is_exact(l) or is_exact(r):
+            scale, body = (exact_value(l), r) if is_exact(l) else (exact_value(r), l)
+            c, k = naive_affine(body, boxes)
+            return scale * c, {t: scale * v for t, v in k.items()}
+        case Div(l, r) if is_exact(r):
+            d = exact_value(r)
+            if d == 0:
+                return Fraction(0), dict.fromkeys(tokens_of(l), Fraction(0))
+            c, k = naive_affine(l, boxes)
+            return c / d, {t: v / d for t, v in k.items()}
+        case Div(l, r) if l == r:
+            c, k = naive_affine(l, boxes)
+            tokens = list(k)
+            values = [
+                c + sum(k[t] * x for t, x in zip(tokens, corner))
+                for corner in itertools.product(
+                    *([boxes[t].lo, boxes[t].hi] for t in tokens)
+                )
+            ]
+            if min(values) > 0 or max(values) < 0:
+                return Fraction(1), dict.fromkeys(k, Fraction(0))
+            if min(values) == max(values) == 0:
+                return Fraction(0), dict.fromkeys(k, Fraction(0))
+            raise NotAffineError("self-quotient takes 0 and a nonzero value")
+        case Mul() | Div():
+            raise NotAffineError("measured product or denominator")
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -9,13 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enclosures import (
+    Add,
+    AffineForm,
     BudgetExceededError,
     EmptySet,
+    Exact,
     ExactInterval,
     ExclusionCertificate,
     Inconclusive,
     Interval,
+    Meas,
     Member,
+    Mul,
     NonMember,
     NotAffineError,
     Token,
@@ -23,6 +28,7 @@ from enclosures import (
     Unknown,
     affine_enclosure,
     affine_witness,
+    effective_intervals,
     enclosure,
     evaluate,
     grid_values,
@@ -34,10 +40,13 @@ from enclosures import (
     under_approx_samples,
 )
 from exprgen import (
+    D,
     corner_min_max,
     gen_affine,
     gen_any,
+    naive_affine,
     naive_samples,
+    rand_rational,
     redeclare,
     token_boxes,
 )
@@ -105,6 +114,80 @@ class TestToAffine:
     def test_repeated_token_coefficients_sum(self):
         f = to_affine(parse("meas(t,[1,2],d) + meas(t,[1,2],d)"))
         assert f.coeffs == {T: F(2)}
+
+
+def _matches_reference_fold(e) -> bool:
+    """to_affine(e) equals the reference fold; False when e is not affine."""
+    boxes = effective_intervals(e)
+    try:
+        constant, coeffs = naive_affine(e, boxes)
+    except NotAffineError:
+        with pytest.raises(NotAffineError):
+            to_affine(e)
+        return False
+    assert to_affine(e) == AffineForm(constant, coeffs, boxes)
+    return True
+
+
+class TestToAffineMatchesReference:
+    CASES = {
+        "sub-new-token": ("exact(3,d) - meas(t,[1,2],d)", True),
+        "sub-new-tokens": ("meas(t,[1,2],d) - (meas(u,[0,1],d) - meas(v,[2,3],d))", True),
+        "add-zero": ("meas(t,[1,2],d) + exact(0,d)", True),
+        "sub-zero": ("meas(t,[1,2],d) - exact(0,d)", True),
+        "zero-sub": ("exact(0,d) - meas(t,[1,2],d)", True),
+        "add-nonzero": ("meas(t,[1,2],d) + exact(-5/2,d)", True),
+        "zero-scale": ("exact(0,d) * meas(t,[1,2],d)", True),
+        "neg": ("-(meas(t,[1,2],d) - meas(u,[1,2],d) + exact(1,d))", True),
+        "div-zero": ("meas(t,[1,2],d) / exact(0,d)", True),
+        "div-zero-product": ("meas(t,[1,2],d) * meas(u,[1,2],d) / exact(0,d)", True),
+        "self-quotient-one": (
+            "(meas(t,[1,2],d) + exact(1,d)) / (meas(t,[1,2],d) + exact(1,d))",
+            True,
+        ),
+        "self-quotient-zero": (
+            "(meas(t,[1,2],d) - meas(t,[1,2],d)) / (meas(t,[1,2],d) - meas(t,[1,2],d))",
+            True,
+        ),
+        "self-quotient-straddles": ("meas(t,[-1,1],d) / meas(t,[-1,1],d)", False),
+        "product": ("meas(t,[1,2],d) * meas(u,[1,2],d)", False),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_case(self, name):
+        text, affine = self.CASES[name]
+        assert _matches_reference_fold(parse(text)) is affine
+
+    @pytest.mark.parametrize("gen", [gen_affine, gen_any], ids=["affine", "any"])
+    def test_seeded_corpus(self, gen):
+        affine = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            e = gen(rng, token_boxes(rng), rng.randint(1, 15))
+            if seed % 3 == 0:
+                e = redeclare(rng, e)  # repeated tokens with differing intervals
+            affine += _matches_reference_fold(e)
+        assert 0 < affine <= 400
+
+    def test_interval_is_the_corner_min_max(self):
+        most = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            boxes = token_boxes(rng, 6)
+            e = gen_affine(rng, boxes, rng.randint(1, 12))
+            for t, box in boxes.items():  # every token, scaled, possibly by 0
+                e = Add(e, Mul(Exact(rand_rational(rng, -2, 2, 2), D), Meas(t, box, D)))
+            f = to_affine(e)
+            tokens = list(f.boxes)
+            most = max(most, len(tokens))
+            values = [
+                f.constant + sum(f.coeffs[t] * x for t, x in zip(tokens, corner))
+                for corner in itertools.product(
+                    *([f.boxes[t].lo, f.boxes[t].hi] for t in tokens)
+                )
+            ]
+            assert f.interval == Interval(min(values), max(values))
+        assert most == 6
 
 
 class TestAffineEnclosure:

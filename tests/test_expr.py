@@ -156,6 +156,34 @@ class TestStructuralQueries:
             effective_intervals(e)
         assert err.value.token == t
 
+    def test_effective_intervals_repeated_equal(self):
+        t = Token("t")
+        iv = Interval.of(2, 5)
+        e = Sub(Meas(t, iv, D), Add(Meas(t, Interval.of(2, 5), D), Meas(t, iv, D)))
+        assert effective_intervals(e) == {t: iv}
+
+    def test_effective_intervals_repeated_differing(self):
+        t, u = Token("t"), Token("u")
+        e = parse(
+            "meas(t,[2,5],d) + meas(u,[0,1],d) - meas(t,[2,5],d)"
+            " + meas(t,[3,9],d) * meas(t,[3,9],d) + meas(t,[1,4],d)"
+        )
+        assert effective_intervals(e) == {t: Interval.of(3, 4), u: Interval.of(0, 1)}
+
+    def test_effective_intervals_first_conflict_reported(self):
+        # Both a and b end up infeasible; b's conflict comes first, left to right.
+        e = parse(
+            "meas(a,[0,1],d) + meas(b,[0,1],d) + meas(a,[0,1],d)"
+            " + meas(b,[2,3],d) + meas(a,[5,6],d)"
+        )
+        with pytest.raises(InfeasibleTokenError) as err:
+            effective_intervals(e)
+        assert err.value.token == Token("b")
+        e = parse("meas(a,[0,1],d) + meas(b,[0,1],d) + meas(a,[5,6],d) + meas(b,[2,3],d)")
+        with pytest.raises(InfeasibleTokenError) as err:
+            effective_intervals(e)
+        assert err.value.token == Token("a")
+
     def test_effective_intervals_independent(self):
         t1, t2 = Token("t1"), Token("t2")
         iv = Interval.of(2, 5)

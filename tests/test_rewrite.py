@@ -447,3 +447,41 @@ class TestSamplesDrawnOnDemand:
                             for o in (verdict.source_outcome, verdict.target_outcome)
                         )
         assert seen and truncated, (seen, truncated)
+
+
+class TestAffineFoldsOnce:
+    """Each side's affine form is folded once per classify and once per audit."""
+
+    PAIRS = {
+        "interchangeable": (
+            "meas(t,[1,3],d) + meas(u,[0,2],d)",
+            "meas(u,[0,2],d) + meas(t,[1,3],d)",
+            RewriteClass.INTERCHANGEABLE,
+        ),
+        "one-way-only-forward": (
+            "meas(t,[0,4],d)",
+            "meas(t,[1,2],d) * exact(2,d) - exact(1,d)",
+            RewriteClass.ONE_WAY_ONLY_FORWARD,
+        ),
+        "incomparable": (
+            "meas(t,[0,2],d)",
+            "meas(t,[1,3],d)",
+            RewriteClass.INCOMPARABLE,
+        ),
+        "point-target": (
+            "meas(t,[1,2],d) - meas(u,[1,2],d)",
+            "exact(0,d)",
+            RewriteClass.ONE_WAY_ONLY_FORWARD,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(PAIRS))
+    def test_two_folds_per_classify_and_per_audit(self, affine_folds, name):
+        src_text, tgt_text, kind = self.PAIRS[name]
+        src, tgt = parse(src_text), parse(tgt_text)
+        cls = classify(src, tgt)
+        assert cls.kind is kind
+        assert len(affine_folds) <= 2
+        del affine_folds[:]
+        assert audit_classification(cls, src, tgt)
+        assert len(affine_folds) <= 2

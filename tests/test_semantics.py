@@ -143,6 +143,12 @@ class TestParseEnv:
         "t = 1\nt = x\n": 10,
         "t = 1\n  2t = 3": 8,
         "# c\r\n  t 3": 5,
+        # Breaks other than "\n" still end a binding.
+        "t = 1\vt = x": 10,
+        "t = 1\ft = x\n": 10,
+        "t = 1\x1c t = x": 11,
+        "t = 1\n\x85t = x\n": 11,
+        "t = 1\u2028t = x": 10,
     }
 
     @pytest.mark.parametrize("text", list(MALFORMED))
@@ -150,3 +156,22 @@ class TestParseEnv:
         with pytest.raises(ParseError) as err:
             parse_env(text)
         assert err.value.position == self.MALFORMED[text]
+
+    # Line numbers count "\n" breaks only, as an editor does.
+    LINES = {
+        "t1 9/2": 1,
+        "t = 1\nt = x\n": 2,
+        "# c\r\n  t 3": 2,
+        "t = 1\vt = x": 1,
+        "t = 1\ft = x\n": 1,
+        "t = 1\x1c t = x": 1,
+        "t = 1\n\x85t = x\n": 2,
+        "t = 1\u2028t = x": 1,
+        "\n\f\nbad": 3,
+    }
+
+    @pytest.mark.parametrize("text", list(LINES))
+    def test_line_numbers_count_newlines_only(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_env(text)
+        assert str(err.value).startswith(f"line {self.LINES[text]}: ")
