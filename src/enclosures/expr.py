@@ -34,6 +34,9 @@ class Token:
 
     name: str
 
+    def __hash__(self) -> int:  # the dataclass hash builds a tuple per call
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 
@@ -43,6 +46,9 @@ class Dim:
     """Dimension tag compared only syntactically; no units algebra."""
 
     tag: str
+
+    def __hash__(self) -> int:
+        return hash(self.tag)
 
     def __str__(self) -> str:
         return self.tag

@@ -13,11 +13,17 @@ binary operators are left-associative, and unary minus binds tighter than
 "*" and "/".  Leaf keywords keep numbers and identifiers unambiguous.
 Interval and rational literals stand alone in the same syntax, and an
 environment file holds one "ident = rat" binding per line.
+
+A leaf written with nothing between its parts, as `format_expr` prints
+it, is read in one lexer match, and `parse` builds one node per distinct
+leaf text, so equal leaves in one expression are one object.  Any other
+leaf is read lexeme by lexeme, which is also how every error is found.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .expr import Add, Div, Dim, Exact, Expr, Interval, Meas, Mul, Neg, Sub, Token
@@ -37,20 +43,39 @@ class ParseError(ValueError):
 _PREFIX = {"(": (0, None), "-": (3, Neg)}
 _INFIX = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
 
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+
+
+def _rat(name: str) -> str:
+    """A compact rational: its numerator, then a nonzero denominator if any."""
+    return rf"(?P<{name}>-?[0-9]+)(?:/(?P<{name}_den>0*[1-9][0-9]*))?"
+
+
 # One match per lexeme, blanks and comments before it included.  A match
 # always succeeds where the previous one ended, so nothing is skipped.
+# The first two alternatives take a whole leaf with no blank, comment or
+# zero denominator inside as one lexeme; any other leaf falls through to
+# one lexeme per name, number and symbol.
 _LEXEME = re.compile(
-    r"(?:\s+|#[^\n]*)*(?:(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)|(?P<NUMBER>[0-9]+)"
+    r"(?:\s+|#[^\n]*)*(?:"
+    rf"(?P<meas>meas\((?P<token>{_NAME}),\[{_rat('lo')},{_rat('hi')}\],(?P<mdim>{_NAME})\))"
+    rf"|(?P<exact>exact\({_rat('value')},(?P<edim>{_NAME})\))"
+    rf"|(?P<IDENT>{_NAME})|(?P<NUMBER>[0-9]+)"
     r"|(?P<SYM>[-+*/()\[\],])|(?P<EOF>\Z)|(?P<BAD>.))"
 )
 
-Lexeme = tuple[str, str, int]  # kind (IDENT, NUMBER, EOF or the symbol), text, offset
+# (kind, text, offset): kind is IDENT, NUMBER, EOF or the symbol.  A compact
+# leaf is (LEAF, its keyword, offset, its match); errors name the keyword.
+Lexeme = tuple[str, str, int] | tuple[str, str, int, re.Match]
 
 
-def _lexemes(text: str) -> list[Lexeme]:
+def _lexemes(text: str, start: int = 0, end: int = sys.maxsize) -> list[Lexeme]:
     out: list[Lexeme] = []
-    for m in _LEXEME.finditer(text):
+    for m in _LEXEME.finditer(text, start, end):
         kind = m.lastgroup
+        if kind in _LEAVES:  # `parse` builds it when reached, so errors keep text order
+            out.append(("LEAF", kind, m.start(kind), m))
+            continue
         found = m[kind]
         if kind == "BAD":
             raise ParseError(f"unexpected character {found!r}", m.start(kind))
@@ -60,8 +85,16 @@ def _lexemes(text: str) -> list[Lexeme]:
     return out
 
 
+def _split(lexeme: Lexeme) -> list[Lexeme]:
+    """A compact leaf as the lexemes it spans: its keyword as a name, then
+    one per symbol, number and name.  None of them is a leaf again, since
+    a name inside a compact leaf is followed by "," or ")", never "("."""
+    _, keyword, pos, m = lexeme
+    return [("IDENT", keyword, pos), *_lexemes(m.string, pos + len(keyword), m.end())[:-1]]
+
+
 def _mismatch(wanted: str, lexeme: Lexeme) -> ParseError:
-    _, text, pos = lexeme
+    text, pos = lexeme[1], lexeme[2]
     return ParseError(f"expected {wanted}, found {text or 'end of input'!r}", pos)
 
 
@@ -76,6 +109,19 @@ _LEAVES = {
     "exact": ("(R,I)", lambda value, dim: Exact(value, Dim(dim))),
     "meas": ("(I,[R,R],I)", lambda token, iv, dim: Meas(Token(token), iv, Dim(dim))),
 }
+
+
+def _rational(numerator: str, denominator: str | None) -> Fraction:
+    return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
+
+
+def _compact_leaf(m: re.Match) -> Expr:
+    """The node a compact-leaf match spells."""
+    if m.lastgroup == "exact":
+        value, den, dim = m.group("value", "value_den", "edim")
+        return Exact(_rational(value, den), Dim(dim))
+    token, lo, lo_den, hi, hi_den, dim = m.group("token", "lo", "lo_den", "hi", "hi_den", "mdim")
+    return Meas(Token(token), Interval(_rational(lo, lo_den), _rational(hi, hi_den)), Dim(dim))
 
 
 def _fields(lexemes: list[Lexeme], i: int, shape: str) -> tuple[list, int]:
@@ -97,6 +143,8 @@ def _fields(lexemes: list[Lexeme], i: int, shape: str) -> tuple[list, int]:
                     raise ParseError("rational denominator must be nonzero", lexemes[i][2])
             values.append(Fraction(-numerator if negative else numerator, denominator))
         elif slot == "I":
+            if lexemes[i][0] == "LEAF":  # a keyword where a name goes is that name
+                lexemes[i : i + 1] = _split(lexemes[i])
             values.append(_expect(lexemes[i], "IDENT"))
         else:
             _expect(lexemes[i], "EOF" if slot == "$" else slot)
@@ -112,22 +160,34 @@ def parse(text: str) -> Expr:
     An operator-precedence loop over explicit operand and operator stacks,
     equivalent to the `expr`/`term`/`factor` rules above without recursion:
     prefix minus and "(" wait on the operator stack until the operand they
-    govern is complete.
+    govern is complete.  Equal compact leaf texts give one shared node;
+    each is built when it is reached, so errors come in text order.
     """
     lexemes = _lexemes(text)
     i = 0
     operands: list[Expr] = []
     pending: list[tuple[int, type | None]] = []  # (precedence, node class)
+    built: dict[str, Expr] = {}  # compact leaf text -> its node
     while True:
         while lexemes[i][0] in _PREFIX:  # unary minus and "(" before a leaf
             pending.append(_PREFIX[lexemes[i][0]])
             i += 1
-        leaf = _LEAVES.get(lexemes[i][1])
-        if leaf is None:
-            raise _mismatch("a leaf ('exact' or 'meas')", lexemes[i])
-        shape, build = leaf
-        values, i = _fields(lexemes, i + 1, shape)
-        operands.append(build(*values))
+        lexeme = lexemes[i]
+        if lexeme[0] == "LEAF":
+            m = lexeme[3]
+            leaf_text = m[lexeme[1]]
+            node = built.get(leaf_text)
+            if node is None:
+                node = built[leaf_text] = _compact_leaf(m)
+            operands.append(node)
+            i += 1
+        else:
+            leaf = _LEAVES.get(lexeme[1])
+            if leaf is None:
+                raise _mismatch("a leaf ('exact' or 'meas')", lexeme)
+            shape, build = leaf
+            values, i = _fields(lexemes, i + 1, shape)
+            operands.append(build(*values))
         while True:  # after an operand: ")" repeats, an infix operator ends
             kind = lexemes[i][0]
             infix = _INFIX.get(kind)

@@ -1,5 +1,6 @@
 """Core types, the expression grammar, and the printer/parser pair."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -52,6 +53,22 @@ class TestInterval:
     def test_encloses(self):
         assert Interval.of(0, 10).encloses(Interval.of(2, 5))
         assert not Interval.of(2, 5).encloses(Interval.of(0, 10))
+
+
+class TestTokenAndDim:
+    def test_equal_values_from_separate_parses_are_one_key(self):
+        first, second = parse("meas(t,[1,2],d)"), parse("meas(t,[3,4],d)")
+        assert first.token is not second.token and first.dim is not second.dim
+        for a, b in ((first.token, second.token), (first.dim, second.dim)):
+            assert a == b and hash(a) == hash(b) == hash(str(a))
+            assert {a: 1}[b] == 1 and {b: 2}[a] == 2
+        assert repr(first.token) == "Token(name='t')" and repr(first.dim) == "Dim(tag='d')"
+
+    def test_fields_stay_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Token("t").name = "u"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Dim("d").tag = "e"
 
 
 class TestParse:

@@ -3,23 +3,38 @@
 The table fixes the exception type, the message and the character offset
 of each way `parse`, `parse_interval` and `parse_rational` can reject a
 text.  The round trip checks that blanks, comments and spaced-out
-rationals anywhere between lexemes leave the parsed tree unchanged.
+rationals anywhere between lexemes leave the parsed tree unchanged.  A
+leaf read in one match must parse exactly as it does lexeme by lexeme,
+and equal leaf texts in one expression must give one shared node that
+behaves as distinct equal nodes would.
 """
 
+import copy
+import pickle
 import random
 import re
 
 import pytest
 
 from enclosures import (
+    Add,
+    Div,
     IntervalOrderError,
+    Meas,
+    Mul,
+    Neg,
     ParseError,
+    Sub,
+    audit_classification,
+    classify,
     format_expr,
     parse,
     parse_interval,
     parse_rational,
+    parser,
 )
-from exprgen import gen_any, token_boxes
+from enclosures.expr import fold, postorder
+from exprgen import gen_affine, gen_any, token_boxes
 
 READERS = {"parse": parse, "parse_interval": parse_interval, "parse_rational": parse_rational}
 LEAF = "expected a leaf ('exact' or 'meas')"
@@ -65,7 +80,15 @@ ERRORS = [
     ("parse", "meas(t,[1,", "expected 'NUMBER', found 'end of input'", 10),
     # a zero denominator
     ("parse", "exact(1/0,d)", NONZERO, 8),
+    ("parse", "exact(1/00,d)", NONZERO, 8),
     ("parse", "meas(t,[1,3/0],d)", NONZERO, 12),
+    # whole leaves: a later leaf is not read before an earlier error
+    ("parse", "meas(t,[1,2],d) + ) meas(u,[2,1],d)", f"{LEAF}, found ')'", 18),
+    ("parse", "meas(t,[1,2],d)x", "expected 'EOF', found 'x'", 15),
+    ("parse", "measx(t,[1,2],d)", f"{LEAF}, found 'measx'", 0),
+    # a whole leaf where a name goes: its keyword is the name
+    ("parse", "meas(exact(1,d),[1,2],d)", "expected ',', found '('", 10),
+    ("parse", "exact(1,meas(t,[1,2],d))", "expected ')', found '('", 12),
     # an unclosed "(", a stray ")" and trailing input
     ("parse", "(exact(1,d)", "expected ')', found 'end of input'", 11),
     ("parse", "((exact(1,d) + exact(2,d))", "expected ')', found 'end of input'", 26),
@@ -134,3 +157,113 @@ def test_scattered_blanks_and_comments_round_trip():
         e = gen_any(rng, token_boxes(rng), rng.randint(1, 14))
         text = scatter(rng, format_expr(e))
         assert parse(text) == e, (seed, text)
+
+
+# The lexer pattern without whole-leaf lexemes: one match per name, number
+# and symbol.  Under it `parse` reads every leaf slot by slot.
+LEXEME_ONLY = re.compile(
+    r"(?:\s+|#[^\n]*)*(?:(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)|(?P<NUMBER>[0-9]+)"
+    r"|(?P<SYM>[-+*/()\[\],])|(?P<EOF>\Z)|(?P<BAD>.))"
+)
+
+
+def outcome(text: str) -> tuple:
+    """The tree's repr, or the exception's type, message and offset."""
+    try:
+        return ("ok", repr(parse(text)))
+    except Exception as err:  # every failure must match, whatever its type
+        return (type(err).__name__, str(err), getattr(err, "position", None))
+
+
+def lexeme_only(monkeypatch, texts: list[str]) -> list[tuple]:
+    with monkeypatch.context() as m:
+        m.setattr(parser, "_LEXEME", LEXEME_ONLY)
+        return [outcome(text) for text in texts]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "meas (t,[1,2],d)",
+        "meas(t,[1, 2],d)",
+        "meas(t,[- 1,2],d)",
+        "meas(t,[1,2], # a note\n d)",
+        "exact(1/007,d)",
+        "meas(meas,[1,2],exact) * exact(-0,meas)",
+    ],
+)
+def test_leaf_with_blanks_or_keyword_names_parses_as_lexeme_by_lexeme(monkeypatch, text):
+    assert outcome(text)[0] == "ok"
+    assert [outcome(text)] == lexeme_only(monkeypatch, [text])
+
+
+# Letters of both keywords and a name, every symbol, a blank, a comment,
+# a line break and a character no lexeme takes; digits are drawn apart.
+MUTATION_CHARS = "measxct1(),[]-+*/ #\n$"
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One to three single-character insertions, deletions or replacements."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        edit = rng.choice("idr")
+        new = rng.choice("0123456789" if rng.random() < 0.4 else MUTATION_CHARS)
+        if edit == "i":
+            text = text[:at] + new + text[at:]
+        elif edit == "d":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + new + text[at + 1 :]
+    return text
+
+
+def test_whole_leaf_lexemes_parse_as_lexeme_by_lexeme(monkeypatch):
+    rng = random.Random(20261018)
+    corpus = []
+    for seed in range(400):
+        gen = gen_affine if seed % 2 else gen_any
+        e = gen(rng, token_boxes(rng), rng.randint(1, 16))
+        corpus.append(format_expr(e))
+    texts = corpus + [mutate(rng, rng.choice(corpus)) for _ in range(20_000)]
+    fast = [outcome(text) for text in texts]
+    slow = lexeme_only(monkeypatch, texts)
+    differ = [(text, f, s) for text, f, s in zip(texts, fast, slow) if f != s]
+    assert not differ, (len(differ), differ[:3])
+    # the mutations reach every kind of outcome
+    assert {o[0] for o in fast} >= {"ok", "ParseError", "IntervalOrderError"}
+
+
+def distinct_leaves(e):
+    """e rebuilt with a fresh object at every leaf occurrence."""
+    return fold(e, copy.copy, {cls: cls for cls in (Add, Sub, Mul, Div, Neg)})
+
+
+def test_equal_leaf_texts_share_one_node_per_parse():
+    text = " + ".join(["meas(t,[1,2],d)"] * 5 + ["exact(3/4,d)", "meas(t,[1,2],d)"])
+    first, second = parse(text), parse(text)
+    meas = [n for n in postorder(first) if isinstance(n, Meas)]
+    assert len(meas) == 6 and all(n is meas[0] for n in meas)
+    assert not {id(n) for n in postorder(first)} & {id(n) for n in postorder(second)}
+
+
+@pytest.mark.parametrize(
+    "src, tgt",
+    [
+        ("meas(t,[1,2],d) + meas(t,[1,2],d) - meas(u,[0,1],d)", "exact(2,d) * meas(t,[1,2],d)"),
+        ("meas(t,[1,2],d) * meas(t,[1,2],d)", "meas(t,[1,2],d) * meas(u,[1,2],d)"),
+        ("meas(t,[1,2],d) / meas(t,[1,2],d)", "exact(1,d)"),
+    ],
+)
+def test_shared_leaves_behave_as_distinct_equal_leaves(src, tgt):
+    shared = parse(src), parse(tgt)
+    distinct = tuple(distinct_leaves(e) for e in shared)
+    assert len({id(n) for n in postorder(shared[0])}) < len(postorder(shared[0]))
+    for a, b in zip(shared, distinct):
+        assert len({id(n) for n in postorder(b)}) == len(postorder(b))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and format_expr(a) == format_expr(b)
+        for trip in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert trip == b and repr(trip) == repr(b)
+    cls_shared, cls_distinct = classify(*shared), classify(*distinct)
+    assert repr(cls_shared) == repr(cls_distinct)
+    assert audit_classification(cls_shared, *shared) == audit_classification(cls_distinct, *distinct)
