@@ -2,21 +2,21 @@
 
 Erasing tokens keeps intervals, dimension tags, and tree shape but drops
 observation identity, so repeated leaves are summarized independently.
-The blind enclosure is plain interval arithmetic over the erased tree; it
-is also exactly the over-approximation used for token-level expressions
-(the dependency problem in its classic form).  The comparator at the
-bottom packages the demonstration that this summary cannot recover the
-token-sensitive rewrite class.
+The blind enclosure folds the interval arithmetic of `enclosure.BOUNDS_OPS`
+over the erased tree; `over_approx` folds the same table over the
+token-level tree, so the two agree (the dependency problem in its classic
+form).  The comparator at the bottom packages the demonstration that this
+summary cannot recover the token-sensitive rewrite class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
+from .enclosure import BOUNDS_OPS
 from .expr import (
-    UNBOUNDED,
     Add,
     Bounds,
     Dim,
@@ -28,13 +28,10 @@ from .expr import (
     Mul,
     Neg,
     Sub,
-    Unbounded,
     fold,
     format_tree,
 )
-
-if TYPE_CHECKING:
-    from .rewrite import Classification
+from .rewrite import Classification, classify
 
 
 @dataclass(frozen=True)
@@ -73,56 +70,6 @@ def _forget_leaf(e: Expr) -> BlindExpr:
 _REBUILD = {cls: cls for cls in (Add, Sub, Mul, Div, Neg)}
 
 
-# --- interval arithmetic on Bounds ------------------------------------------
-
-
-def bounds_add(a: Bounds, b: Bounds) -> Bounds:
-    if isinstance(a, Unbounded) or isinstance(b, Unbounded):
-        return UNBOUNDED
-    return Interval(a.lo + b.lo, a.hi + b.hi)
-
-
-def bounds_sub(a: Bounds, b: Bounds) -> Bounds:
-    if isinstance(a, Unbounded) or isinstance(b, Unbounded):
-        return UNBOUNDED
-    return Interval(a.lo - b.hi, a.hi - b.lo)
-
-
-def bounds_neg(a: Bounds) -> Bounds:
-    if isinstance(a, Unbounded):
-        return UNBOUNDED
-    return Interval(-a.hi, -a.lo)
-
-
-def bounds_mul(a: Bounds, b: Bounds) -> Bounds:
-    if isinstance(a, Unbounded) or isinstance(b, Unbounded):
-        return UNBOUNDED
-    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return Interval(min(products), max(products))
-
-
-def bounds_div(a: Bounds, b: Bounds) -> Bounds:
-    if isinstance(a, Unbounded) or isinstance(b, Unbounded):
-        return UNBOUNDED
-    if b.lo == 0 and b.hi == 0:
-        # Total division: everything over exactly zero collapses to zero.
-        return Interval.point(0)
-    if b.lo <= 0 <= b.hi:
-        # Denominator values arbitrarily close to zero: no finite bounds.
-        return UNBOUNDED
-    quotients = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
-    return Interval(min(quotients), max(quotients))
-
-
-_BOUNDS = {
-    Add: bounds_add,
-    Sub: bounds_sub,
-    Mul: bounds_mul,
-    Div: bounds_div,
-    Neg: bounds_neg,
-}
-
-
 def blind_enclosure(b: BlindExpr) -> Bounds:
     """Compositional interval image of a token-erased expression.
 
@@ -130,7 +77,7 @@ def blind_enclosure(b: BlindExpr) -> Bounds:
     interval, and every occurrence is treated independently because no
     token identity survives erasure.
     """
-    return fold(b, _leaf_bounds, _BOUNDS)
+    return fold(b, _leaf_bounds, BOUNDS_OPS)
 
 
 def _leaf_bounds(b: BlindExpr) -> Bounds:
@@ -176,8 +123,8 @@ class ComparisonReport:
     bounds1: Bounds
     bounds2: Bounds
     bounds_equal: bool
-    class1: "Classification"
-    class2: "Classification"
+    class1: Classification
+    class2: Classification
 
     @property
     def classes_differ(self) -> bool:
@@ -201,9 +148,6 @@ def blind_compare(
     Classifies each expression against `target` when given, otherwise the
     two expressions against each other.
     """
-    # Imported here: rewrite classification sits above this module.
-    from .rewrite import classify
-
     kwargs = {}
     if grid_points is not None:
         kwargs["grid_points"] = grid_points

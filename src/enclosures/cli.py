@@ -44,7 +44,6 @@ from .families import (
     MODES,
     FamilySpec,
     FamilySpecError,
-    build_pair,
     build_variants,
     expected_class,
 )
@@ -375,12 +374,14 @@ def _cmd_demo(args) -> int:
         if getattr(args, field) is not None:
             intervals[field] = parse_interval(getattr(args, field))
     spec = FamilySpec(args.family, args.mode, **intervals, dim=Dim(args.dim))
-    src, tgt = build_pair(spec)
+    same, distinct, tgt = build_variants(spec)
+    src = same if spec.mode == "same" else distinct
     _lint_dims(args, [src, tgt])
-    cls = classify(src, tgt, args.grid, args.budget)
-    audit = audit_classification(cls, src, tgt)
-    variants = build_variants(spec)  # same-mode source, distinct-mode source, target
-    report = blind_compare(*variants, grid_points=args.grid, budget=args.budget)
+    report = blind_compare(
+        same, distinct, tgt, grid_points=args.grid, budget=args.budget
+    )
+    # The comparison classified the spec's pair against tgt; its audit covers it.
+    cls = report.class1 if spec.mode == "same" else report.class2
     blind = _blind_json(report)
     expected = expected_class(spec.mode)
     params = {field: _interval_json(iv) for field, iv in intervals.items()}
@@ -396,7 +397,7 @@ def _cmd_demo(args) -> int:
         "match": cls.kind is expected,
         "classification": _classification_json(cls),
         "blind": blind,
-        "audit": audit and blind["audit"],
+        "audit": blind["audit"],
     }
     _emit(args, payload)
     return 3 if cls.kind is RewriteClass.UNDETERMINED else 0

@@ -15,10 +15,10 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
-from .blind import blind_enclosure, forget_tokens
 from .expr import (
+    UNBOUNDED,
     Add,
     Bounds,
     Div,
@@ -31,7 +31,9 @@ from .expr import (
     Neg,
     Sub,
     Token,
+    Unbounded,
     effective_intervals,
+    fold,
     postorder,
 )
 from .semantics import TokenEnv, compile_expr, evaluate, token_consistent
@@ -281,6 +283,46 @@ def _form_witness(f: AffineForm, e: Expr, q: Fraction) -> TokenEnv | None:
 # --- sound over-approximation ------------------------------------------------
 
 
+def _hull(*values: Fraction) -> Interval:
+    return Interval(min(values), max(values))
+
+
+def _div_bounds(a: Interval, b: Interval) -> Bounds:
+    if b.lo == 0 and b.hi == 0:
+        # Total division: everything over exactly zero collapses to zero.
+        return Interval.point(0)
+    if b.lo <= 0 <= b.hi:
+        # Denominator values arbitrarily close to zero: no finite bounds.
+        return UNBOUNDED
+    return _hull(a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+
+
+def _on_bounds(op: Callable[..., Bounds]) -> Callable[..., Bounds]:
+    """op over Intervals, extended to Bounds: any UNBOUNDED operand gives UNBOUNDED."""
+
+    def extended(*operands: Bounds) -> Bounds:
+        for b in operands:
+            if isinstance(b, Unbounded):
+                return UNBOUNDED
+        return op(*operands)
+
+    return extended
+
+
+# Interval arithmetic: each operator's image on independent operand boxes.
+_INTERVAL_OPS = {
+    Add: lambda a, b: Interval(a.lo + b.lo, a.hi + b.hi),
+    Sub: lambda a, b: Interval(a.lo - b.hi, a.hi - b.lo),
+    Mul: lambda a, b: _hull(a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi),
+    Div: _div_bounds,
+    Neg: lambda a: Interval(-a.hi, -a.lo),
+}
+
+# The same on Bounds.  `fold` applies it to the token-level tree here and
+# to the erased tree in enclosures.blind.
+BOUNDS_OPS = {cls: _on_bounds(op) for cls, op in _INTERVAL_OPS.items()}
+
+
 def over_approx(e: Expr) -> Bounds:
     """Interval bounds treating every measured occurrence independently.
 
@@ -288,7 +330,15 @@ def over_approx(e: Expr) -> Bounds:
     set of environments to occurrence-independent ones can only grow the
     image, so the result contains the warranted enclosure.
     """
-    return blind_enclosure(forget_tokens(e))
+    return fold(e, _leaf_bounds, BOUNDS_OPS)
+
+
+def _leaf_bounds(e: Expr) -> Bounds:
+    if isinstance(e, Exact):
+        return Interval.point(e.value)
+    if isinstance(e, Meas):
+        return e.interval
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 # --- sampled under-approximation ---------------------------------------------
@@ -493,6 +543,19 @@ class ExclusionCertificate:
         return self.bounds is not None and not self.bounds.contains(q)
 
 
+def certificate_of(out: LazyOutcome) -> ExclusionCertificate | None:
+    """The certificate bounding every value of `out`, or None when it has
+    no finite bound.  No sample is drawn."""
+    if isinstance(out, EmptySet):
+        return ExclusionCertificate("empty")  # nothing is warranted
+    if isinstance(out, AffineForm):
+        return ExclusionCertificate("exact-interval", out.interval)
+    if isinstance(out, SampleStream) and isinstance(out.over, Interval):
+        # over_approx is sound, so every sample value lies inside `over`.
+        return ExclusionCertificate("over-approx", out.over)
+    return None
+
+
 @dataclass(frozen=True)
 class Member:
     """q is warranted: env is consistent and evaluates to it."""
@@ -530,23 +593,15 @@ def membership(
 
 def membership_in(e: Expr, q: Fraction, out: LazyOutcome) -> MembershipResult:
     """`membership` given e's lazy enclosure `out`; samples stop at a witness."""
-    match out:
-        case EmptySet():
-            return NonMember(ExclusionCertificate("empty"))
-        case AffineForm(interval=interval):
-            if not interval.contains(q):
-                return NonMember(ExclusionCertificate("exact-interval", interval))
-            env = _form_witness(out, e, q)
-            if env is not None:
-                return Member(env, q)
-            return Inconclusive(ExactInterval(interval))
-        case SampleStream(over=over):
-            # over_approx is sound, so every sample value lies inside `over`:
-            # a q outside it can never be a sample, and no sample is drawn.
-            if isinstance(over, Interval) and not over.contains(q):
-                return NonMember(ExclusionCertificate("over-approx", over))
-            for env, value in out:
-                if value == q:
-                    return Member(env, value)
-            return Inconclusive(out.outcome())
-    return Inconclusive(out)
+    cert = certificate_of(out)
+    if cert is not None and cert.excludes(q):
+        return NonMember(cert)  # no sample drawn; an EmptySet always stops here
+    if isinstance(out, AffineForm):
+        env = _form_witness(out, e, q)
+        if env is not None:
+            return Member(env, q)
+        return Inconclusive(ExactInterval(out.interval))
+    for env, value in out:
+        if value == q:
+            return Member(env, value)
+    return Inconclusive(out.outcome())

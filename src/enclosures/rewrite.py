@@ -28,6 +28,7 @@ from .enclosure import (
     NonMember,
     SampleStream,
     _form_witness,
+    certificate_of,
     enclosure,
     lazy_enclosure,
     membership_in,
@@ -168,7 +169,7 @@ def _decide(
         q = ti.hi if ti.hi > si.hi else ti.lo
         env = _form_witness(enc_tgt, tgt, q)
         if env is not None:
-            return Fails(env, q, ExclusionCertificate("exact-interval", si))
+            return Fails(env, q, certificate_of(enc_src))
         return _undecided(enc_src, enc_tgt)
 
     if isinstance(enc_tgt, AffineForm) and enc_tgt.interval.is_point:
@@ -184,7 +185,7 @@ def _decide(
         return _undecided(enc_src, enc_tgt)
 
     # Refutation: a tgt value certified outside src's bound, corners first.
-    cert = _source_certificate(enc_src)
+    cert = certificate_of(enc_src)
     if cert is not None:
         for env, value in _target_members(tgt, enc_tgt):
             if cert.excludes(value):
@@ -204,16 +205,6 @@ def _decide(
 
 def _undecided(enc_src: LazyOutcome, enc_tgt: LazyOutcome) -> Undecided:
     return Undecided(settle(enc_src), settle(enc_tgt))
-
-
-def _source_certificate(enc_src: LazyOutcome) -> ExclusionCertificate | None:
-    if isinstance(enc_src, EmptySet):
-        return ExclusionCertificate("empty")  # nothing is warranted for src
-    if isinstance(enc_src, AffineForm):
-        return ExclusionCertificate("exact-interval", enc_src.interval)
-    if isinstance(enc_src, SampleStream) and isinstance(enc_src.over, Interval):
-        return ExclusionCertificate("over-approx", enc_src.over)
-    return None
 
 
 def _target_members(
@@ -305,19 +296,11 @@ def _audit(
             enc = enclose(tgt)
             return isinstance(enc, EmptySet) and enc.token.name == token_name
         case Holds(IntervalContainment(source, target, target_kind, witness, value)):
-            enc_src = enclose(src)
-            if not isinstance(enc_src, ExactInterval) or enc_src.interval != source:
-                return False
-            if target_kind == "exact-interval":
-                enc_tgt = enclose(tgt)
-                if not isinstance(enc_tgt, ExactInterval) or enc_tgt.interval != target:
-                    return False
-            elif target_kind == "over-approx":
-                if over_approx(tgt) != target:
-                    return False
-            else:
-                return False
-            if not source.encloses(target):
+            if not (
+                _bounds_claim(src, "exact-interval", source, enclose)
+                and _bounds_claim(tgt, target_kind, target, enclose)
+                and source.encloses(target)
+            ):
                 return False
             if witness is None:
                 return True
@@ -328,31 +311,42 @@ def _audit(
                 and target.contains(value)
             )
         case Holds(MembershipWitness(env, value)):
-            enc_tgt = enclose(tgt)
             return (
-                isinstance(enc_tgt, ExactInterval)
-                and enc_tgt.interval == Interval.point(value)
+                _bounds_claim(tgt, "exact-interval", Interval.point(value), enclose)
                 and token_consistent(env, src)
                 and evaluate(env, src) == value
             )
         case Fails(env, value, certificate):
-            if not (token_consistent(env, tgt) and evaluate(env, tgt) == value):
-                return False
-            if not certificate.excludes(value):
-                return False
-            if certificate.kind == "empty":
-                return isinstance(enclose(src), EmptySet)
-            if certificate.kind == "exact-interval":
-                enc_src = enclose(src)
-                return (
-                    isinstance(enc_src, ExactInterval)
-                    and enc_src.interval == certificate.bounds
-                )
-            if certificate.kind == "over-approx":
-                return over_approx(src) == certificate.bounds
-            return False
+            return (
+                token_consistent(env, tgt)
+                and evaluate(env, tgt) == value
+                and certificate.excludes(value)
+                and _bounds_claim(src, certificate.kind, certificate.bounds, enclose)
+            )
         case Undecided():
             return True
+    return False
+
+
+def _bounds_claim(
+    e: Expr,
+    kind: str,
+    bounds: Interval | None,
+    enclose: Callable[[Expr], EnclosureOutcome],
+) -> bool:
+    """Re-derive from e alone what `kind` certifies about `bounds`.
+
+    "empty": e's enclosure has no elements; "exact-interval": it is exactly
+    `bounds`; "over-approx": `bounds` is `over_approx(e)`, which contains
+    it.  Any other kind certifies nothing.
+    """
+    if kind == "empty":
+        return isinstance(enclose(e), EmptySet)
+    if kind == "exact-interval":
+        enc = enclose(e)
+        return isinstance(enc, ExactInterval) and enc.interval == bounds
+    if kind == "over-approx":
+        return over_approx(e) == bounds
     return False
 
 

@@ -1,5 +1,6 @@
 """Containment verdicts, rewrite classes, and evidence auditing."""
 
+import dataclasses
 import importlib
 import itertools
 import random
@@ -329,6 +330,106 @@ class TestAudit:
         src = gen_affine(rng, boxes, 6)
         tgt = gen_affine(rng, boxes, 6)
         assert audit_classification(classify(src, tgt), src, tgt)
+
+
+# Genuine verdicts, one per kind of evidence the tamper table forges.
+WIDE = parse("meas(w,[0,10],d)")
+NARROW = parse("meas(n,[2,3],d)")
+PRODUCT = parse("meas(p,[1,2],d) * meas(q,[1,2],d)")  # over-approx [1,4]
+THREE = parse("exact(3,d)")
+TEN = parse("exact(10,d)")
+
+
+def _genuine(src, tgt, evidence_type):
+    verdict = licensed(src, tgt)
+    evidence = verdict.evidence if isinstance(verdict, Holds) else verdict
+    assert isinstance(evidence, evidence_type), verdict
+    assert audit_verdict(verdict, src, tgt)
+    return verdict
+
+
+def _containment(src, tgt, **changes):
+    real = _genuine(src, tgt, IntervalContainment).evidence
+    return Holds(dataclasses.replace(real, **changes)), src, tgt
+
+
+def _failure(src, tgt, certificate):
+    real = _genuine(src, tgt, Fails)
+    return Fails(real.env, real.value, certificate), src, tgt
+
+
+def _membership_against(src, genuine_tgt, forged_tgt):
+    real = _genuine(src, genuine_tgt, MembershipWitness)
+    return real, src, forged_tgt
+
+
+# name -> () -> (forged verdict, src, tgt); each forgery starts from a
+# verdict that audits clean and changes one claim.
+FORGERIES = {
+    "containment-wrong-source": lambda: _containment(
+        WIDE, NARROW, source=Interval.of(0, 11)
+    ),
+    "containment-wrong-exact-target": lambda: _containment(
+        WIDE, NARROW, target=Interval.of(2, 4)
+    ),
+    "containment-wrong-over-target": lambda: _containment(
+        WIDE, PRODUCT, target=Interval.of(1, 5)
+    ),
+    "containment-empty-kind": lambda: _containment(WIDE, NARROW, target_kind="empty"),
+    "containment-witness-outside-target": lambda: _containment(
+        WIDE, THREE, witness=TokenEnv({Token("w"): F(5)}), witness_value=F(5)
+    ),
+    "fails-wrong-over-bounds": lambda: _failure(
+        PRODUCT, TEN, ExclusionCertificate("over-approx", Interval.of(1, 5))
+    ),
+    "fails-empty-on-inhabited-source": lambda: _failure(
+        PRODUCT, TEN, ExclusionCertificate("empty")
+    ),
+    "fails-unknown-kind": lambda: _failure(
+        PRODUCT, TEN, ExclusionCertificate("vertex-hull", Interval.of(1, 4))
+    ),
+    "membership-against-non-point-target": lambda: _membership_against(
+        PRODUCT, ONE, parse("meas(v,[0,2],d)")
+    ),
+}
+
+
+class TestAuditTamperTable:
+    @pytest.mark.parametrize("name", sorted(FORGERIES))
+    def test_forgery_is_rejected(self, name):
+        forged, src, tgt = FORGERIES[name]()
+        assert not audit_verdict(forged, src, tgt)
+
+    def test_genuine_evidence_kinds(self):
+        over = _genuine(WIDE, PRODUCT, IntervalContainment).evidence
+        assert over.target_kind == "over-approx" and over.target == Interval.of(1, 4)
+        point = _genuine(WIDE, THREE, IntervalContainment).evidence
+        assert point.witness_value == 3
+        assert _genuine(PRODUCT, TEN, Fails).certificate.kind == "over-approx"
+
+    def test_audit_calls_no_ladder_helper(self, monkeypatch):
+        module = importlib.import_module("enclosures.rewrite")
+        pairs = [(WIDE, NARROW), (WIDE, PRODUCT), (WIDE, THREE), (PRODUCT, TEN), (PRODUCT, ONE)]
+        verdicts = [classify(src, tgt) for src, tgt in pairs]
+
+        def forbidden(*args):
+            raise AssertionError("the audit reached a ladder helper")
+
+        monkeypatch.setattr(module, "certificate_of", forbidden)
+        monkeypatch.setattr(module, "lazy_enclosure", forbidden)
+        for cls, (src, tgt) in zip(verdicts, pairs):
+            assert audit_classification(cls, src, tgt)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_any_fragment_verdicts_audit_clean(self, seed):
+        rng = random.Random(seed)
+        boxes = token_boxes(rng, 3)
+        src = gen_any(rng, boxes, rng.randint(1, 9))
+        tgt = gen_any(rng, boxes, rng.randint(1, 9))
+        cls = classify(src, tgt, grid_points=3)
+        assert audit_classification(cls, src, tgt)
+        assert audit_verdict(cls.forward, src, tgt)
+        assert audit_verdict(cls.backward, tgt, src)
 
 
 class TestEnclosureGridArguments:
