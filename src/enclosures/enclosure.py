@@ -237,19 +237,6 @@ def affine_enclosure(f: AffineForm) -> EnclosureOutcome:
     return ExactInterval(f.interval)
 
 
-def _extremal_env(f: AffineForm, *, high: bool) -> TokenEnv:
-    values = {}
-    for t, box in f.boxes.items():
-        c = f.coeffs.get(t, Fraction(0))
-        if c == 0:
-            values[t] = box.lo
-        elif (c > 0) == high:
-            values[t] = box.hi
-        else:
-            values[t] = box.lo
-    return TokenEnv(values)
-
-
 def affine_witness(e: Expr, q: Fraction) -> TokenEnv | None:
     """Consistent environment making the affine expression e evaluate to q.
 
@@ -261,20 +248,21 @@ def affine_witness(e: Expr, q: Fraction) -> TokenEnv | None:
 
 
 def _form_witness(f: AffineForm, e: Expr, q: Fraction) -> TokenEnv | None:
-    """`affine_witness` for e given its affine form f = to_affine(e)."""
+    """`affine_witness` for e given its affine form f = to_affine(e).
+
+    Each token moves from the end of its box that minimises f towards the
+    end that maximises it, by the same fraction lam of the way.
+    """
     lo, hi = f.interval.lo, f.interval.hi
     if q < lo or q > hi:
         return None
-    env_lo = _extremal_env(f, high=False)
-    if lo == hi:
-        env = env_lo
-    else:
-        env_hi = _extremal_env(f, high=True)
-        lam = (q - lo) / (hi - lo)
-        values = {
-            t: (1 - lam) * env_lo.value(t) + lam * env_hi.value(t) for t in f.boxes
-        }
-        env = TokenEnv(values)
+    lam = (q - lo) / (hi - lo) if lo != hi else _ZERO
+    values = {}
+    for t, box in f.boxes.items():
+        c = f.coeffs.get(t, _ZERO)
+        start, end = (box.hi, box.lo) if c < 0 else (box.lo, box.hi)
+        values[t] = start + lam * (end - start) if c and lam else start
+    env = TokenEnv(values)
     if token_consistent(env, e) and evaluate(env, e) == q:
         return env
     return None
@@ -600,8 +588,8 @@ def membership_in(e: Expr, q: Fraction, out: LazyOutcome) -> MembershipResult:
         env = _form_witness(out, e, q)
         if env is not None:
             return Member(env, q)
-        return Inconclusive(ExactInterval(out.interval))
-    for env, value in out:
-        if value == q:
-            return Member(env, value)
-    return Inconclusive(out.outcome())
+    else:
+        for env, value in out:
+            if value == q:
+                return Member(env, value)
+    return Inconclusive(settle(out))

@@ -24,19 +24,17 @@ from .enclosure import (
     ExactInterval,
     ExclusionCertificate,
     LazyOutcome,
-    Member,
-    NonMember,
     SampleStream,
+    Unknown,
     _form_witness,
     certificate_of,
     enclosure,
     lazy_enclosure,
-    membership_in,
     over_approx,
     settle,
 )
 from .expr import Expr, Interval, is_exact
-from .semantics import TokenEnv, evaluate, exact_value, token_consistent
+from .semantics import TokenEnv, compile_expr, evaluate, exact_value, token_consistent
 
 
 class PreconditionViolated(ValueError):
@@ -149,76 +147,63 @@ def licensed(
 def _decide(
     src: Expr, tgt: Expr, enc_src: LazyOutcome, enc_tgt: LazyOutcome
 ) -> Verdict:
-    """The ladder behind `licensed`, for src != tgt.
+    """The ladder behind `licensed`, for src != tgt: confirm, refute, attain.
 
-    Samples are read from the lazy enclosures in order and drawn only until
-    a rung is decided; an Undecided verdict settles both outcomes in full.
+    Each side's bound is read through its certificate alone.  Samples are
+    read from the lazy enclosures in order and drawn only until a rung is
+    decided; an Undecided verdict settles both outcomes in full.
     """
     if isinstance(enc_tgt, EmptySet):
         return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
+    cert, tgt_cert = certificate_of(enc_src), certificate_of(enc_tgt)
+    exact_tgt = tgt_cert is not None and tgt_cert.kind == "exact-interval"
+    point = tgt_cert.bounds.lo if exact_tgt and tgt_cert.bounds.is_point else None
 
-    if isinstance(enc_src, AffineForm) and isinstance(enc_tgt, AffineForm):
-        si, ti = enc_src.interval, enc_tgt.interval
-        if si.encloses(ti):
-            witness = None
-            value = None
-            if ti.is_point:
-                witness = _form_witness(enc_src, src, ti.lo)
-                value = ti.lo if witness is not None else None
-            return Holds(IntervalContainment(si, ti, "exact-interval", witness, value))
-        q = ti.hi if ti.hi > si.hi else ti.lo
-        env = _form_witness(enc_tgt, tgt, q)
-        if env is not None:
-            return Fails(env, q, certificate_of(enc_src))
-        return _undecided(enc_src, enc_tgt)
+    # Confirm: tgt's certified bound lies inside src's exact interval.
+    if cert is not None and tgt_cert is not None and cert.kind == "exact-interval":
+        source, target = cert.bounds, tgt_cert.bounds
+        if source.encloses(target):
+            witness = None if point is None else _form_witness(enc_src, src, point)
+            value = point if witness is not None else None
+            evidence = IntervalContainment(source, target, tgt_cert.kind, witness, value)
+            return Holds(evidence)
 
-    if isinstance(enc_tgt, AffineForm) and enc_tgt.interval.is_point:
-        # Single-valued target: containment is exactly a membership query.
-        q = enc_tgt.interval.lo
-        found = membership_in(src, q, enc_src)
-        if isinstance(found, Member):
-            return Holds(MembershipWitness(found.env, found.value))
-        if isinstance(found, NonMember):
-            env = _form_witness(enc_tgt, tgt, q)
-            if env is not None:
-                return Fails(env, q, found.certificate)
-        return _undecided(enc_src, enc_tgt)
-
-    # Refutation: a tgt value certified outside src's bound, corners first.
-    cert = certificate_of(enc_src)
+    # Refute: a tgt value that src's certificate excludes.
     if cert is not None:
-        for env, value in _target_members(tgt, enc_tgt):
-            if cert.excludes(value):
-                return Fails(env, value, cert)
+        for env, value in _target_members(tgt, enc_tgt, tgt_cert, cert):
+            return Fails(env, value, cert)
 
-    # Confirmation without exactness on the target side (tgt is sampled
-    # here: every other pairing with an exact source was settled above).
-    if isinstance(enc_src, AffineForm):
-        over_tgt = enc_tgt.over
-        if isinstance(over_tgt, Interval) and enc_src.interval.encloses(over_tgt):
-            return Holds(
-                IntervalContainment(enc_src.interval, over_tgt, "over-approx")
-            )
+    # Attain: tgt is the single value `point`, and a src sample equals it.
+    if point is not None and isinstance(enc_src, SampleStream):
+        for env, value in enc_src:
+            if value == point:
+                return Holds(MembershipWitness(env, value))
 
-    return _undecided(enc_src, enc_tgt)
-
-
-def _undecided(enc_src: LazyOutcome, enc_tgt: LazyOutcome) -> Undecided:
     return Undecided(settle(enc_src), settle(enc_tgt))
 
 
 def _target_members(
-    tgt: Expr, enc_tgt: LazyOutcome
+    tgt: Expr,
+    enc_tgt: LazyOutcome,
+    tgt_cert: ExclusionCertificate | None,
+    cert: ExclusionCertificate,
 ) -> Iterator[tuple[TokenEnv, Fraction]]:
-    """Warranted (env, value) pairs of the target, extremes first."""
+    """Warranted (env, value) pairs of the target that `cert` excludes.
+
+    An affine target offers one end of its interval: the high end when it
+    lies above cert's bound or cert is empty, the low end otherwise.
+    """
     if isinstance(enc_tgt, AffineForm):
-        iv = enc_tgt.interval
-        for q in [iv.hi] if iv.is_point else [iv.hi, iv.lo]:
+        iv = tgt_cert.bounds
+        q = iv.hi if cert.bounds is None or iv.hi > cert.bounds.hi else iv.lo
+        if cert.excludes(q):
             env = _form_witness(enc_tgt, tgt, q)
             if env is not None:
                 yield env, q
-    elif isinstance(enc_tgt, SampleStream):
-        yield from enc_tgt
+    else:
+        for env, value in enc_tgt:
+            if cert.excludes(value):
+                yield env, value
 
 
 # --- classification ----------------------------------------------------------
@@ -323,9 +308,25 @@ def _audit(
                 and certificate.excludes(value)
                 and _bounds_claim(src, certificate.kind, certificate.bounds, enclose)
             )
-        case Undecided():
-            return True
+        case Undecided(source_outcome, target_outcome):
+            return _outcome_claim(src, source_outcome, enclose) and _outcome_claim(
+                tgt, target_outcome, enclose
+            )
     return False
+
+
+def _outcome_claim(
+    e: Expr, out: EnclosureOutcome, enclose: Callable[[Expr], EnclosureOutcome]
+) -> bool:
+    """Re-derive an outcome of e: an Unknown's `over` and each of its
+    samples (the grid it came from is not part of the claim); any other
+    outcome is e's enclosure itself."""
+    if not isinstance(out, Unknown):
+        return out == enclose(e)
+    run = compile_expr(e)
+    return out.over == over_approx(e) and all(
+        token_consistent(env, e) and run(env.value) == value for env, value in out.under
+    )
 
 
 def _bounds_claim(

@@ -4,7 +4,9 @@ import dataclasses
 import importlib
 import itertools
 import random
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,8 +42,24 @@ from enclosures import (
     evaluate,
     licensed,
     parse,
+    to_affine,
     token_consistent,
 )
+from enclosures.enclosure import (
+    AffineForm,
+    EmptySet,
+    LazyOutcome,
+    Member,
+    NonMember,
+    SampleStream,
+    _form_witness,
+    certificate_of,
+    lazy_enclosure,
+    membership_in,
+    settle,
+)
+from enclosures.expr import Expr
+from enclosures.rewrite import Verdict
 from exprgen import (
     D,
     gen_affine,
@@ -150,6 +168,20 @@ class TestLicensed:
     def test_undecided_when_no_certificate_applies(self):
         verdict = licensed(UNDET_SRC, UNDET_TGT)
         assert isinstance(verdict, Undecided)
+
+    @pytest.mark.parametrize(
+        "src_text",
+        ["meas(t,[1,2],d) * meas(u,[1,2],d)", "meas(w,[1,4],d)"],
+        ids=["sampled", "exact"],
+    )
+    def test_one_refutation_end_for_every_source_bound(self, src_text):
+        # both sources are bounded by [1,4]; the target lies wholly below it
+        src, tgt = parse(src_text), parse("meas(v,[-3,-1],d)")
+        verdict = licensed(src, tgt)
+        assert isinstance(verdict, Fails)
+        assert verdict.value == -3
+        assert verdict.certificate.bounds == Interval.of(1, 4)
+        assert audit_verdict(verdict, src, tgt)
 
 
 class TestClassify:
@@ -363,6 +395,24 @@ def _membership_against(src, genuine_tgt, forged_tgt):
     return real, src, forged_tgt
 
 
+def _open(src, tgt, side, forge):
+    """A genuine Undecided with one side's outcome replaced by forge(outcome)."""
+    real = _genuine(src, tgt, Undecided)
+    return dataclasses.replace(real, **{side: forge(getattr(real, side))}), src, tgt
+
+
+def _first_sample(env=None, value=None):
+    """Forge the first under sample: env and value replaced where given,
+    the value otherwise off by one."""
+
+    def forge(outcome):
+        (real_env, real_value), *rest = outcome.under
+        first = (env or real_env, real_value + 1 if value is None else value)
+        return dataclasses.replace(outcome, under=(first, *rest))
+
+    return forge
+
+
 # name -> () -> (forged verdict, src, tgt); each forgery starts from a
 # verdict that audits clean and changes one claim.
 FORGERIES = {
@@ -390,6 +440,27 @@ FORGERIES = {
     ),
     "membership-against-non-point-target": lambda: _membership_against(
         PRODUCT, ONE, parse("meas(v,[0,2],d)")
+    ),
+    "undecided-sample-value-off-by-one": lambda: _open(
+        UNDET_SRC, UNDET_TGT, "source_outcome", _first_sample()
+    ),
+    "undecided-inconsistent-sample-env": lambda: _open(
+        UNDET_SRC,
+        UNDET_TGT,
+        "source_outcome",
+        _first_sample(TokenEnv({Token("u1"): F(3), Token("u2"): F(1)}), F(3)),
+    ),
+    "undecided-wrong-over": lambda: _open(
+        UNDET_SRC,
+        UNDET_TGT,
+        "target_outcome",
+        lambda outcome: dataclasses.replace(outcome, over=Interval.of(1, 5)),
+    ),
+    "undecided-wrong-exact-interval": lambda: _open(
+        UNDET_SRC,
+        parse("meas(v,[1,2],d)"),
+        "target_outcome",
+        lambda outcome: ExactInterval(Interval.of(1, 3)),
     ),
 }
 
@@ -419,6 +490,26 @@ class TestAuditTamperTable:
         monkeypatch.setattr(module, "lazy_enclosure", forbidden)
         for cls, (src, tgt) in zip(verdicts, pairs):
             assert audit_classification(cls, src, tgt)
+
+    @pytest.mark.parametrize("grid, budget", [(3, 2000), (3, 5), (2, 0)])
+    def test_genuine_undecided_verdicts_audit_clean(self, grid, budget):
+        seen = truncated = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            boxes = token_boxes(rng, 3)
+            src = gen_any(rng, boxes, rng.randint(1, 9))
+            tgt = gen_any(rng, boxes, rng.randint(1, 9))
+            cls = classify(src, tgt, grid, budget)
+            assert audit_classification(cls, src, tgt)
+            for verdict in (cls.forward, cls.backward):
+                if isinstance(verdict, Undecided):
+                    seen += 1
+                    truncated += any(
+                        getattr(o, "truncated", False)
+                        for o in (verdict.source_outcome, verdict.target_outcome)
+                    )
+        assert seen
+        assert truncated if budget < 25 else not truncated
 
     @pytest.mark.parametrize("seed", range(60))
     def test_seeded_any_fragment_verdicts_audit_clean(self, seed):
@@ -586,3 +677,149 @@ class TestAffineFoldsOnce:
         del affine_folds[:]
         assert audit_classification(cls, src, tgt)
         assert len(affine_folds) <= 2
+
+
+# --- reference ladder ---------------------------------------------------------
+#
+# The containment ladder as the package wrote it before every rung read the
+# sides' bounds through `certificate_of`, kept verbatim so the new ladder is
+# checked against an independent text rather than against itself.
+
+
+def _decide(
+    src: Expr, tgt: Expr, enc_src: LazyOutcome, enc_tgt: LazyOutcome
+) -> Verdict:
+    """The ladder behind `licensed`, for src != tgt.
+
+    Samples are read from the lazy enclosures in order and drawn only until
+    a rung is decided; an Undecided verdict settles both outcomes in full.
+    """
+    if isinstance(enc_tgt, EmptySet):
+        return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
+
+    if isinstance(enc_src, AffineForm) and isinstance(enc_tgt, AffineForm):
+        si, ti = enc_src.interval, enc_tgt.interval
+        if si.encloses(ti):
+            witness = None
+            value = None
+            if ti.is_point:
+                witness = _form_witness(enc_src, src, ti.lo)
+                value = ti.lo if witness is not None else None
+            return Holds(IntervalContainment(si, ti, "exact-interval", witness, value))
+        q = ti.hi if ti.hi > si.hi else ti.lo
+        env = _form_witness(enc_tgt, tgt, q)
+        if env is not None:
+            return Fails(env, q, certificate_of(enc_src))
+        return _undecided(enc_src, enc_tgt)
+
+    if isinstance(enc_tgt, AffineForm) and enc_tgt.interval.is_point:
+        # Single-valued target: containment is exactly a membership query.
+        q = enc_tgt.interval.lo
+        found = membership_in(src, q, enc_src)
+        if isinstance(found, Member):
+            return Holds(MembershipWitness(found.env, found.value))
+        if isinstance(found, NonMember):
+            env = _form_witness(enc_tgt, tgt, q)
+            if env is not None:
+                return Fails(env, q, found.certificate)
+        return _undecided(enc_src, enc_tgt)
+
+    # Refutation: a tgt value certified outside src's bound, corners first.
+    cert = certificate_of(enc_src)
+    if cert is not None:
+        for env, value in _target_members(tgt, enc_tgt):
+            if cert.excludes(value):
+                return Fails(env, value, cert)
+
+    # Confirmation without exactness on the target side (tgt is sampled
+    # here: every other pairing with an exact source was settled above).
+    if isinstance(enc_src, AffineForm):
+        over_tgt = enc_tgt.over
+        if isinstance(over_tgt, Interval) and enc_src.interval.encloses(over_tgt):
+            return Holds(
+                IntervalContainment(enc_src.interval, over_tgt, "over-approx")
+            )
+
+    return _undecided(enc_src, enc_tgt)
+
+
+def _undecided(enc_src: LazyOutcome, enc_tgt: LazyOutcome) -> Undecided:
+    return Undecided(settle(enc_src), settle(enc_tgt))
+
+
+def _target_members(
+    tgt: Expr, enc_tgt: LazyOutcome
+) -> Iterator[tuple[TokenEnv, Fraction]]:
+    """Warranted (env, value) pairs of the target, extremes first."""
+    if isinstance(enc_tgt, AffineForm):
+        iv = enc_tgt.interval
+        for q in [iv.hi] if iv.is_point else [iv.hi, iv.lo]:
+            env = _form_witness(enc_tgt, tgt, q)
+            if env is not None:
+                yield env, q
+    elif isinstance(enc_tgt, SampleStream):
+        yield from enc_tgt
+
+
+def _reference_classify(src, tgt, grid_points, budget):
+    """(forward, backward) verdicts of the reference ladder, as classify pairs them."""
+    if src == tgt:
+        return Holds(SameExpression()), Holds(SameExpression())
+    enc_src = lazy_enclosure(src, grid_points, budget)
+    enc_tgt = lazy_enclosure(tgt, grid_points, budget)
+    return _decide(src, tgt, enc_src, enc_tgt), _decide(tgt, src, enc_tgt, enc_src)
+
+
+def _refutes_low_end_below_over(new, ref, tgt):
+    """The one intended difference: ref refuted an affine target lying wholly
+    below an over-approx bound with its high end, new with its low end."""
+    if not (isinstance(ref, Fails) and ref.certificate.kind == "over-approx"):
+        return False
+    iv = to_affine(tgt).interval
+    return (
+        iv.hi < ref.certificate.bounds.lo
+        and ref.value == iv.hi
+        and isinstance(new, Fails)
+        and new.value == iv.lo
+        and new.certificate == ref.certificate
+    )
+
+
+def _ladder_corpus(kind, seed):
+    rng = random.Random(seed)
+    if kind == "affine":
+        boxes = token_boxes(rng)
+        return gen_affine(rng, boxes, rng.randint(1, 9)), gen_affine(rng, boxes, rng.randint(1, 9))
+    boxes = token_boxes(rng, 3)
+    src = gen_any(rng, boxes, rng.randint(1, 9))
+    tgt = gen_any(rng, boxes, rng.randint(1, 9))
+    return src, redeclare(rng, tgt, spread=1) if kind == "redeclare" else tgt
+
+
+_DECIDED_KIND = {
+    (Holds, Holds): RewriteClass.INTERCHANGEABLE,
+    (Holds, Fails): RewriteClass.ONE_WAY_ONLY_FORWARD,
+    (Fails, Holds): RewriteClass.ONE_WAY_ONLY_BACKWARD,
+    (Fails, Fails): RewriteClass.INCOMPARABLE,
+}
+
+
+class TestLadderMatchesReference:
+    """The certificate-driven ladder gives the reference ladder's verdicts."""
+
+    @pytest.mark.parametrize("kind", ["any", "affine", "redeclare"])
+    @pytest.mark.parametrize("grid, budget", [(3, 2000), (2, 5), (5, 100000)])
+    def test_seeded_corpus(self, kind, grid, budget):
+        same = 0
+        for seed in range(100):
+            a, b = _ladder_corpus(kind, seed)
+            for src, tgt in ((a, b), (b, a)):
+                cls = classify(src, tgt, grid, budget)
+                ref = _reference_classify(src, tgt, grid, budget)
+                ref_kind = _DECIDED_KIND.get(tuple(map(type, ref)), RewriteClass.UNDETERMINED)
+                assert cls.kind is ref_kind
+                for new, old, target in zip((cls.forward, cls.backward), ref, (tgt, src)):
+                    assert new == old or _refutes_low_end_below_over(new, old, target)
+                    same += new == old
+                assert audit_classification(cls, src, tgt)
+        assert same
