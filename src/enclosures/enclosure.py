@@ -15,6 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterator, Mapping, Union
 
 from .expr import (
@@ -34,6 +35,7 @@ from .expr import (
     Unbounded,
     effective_intervals,
     fold,
+    narrow_box,
     postorder,
 )
 from .semantics import TokenEnv, compile_expr, evaluate, token_consistent
@@ -135,39 +137,52 @@ def to_affine(e: Expr) -> AffineForm:
     identically 0; this keeps provably-constant self-divisions decidable.
     Raises InfeasibleTokenError when some token has no possible value.
     """
-    boxes = effective_intervals(e)
-    constant, coeffs = _affine_parts(e, boxes)
+    boxes: dict[Token, Interval] = {}
+    constant, coeffs, straddled = _affine_parts(e, boxes)
+    if straddled:  # the boxes are final now: decide that self-quotient on them
+        constant, coeffs, _ = _affine_parts(e, boxes)
+    if isinstance(constant, NotAffineError):
+        raise constant
     return AffineForm(constant, coeffs, boxes)
 
 
 def _affine_parts(
-    e: Expr, boxes: Mapping[Token, Interval]
-) -> tuple[Fraction, dict[Token, Fraction]]:
-    """Fold e bottom-up to (constant, coeffs), or raise NotAffineError.
+    e: Expr, boxes: dict[Token, Interval]
+) -> tuple[Fraction | NotAffineError, dict[Token, Fraction], bool]:
+    """Fold e bottom-up to (constant, coeffs, straddled), filling in boxes.
 
     A subtree's coeffs have an entry for each token below it, so it is
     measurement-free exactly when they are empty.  Outside the fragment the
     constant is the NotAffineError saying why, and the coeffs still list
     the tokens, because dividing by an exact zero makes any numerator 0.
+
+    Each measured leaf narrows its token's box as it is met, as in
+    `effective_intervals`.  So a self-quotient is decided on boxes that
+    contain the final ones, where its image contains its image on the final
+    boxes: a value that avoids 0, or is identically 0, there does so on the
+    final boxes too.  Only one that straddles 0 may change as later leaves
+    narrow a box; `straddled` says one was met, to be folded again.
     """
     done: list[tuple[Fraction | NotAffineError, dict[Token, Fraction]]] = []
+    straddled = False
     for node in postorder(e):
         cls, factor = type(node), None
-        if cls is Exact:
-            c, k = node.value, {}
-        elif cls is Meas:
+        if cls is Meas:
+            narrow_box(boxes, node)
             c, k = _ZERO, {node.token: _ONE}
+        elif cls is Exact:
+            c, k = node.value, {}
         elif cls is Neg:
-            (c, k), factor = done.pop(), -_ONE
+            c, k = done.pop()
+            if not isinstance(c, NotAffineError):
+                c, k = -c, {t: -v for t, v in k.items()}
         elif cls in (Add, Sub, Mul, Div):
             (cr, kr), (c, k) = done.pop(), done.pop()
             if cls is Add or cls is Sub:
                 combine = operator.add if cls is Add else operator.sub
                 for t, v in kr.items():  # each pair has one consumer: update in place
-                    if t in k:
-                        k[t] = combine(k[t], v)
-                    else:
-                        k[t] = v if cls is Add else -v
+                    old = k.get(t)
+                    k[t] = (v if cls is Add else -v) if old is None else combine(old, v)
                 # A NotAffineError is truthy, and adding an exact 0 changes nothing.
                 if cr and not isinstance(c, NotAffineError):
                     c = cr if isinstance(cr, NotAffineError) else combine(c, cr)
@@ -186,6 +201,7 @@ def _affine_parts(
                     elif lo == 0 and hi == 0:
                         c, k = _ZERO, dict.fromkeys(k, _ZERO)
                     else:
+                        straddled = True
                         c = NotAffineError(
                             "self-quotient can take both 0 and 1 over the boxes"
                         )
@@ -200,12 +216,11 @@ def _affine_parts(
         if factor is not None and not isinstance(c, NotAffineError):
             if c:  # a scaled exact 0 stays 0
                 c = factor * c
-            k = {t: factor * v for t, v in k.items()}
+            # A leaf's coefficient _ONE scales to the factor itself.
+            k = {t: factor if v is _ONE else factor * v for t, v in k.items()}
         done.append((c, k))
     constant, coeffs = done[0]
-    if isinstance(constant, NotAffineError):
-        raise constant
-    return constant, coeffs
+    return constant, coeffs, straddled
 
 
 def _linear_bounds(
@@ -213,19 +228,20 @@ def _linear_bounds(
     coeffs: Mapping[Token, Fraction],
     boxes: Mapping[Token, Interval],
 ) -> tuple[Fraction, Fraction]:
-    lo = constant
-    hi = constant
+    """The form's least and greatest value on the boxes.  Each is summed as an
+    integer (numerator, denominator) over the least common denominator and
+    made a Fraction once, so no term pays for normalising a Fraction."""
+    ends = [constant.as_integer_ratio()] * 2
     for t, c in coeffs.items():
-        if c:
+        n, d = c.as_integer_ratio()
+        if n:
             box = boxes[t]
-            at_lo, at_hi = c * box.lo, c * box.hi
-            if c > 0:
-                lo += at_lo
-                hi += at_hi
-            else:
-                lo += at_hi
-                hi += at_lo
-    return lo, hi
+            for i, x in enumerate((box.lo, box.hi) if n > 0 else (box.hi, box.lo)):
+                (num, den), (p, q) = ends[i], x.as_integer_ratio()
+                q *= d  # the term is n * p / q
+                g = gcd(den, q)
+                ends[i] = num * (q // g) + n * p * (den // g), den // g * q
+    return Fraction(*ends[0]), Fraction(*ends[1])
 
 
 def affine_enclosure(f: AffineForm) -> EnclosureOutcome:

@@ -311,15 +311,21 @@ def effective_intervals(e: Expr) -> dict[Token, Interval]:
     """
     out: dict[Token, Interval] = {}
     for leaf in meas_leaves(e):
-        seen = out.get(leaf.token)
-        if seen is None:
-            out[leaf.token] = leaf.interval
-        elif seen != leaf.interval:  # an equal interval leaves the box as it is
-            merged = seen.intersect(leaf.interval)
-            if merged is None:
-                raise InfeasibleTokenError(leaf.token)
-            out[leaf.token] = merged
+        narrow_box(out, leaf)
     return out
+
+
+def narrow_box(boxes: dict[Token, Interval], leaf: Meas) -> None:
+    """Intersect leaf's interval into its token's box, adding the box when
+    the token is new; raise InfeasibleTokenError when the box empties."""
+    seen = boxes.get(leaf.token)
+    if seen is None:
+        boxes[leaf.token] = leaf.interval
+    elif seen is not leaf.interval and seen != leaf.interval:  # equal: box unchanged
+        merged = seen.intersect(leaf.interval)
+        if merged is None:
+            raise InfeasibleTokenError(leaf.token)
+        boxes[leaf.token] = merged
 
 
 # --- canonical printing -----------------------------------------------------

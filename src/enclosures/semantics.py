@@ -112,12 +112,12 @@ def token_consistent(env: TokenEnv, e: Expr) -> bool:
 
     The condition is indexed by tokens, not leaf positions: two leaves
     sharing a token are checked against the same assigned value, once per
-    declared interval.
+    declared interval.  A leaf node shared within the tree, as equal leaf
+    texts are in one parse, is checked once.
     """
+    leaves = {id(node): node for node in postorder(e) if type(node) is Meas}
     return all(
-        node.interval.contains(env.value(node.token))
-        for node in postorder(e)
-        if isinstance(node, Meas)
+        leaf.interval.contains(env.value(leaf.token)) for leaf in leaves.values()
     )
 
 

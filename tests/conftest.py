@@ -28,9 +28,9 @@ def affine_folds(monkeypatch):
     parts = module._affine_parts
     folded = []
 
-    def counted(e, boxes):
+    def counted(e, *args):
         folded.append(e)
-        return parts(e, boxes)
+        return parts(e, *args)
 
     monkeypatch.setattr(module, "_affine_parts", counted)
     return folded

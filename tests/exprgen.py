@@ -260,6 +260,16 @@ def naive_affine(
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def naive_bounds(
+    constant: Fraction, coeffs: dict[Token, Fraction], boxes: dict[Token, Interval]
+) -> Interval:
+    """Image of constant + sum of coeffs[t] * x_t over the boxes, term by term."""
+    ends = [(c * boxes[t].lo, c * boxes[t].hi) for t, c in coeffs.items()]
+    return Interval(
+        constant + sum(min(pair) for pair in ends), constant + sum(max(pair) for pair in ends)
+    )
+
+
 def naive_consistent(env: TokenEnv, e: Expr) -> bool:
     """Every measured leaf's declared interval contains its token's value."""
     match e:
@@ -320,3 +330,35 @@ def redeclare(rng: random.Random, e: Expr, spread: int = 3) -> Expr:
         case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r):
             return type(e)(redeclare(rng, l, spread), redeclare(rng, r, spread))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+_TERM_FORMS = ("{m}", "-{m}", "{c} * {m}", "{m} * {c}", "{m} / {c}")
+_SCALES = (Fraction(2), Fraction(-1, 3), Fraction(5, 2), Fraction(-3))
+
+
+def long_affine_text(rng: random.Random, terms: int, ntok: int, right: bool = False) -> str:
+    """A long affine sum in the style of perfbench's `wide` workload.
+
+    Each of ntok tokens keeps one declared box and recurs about terms/ntok
+    times, in the forms m, -m, c*m, m*c and m/c, joined by + and -.  The
+    sum is left-deep, or with `right` a right-nested chain in which each
+    term is joined to the parenthesised rest.
+    """
+    boxes = {f"v{i}": rand_interval(rng) for i in range(ntok)}
+    names = [f"v{i % ntok}" for i in range(terms)]
+    forms = [_TERM_FORMS[i % len(_TERM_FORMS)] for i in range(terms)]
+    rng.shuffle(names)
+    rng.shuffle(forms)
+    text = ""
+    for name, form in zip(names, forms):
+        box = boxes[name]
+        m = f"meas({name},[{box.lo},{box.hi}],d)"
+        term = form.format(m=m, c=f"exact({rng.choice(_SCALES)},d)")
+        sign = rng.choice("+-")
+        if not text:
+            text = term
+        elif right:
+            text = f"{term} {sign} ({text})"
+        else:
+            text = f"{text} {sign} {term}"
+    return text

@@ -1,5 +1,6 @@
 """Affine normalization, enclosure outcomes, sampling, membership."""
 
+import importlib
 import itertools
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ from enclosures import (
     ExactInterval,
     ExclusionCertificate,
     Inconclusive,
+    InfeasibleTokenError,
     Interval,
     Meas,
     Member,
@@ -32,6 +34,7 @@ from enclosures import (
     enclosure,
     evaluate,
     grid_values,
+    meas_leaves,
     membership,
     over_approx,
     parse,
@@ -44,7 +47,9 @@ from exprgen import (
     corner_min_max,
     gen_affine,
     gen_any,
+    long_affine_text,
     naive_affine,
+    naive_bounds,
     naive_samples,
     rand_rational,
     redeclare,
@@ -125,7 +130,9 @@ def _matches_reference_fold(e) -> bool:
         with pytest.raises(NotAffineError):
             to_affine(e)
         return False
-    assert to_affine(e) == AffineForm(constant, coeffs, boxes)
+    f = to_affine(e)
+    assert f == AffineForm(constant, coeffs, boxes)
+    assert f.interval == naive_bounds(constant, coeffs, boxes)
     return True
 
 
@@ -169,6 +176,18 @@ class TestToAffineMatchesReference:
             affine += _matches_reference_fold(e)
         assert 0 < affine <= 400
 
+    @pytest.mark.parametrize(
+        "terms, ntok, right",
+        [(100, 25, False), (300, 75, False), (301, 12, True)],
+        ids=["sum100", "sum300", "right-chain300"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_trees(self, terms, ntok, right, seed):
+        # Repeated tokens in the forms m, -m, c*m, m*c and m/c, as in a
+        # long benchmark sum, where the scaling and negation shortcuts fire.
+        e = parse(long_affine_text(random.Random(seed), terms, ntok, right))
+        assert _matches_reference_fold(e)
+
     def test_interval_is_the_corner_min_max(self):
         most = 0
         for seed in range(200):
@@ -188,6 +207,116 @@ class TestToAffineMatchesReference:
             ]
             assert f.interval == Interval(min(values), max(values))
         assert most == 6
+
+
+def _t_form(constant):
+    """repr of constant + 1 * t with t's box [1,2]."""
+    box = "Interval(lo=Fraction(1, 1), hi=Fraction(2, 1))"
+    return (
+        f"AffineForm(constant=Fraction({constant}, 1), "
+        f"coeffs={{Token(name='t'): Fraction(1, 1)}}, boxes={{Token(name='t'): {box}}})"
+    )
+
+
+class TestDeferredSelfQuotient:
+    """A self-quotient is decided on the boxes met so far, which contain the
+    final ones; one that straddles 0 there is decided again on the final
+    boxes.  Each row's repr or exception is what deciding every quotient on
+    the final boxes gives."""
+
+    ROWS = {
+        # Straddles on [-1,3]; the last leaf narrows t to [1,2], where it is 1.
+        "straddle-then-positive": (
+            "meas(t,[-1,3],d)/meas(t,[-1,3],d) + meas(t,[1,2],d)",
+            _t_form(1),
+        ),
+        # Infeasibility wins over the self-quotient met before it.
+        "infeasible-after-quotient": (
+            "meas(t,[1,2],d)/meas(t,[1,2],d) + meas(t,[5,6],d)",
+            (InfeasibleTokenError, "token 't' admits no consistent value"),
+        ),
+        "straddles-on-final-box": (
+            "meas(t,[-1,3],d)/meas(t,[-1,3],d)",
+            (NotAffineError, "self-quotient can take both 0 and 1 over the boxes"),
+        ),
+        "straddle-then-narrowed-across-0": (
+            "meas(t,[-1,3],d)/meas(t,[-1,3],d) + meas(t,[-1,1/2],d)",
+            (NotAffineError, "self-quotient can take both 0 and 1 over the boxes"),
+        ),
+        "identically-zero": (
+            "(meas(t,[-1,3],d)*exact(0,d))/(meas(t,[-1,3],d)*exact(0,d)) + meas(t,[1,2],d)",
+            _t_form(0),
+        ),
+        # Infeasibility also wins over a measured product before it.
+        "infeasible-after-product": (
+            "meas(u,[0,1],d) * meas(t,[0,1],d) + meas(t,[2,3],d) + meas(u,[2,3],d)",
+            (InfeasibleTokenError, "token 't' admits no consistent value"),
+        ),
+        # Of two infeasible tokens, the one whose box empties first, left to right.
+        "two-infeasible-leftmost": (
+            "meas(t,[0,1],d) + meas(t,[2,3],d) + meas(u,[0,1],d) + meas(u,[2,3],d)",
+            (InfeasibleTokenError, "token 't' admits no consistent value"),
+        ),
+        "two-infeasible-interleaved": (
+            "meas(t,[0,1],d) + meas(u,[0,1],d) + meas(u,[2,3],d) + meas(t,[5,6],d)",
+            (InfeasibleTokenError, "token 'u' admits no consistent value"),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_row(self, name):
+        text, expected = self.ROWS[name]
+        if isinstance(expected, str):
+            assert repr(to_affine(parse(text))) == expected
+        else:
+            cls, message = expected
+            with pytest.raises(cls) as err:
+                to_affine(parse(text))
+            assert type(err.value) is cls and str(err.value) == message
+
+
+class TestOneWalk:
+    def test_to_affine_walks_the_tree_once(self, monkeypatch):
+        module = importlib.import_module("enclosures.enclosure")
+        walked = []
+        postorder = module.postorder
+        monkeypatch.setattr(module, "postorder", lambda e: walked.append(e) or postorder(e))
+        monkeypatch.setattr(module, "effective_intervals", None)  # not needed by to_affine
+        e = parse(long_affine_text(random.Random(0), 100, 25))
+        to_affine(e)
+        assert walked == [e]
+
+    @pytest.mark.parametrize("gen", [gen_affine, gen_any], ids=["affine", "any"])
+    def test_boxes_match_effective_intervals(self, gen):
+        # Same tokens, boxes, order and first infeasible token: witness
+        # environments and reprs are built in this order.
+        compared = infeasible = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            e = gen(rng, token_boxes(rng), rng.randint(1, 15))
+            if seed % 3 == 0:
+                e = redeclare(rng, e)
+            leaves = list(meas_leaves(e))
+            if leaves and seed % 4 == 0:  # an occurrence outside its token's box
+                leaf = rng.choice(leaves)
+                clash = Meas(leaf.token, Interval(leaf.interval.hi + 1, leaf.interval.hi + 2), D)
+                e = Add(clash, e) if rng.random() < 0.5 else Add(e, clash)
+            try:
+                expected = list(effective_intervals(e).items())
+            except InfeasibleTokenError as ex:
+                with pytest.raises(InfeasibleTokenError) as err:
+                    to_affine(e)
+                assert err.value.token == ex.token
+                infeasible += 1
+                continue
+            try:
+                f = to_affine(e)
+            except NotAffineError:
+                continue
+            assert list(f.boxes.items()) == expected
+            compared += 1
+        assert compared > 50 and infeasible > 20, (compared, infeasible)
+
 
 
 class TestAffineEnclosure:

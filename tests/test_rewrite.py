@@ -27,6 +27,7 @@ from enclosures import (
     Meas,
     MembershipWitness,
     Mul,
+    NotAffineError,
     PreconditionViolated,
     RewriteClass,
     SameExpression,
@@ -677,6 +678,25 @@ class TestAffineFoldsOnce:
         del affine_folds[:]
         assert audit_classification(cls, src, tgt)
         assert len(affine_folds) <= 2
+
+    SELF_QUOTIENTS = {
+        # straddles 0 until the last leaf narrows t's box
+        "straddles-then-positive": ("meas(t,[-1,3],d) / meas(t,[-1,3],d) + meas(t,[1,2],d)", 2),
+        "straddles": ("meas(t,[-1,1],d) / meas(t,[-1,1],d)", 2),
+        "positive": ("meas(t,[1,3],d) / meas(t,[1,3],d) + meas(t,[1,2],d)", 1),
+        "negative": ("(meas(t,[1,3],d) - exact(5,d)) / (meas(t,[1,3],d) - exact(5,d))", 1),
+    }
+
+    @pytest.mark.parametrize("name", list(SELF_QUOTIENTS))
+    def test_self_quotient_folds_per_to_affine(self, affine_folds, name):
+        # Only a self-quotient that straddles 0 on the boxes met so far is
+        # folded a second time, with the final boxes.
+        text, most = self.SELF_QUOTIENTS[name]
+        try:
+            to_affine(parse(text))
+        except NotAffineError:
+            pass
+        assert 1 <= len(affine_folds) <= most
 
 
 # --- reference ladder ---------------------------------------------------------

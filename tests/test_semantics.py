@@ -1,6 +1,7 @@
 """Evaluation, token consistency, exact values, environment files."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -16,12 +17,22 @@ from enclosures import (
     effective_intervals,
     evaluate,
     exact_value,
+    format_expr,
+    meas_leaves,
     parse,
     parse_env,
     token_consistent,
     tokens_of,
 )
-from exprgen import gen_any, gen_exact, naive_evaluate, rand_rational, token_boxes
+from exprgen import (
+    gen_any,
+    gen_exact,
+    naive_consistent,
+    naive_evaluate,
+    rand_rational,
+    redeclare,
+    token_boxes,
+)
 
 
 class TestEvaluate:
@@ -99,6 +110,58 @@ class TestTokenConsistent:
             return
         expected = all(iv.contains(env.value(t)) for t, iv in effective.items())
         assert token_consistent(env, e) == expected
+
+
+class TestTokenConsistentMatchesReference:
+    """Each distinct leaf node is checked once, and the verdict is the
+    reference's whether equal leaves share one node or not."""
+
+    @pytest.mark.parametrize(
+        "value, consistent", [(F(1, 2), False), (F(5, 2), False), (F(3, 2), True)]
+    )
+    def test_token_under_two_intervals(self, value, consistent):
+        # t's first interval is shared by two occurrences; the third
+        # occurrence's differs, and each interval is checked.
+        for text in (
+            "meas(t,[0,2],d) * meas(t,[0,2],d) + meas(t,[1,3],d)",
+            "meas(t,[1,3],d) - meas(t,[0,2],d) / meas(t,[0,2],d)",
+        ):
+            e = parse(text)
+            env = TokenEnv({Token("t"): value})
+            assert token_consistent(env, e) is consistent is naive_consistent(env, e)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["parsed", "built"])
+    def test_seeded_corpus(self, shared):
+        verdicts: Counter = Counter()
+        reused = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            boxes = token_boxes(rng)
+            e = gen_any(rng, boxes, rng.randint(1, 15))
+            if seed % 2:
+                e = redeclare(rng, e)  # one token under several intervals
+            if shared:
+                e = parse(format_expr(e))  # equal leaf texts share one node
+            leaves = list(meas_leaves(e))
+            nodes = {id(leaf) for leaf in leaves}
+            reused += len(nodes) < len(leaves) if shared else len(set(leaves)) < len(nodes)
+            tokens = sorted({leaf.token for leaf in leaves}, key=lambda t: t.name)
+            for _ in range(6):
+                # Inside the token's generated box half the time, so both
+                # verdicts occur; otherwise anywhere near the boxes.
+                env = TokenEnv(
+                    {
+                        t: rng.choice((boxes[t].lo, boxes[t].hi))
+                        if rng.random() < 0.5
+                        else rand_rational(rng, -11, 11, 2)
+                        for t in tokens
+                    }
+                )
+                verdict = token_consistent(env, e)
+                assert verdict is naive_consistent(env, e)
+                verdicts[verdict] += 1
+        assert verdicts[True] > 300 and verdicts[False] > 300, verdicts
+        assert reused > 40, reused
 
 
 class TestExactValue:
