@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .enclosure import BOUNDS_OPS
+from .enclosure import BOUNDS_OPS, DEFAULT_ENV_BUDGET, DEFAULT_GRID_POINTS
 from .expr import (
     Add,
     Bounds,
@@ -140,30 +140,24 @@ def blind_compare(
     e2: Expr,
     target: Expr | None = None,
     *,
-    grid_points: int | None = None,
-    budget: int | None = None,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    budget: int = DEFAULT_ENV_BUDGET,
 ) -> ComparisonReport:
     """Compare two expressions through their token-erased summaries.
 
     Classifies each expression against `target` when given, otherwise the
     two expressions against each other.
     """
-    kwargs = {}
-    if grid_points is not None:
-        kwargs["grid_points"] = grid_points
-    if budget is not None:
-        kwargs["budget"] = budget
-
     blind1 = forget_tokens(e1)
     blind2 = forget_tokens(e2)
     bounds1 = blind_enclosure(blind1)
     bounds2 = blind_enclosure(blind2)
     if target is not None:
-        class1 = classify(e1, target, **kwargs)
-        class2 = classify(e2, target, **kwargs)
+        class1 = classify(e1, target, grid_points, budget)
+        class2 = classify(e2, target, grid_points, budget)
     else:
-        class1 = classify(e1, e2, **kwargs)
-        class2 = classify(e2, e1, **kwargs)
+        class1 = classify(e1, e2, grid_points, budget)
+        class2 = classify(e2, e1, grid_points, budget)
     return ComparisonReport(
         expr1=e1,
         expr2=e2,

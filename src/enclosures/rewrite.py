@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 from .enclosure import (
     DEFAULT_ENV_BUDGET,
@@ -23,13 +23,15 @@ from .enclosure import (
     EnclosureOutcome,
     ExactInterval,
     ExclusionCertificate,
+    Inconclusive,
     LazyOutcome,
-    SampleStream,
+    Member,
     Unknown,
     _form_witness,
     certificate_of,
     enclosure,
     lazy_enclosure,
+    membership_in,
     over_approx,
     settle,
 )
@@ -147,7 +149,7 @@ def licensed(
 def _decide(
     src: Expr, tgt: Expr, enc_src: LazyOutcome, enc_tgt: LazyOutcome
 ) -> Verdict:
-    """The ladder behind `licensed`, for src != tgt: confirm, refute, attain.
+    """The ladder behind `licensed`, for src != tgt: confirm, then refute.
 
     Each side's bound is read through its certificate alone.  Samples are
     read from the lazy enclosures in order and drawn only until a rung is
@@ -156,54 +158,37 @@ def _decide(
     if isinstance(enc_tgt, EmptySet):
         return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
     cert, tgt_cert = certificate_of(enc_src), certificate_of(enc_tgt)
-    exact_tgt = tgt_cert is not None and tgt_cert.kind == "exact-interval"
-    point = tgt_cert.bounds.lo if exact_tgt and tgt_cert.bounds.is_point else None
+    exact = cert is not None and cert.kind == "exact-interval"
 
-    # Confirm: tgt's certified bound lies inside src's exact interval.
-    if cert is not None and tgt_cert is not None and cert.kind == "exact-interval":
-        source, target = cert.bounds, tgt_cert.bounds
-        if source.encloses(target):
-            witness = None if point is None else _form_witness(enc_src, src, point)
-            value = point if witness is not None else None
-            evidence = IntervalContainment(source, target, tgt_cert.kind, witness, value)
-            return Holds(evidence)
+    # Confirm: tgt's certified bound lies inside src's exact interval.  For a
+    # point target q that is q's membership in src, decided with a witness.
+    if tgt_cert is not None and tgt_cert.kind == "exact-interval" and tgt_cert.bounds.is_point:
+        match membership_in(src, tgt_cert.bounds.lo, enc_src):
+            case Member(env, q) if exact:
+                evidence = IntervalContainment(cert.bounds, tgt_cert.bounds, tgt_cert.kind, env, q)
+                return Holds(evidence)
+            case Member(env, q):
+                return Holds(MembershipWitness(env, q))
+            case Inconclusive(outcome):
+                return Undecided(outcome, settle(enc_tgt))
+    elif exact and tgt_cert is not None and cert.bounds.encloses(tgt_cert.bounds):
+        return Holds(IntervalContainment(cert.bounds, tgt_cert.bounds, tgt_cert.kind))
 
-    # Refute: a tgt value that src's certificate excludes.
-    if cert is not None:
-        for env, value in _target_members(tgt, enc_tgt, tgt_cert, cert):
-            return Fails(env, value, cert)
-
-    # Attain: tgt is the single value `point`, and a src sample equals it.
-    if point is not None and isinstance(enc_src, SampleStream):
-        for env, value in enc_src:
-            if value == point:
-                return Holds(MembershipWitness(env, value))
-
-    return Undecided(settle(enc_src), settle(enc_tgt))
-
-
-def _target_members(
-    tgt: Expr,
-    enc_tgt: LazyOutcome,
-    tgt_cert: ExclusionCertificate | None,
-    cert: ExclusionCertificate,
-) -> Iterator[tuple[TokenEnv, Fraction]]:
-    """Warranted (env, value) pairs of the target that `cert` excludes.
-
-    An affine target offers one end of its interval: the high end when it
-    lies above cert's bound or cert is empty, the low end otherwise.
-    """
-    if isinstance(enc_tgt, AffineForm):
+    # Refute: a tgt value that src's certificate excludes.  An affine target
+    # offers one end of its interval: the high end when it lies above cert's
+    # bound or cert is empty, the low end otherwise.
+    if cert is not None and isinstance(enc_tgt, AffineForm):
         iv = tgt_cert.bounds
         q = iv.hi if cert.bounds is None or iv.hi > cert.bounds.hi else iv.lo
-        if cert.excludes(q):
-            env = _form_witness(enc_tgt, tgt, q)
-            if env is not None:
-                yield env, q
-    else:
+        env = _form_witness(enc_tgt, tgt, q) if cert.excludes(q) else None
+        if env is not None:
+            return Fails(env, q, cert)
+    elif cert is not None:
         for env, value in enc_tgt:
             if cert.excludes(value):
-                yield env, value
+                return Fails(env, value, cert)
+
+    return Undecided(settle(enc_src), settle(enc_tgt))
 
 
 # --- classification ----------------------------------------------------------
@@ -281,30 +266,24 @@ def _audit(
             enc = enclose(tgt)
             return isinstance(enc, EmptySet) and enc.token.name == token_name
         case Holds(IntervalContainment(source, target, target_kind, witness, value)):
-            if not (
+            return (
                 _bounds_claim(src, "exact-interval", source, enclose)
                 and _bounds_claim(tgt, target_kind, target, enclose)
                 and source.encloses(target)
-            ):
-                return False
-            if witness is None:
-                return True
-            return (
-                value is not None
-                and token_consistent(witness, src)
-                and evaluate(witness, src) == value
-                and target.contains(value)
+                and (
+                    value is None
+                    if witness is None
+                    else _attains(witness, src, value) and target.contains(value)
+                )
             )
         case Holds(MembershipWitness(env, value)):
             return (
                 _bounds_claim(tgt, "exact-interval", Interval.point(value), enclose)
-                and token_consistent(env, src)
-                and evaluate(env, src) == value
+                and _attains(env, src, value)
             )
         case Fails(env, value, certificate):
             return (
-                token_consistent(env, tgt)
-                and evaluate(env, tgt) == value
+                _attains(env, tgt, value)
                 and certificate.excludes(value)
                 and _bounds_claim(src, certificate.kind, certificate.bounds, enclose)
             )
@@ -313,6 +292,11 @@ def _audit(
                 tgt, target_outcome, enclose
             )
     return False
+
+
+def _attains(env: TokenEnv, e: Expr, value: Fraction | None) -> bool:
+    """env is consistent with e and evaluates it to value."""
+    return token_consistent(env, e) and evaluate(env, e) == value
 
 
 def _outcome_claim(
@@ -337,12 +321,12 @@ def _bounds_claim(
 ) -> bool:
     """Re-derive from e alone what `kind` certifies about `bounds`.
 
-    "empty": e's enclosure has no elements; "exact-interval": it is exactly
-    `bounds`; "over-approx": `bounds` is `over_approx(e)`, which contains
-    it.  Any other kind certifies nothing.
+    "empty": e's enclosure has no elements (and `bounds` is None);
+    "exact-interval": it is exactly `bounds`; "over-approx": `bounds` is
+    `over_approx(e)`, which contains it.  Any other kind certifies nothing.
     """
     if kind == "empty":
-        return isinstance(enclose(e), EmptySet)
+        return bounds is None and isinstance(enclose(e), EmptySet)
     if kind == "exact-interval":
         enc = enclose(e)
         return isinstance(enc, ExactInterval) and enc.interval == bounds

@@ -1,8 +1,10 @@
-"""The README's command-line examples, run and compared byte for byte.
+"""The README's examples, run and compared byte for byte.
 
 Every fenced block that opens with `$ enclosures ...` is one example: the
 command goes through `cli.main` in a directory holding the input files
-the README names, and its stdout must equal the rest of the block.
+the README names, and its stdout must equal the rest of the block.  The
+```python block runs as written, and each `print(...)  # text` line must
+print `text`.
 """
 
 import re
@@ -23,8 +25,10 @@ INPUTS = {
     "vals.env": "t1 = 5\nt2 = 2\n",
 }
 
+TEXT = README.read_text(encoding="utf-8")
 EXAMPLE = re.compile(r"^```sh\n\$ enclosures (.*)\n((?:(?!```).*\n)*)```$", re.MULTILINE)
-EXAMPLES = EXAMPLE.findall(README.read_text(encoding="utf-8"))
+EXAMPLES = EXAMPLE.findall(TEXT)
+LIBRARY = re.search(r"^```python\n((?:(?!```).*\n)*)```$", TEXT, re.MULTILINE).group(1)
 
 
 def test_readme_has_examples():
@@ -38,3 +42,10 @@ def test_readme_example(tmp_path, monkeypatch, capsys, command, expected):
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_readme_library_block(capsys):
+    expected = re.findall(r"^print\(.*\)  +# (.*)$", LIBRARY, re.MULTILINE)
+    assert len(expected) == 4
+    exec(compile(LIBRARY, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -57,7 +57,9 @@ from enclosures.enclosure import (
     certificate_of,
     lazy_enclosure,
     membership_in,
+    over_approx,
     settle,
+    under_approx_samples,
 )
 from enclosures.expr import Expr
 from enclosures.rewrite import Verdict
@@ -371,6 +373,7 @@ NARROW = parse("meas(n,[2,3],d)")
 PRODUCT = parse("meas(p,[1,2],d) * meas(q,[1,2],d)")  # over-approx [1,4]
 THREE = parse("exact(3,d)")
 TEN = parse("exact(10,d)")
+EMPTY = parse("meas(e,[0,1],d) + meas(e,[2,3],d)")  # e has no possible value
 
 
 def _genuine(src, tgt, evidence_type):
@@ -430,11 +433,17 @@ FORGERIES = {
     "containment-witness-outside-target": lambda: _containment(
         WIDE, THREE, witness=TokenEnv({Token("w"): F(5)}), witness_value=F(5)
     ),
+    "containment-value-without-witness": lambda: _containment(
+        WIDE, NARROW, witness=None, witness_value=F(99)
+    ),
     "fails-wrong-over-bounds": lambda: _failure(
         PRODUCT, TEN, ExclusionCertificate("over-approx", Interval.of(1, 5))
     ),
     "fails-empty-on-inhabited-source": lambda: _failure(
         PRODUCT, TEN, ExclusionCertificate("empty")
+    ),
+    "fails-empty-with-bounds": lambda: _failure(
+        EMPTY, TEN, ExclusionCertificate("empty", Interval.of(5, 6))
     ),
     "fails-unknown-kind": lambda: _failure(
         PRODUCT, TEN, ExclusionCertificate("vertex-hull", Interval.of(1, 4))
@@ -479,6 +488,12 @@ class TestAuditTamperTable:
         assert point.witness_value == 3
         assert _genuine(PRODUCT, TEN, Fails).certificate.kind == "over-approx"
 
+    def test_empty_kind_claims_no_bounds(self):
+        # EMPTY has no value, so "empty" is true of it, but not of [5,6].
+        forged = Holds(IntervalContainment(Interval.of(0, 10), Interval.of(5, 6), "empty"))
+        assert audit_verdict(licensed(WIDE, EMPTY), WIDE, EMPTY)
+        assert not audit_verdict(forged, WIDE, EMPTY)
+
     def test_audit_calls_no_ladder_helper(self, monkeypatch):
         module = importlib.import_module("enclosures.rewrite")
         pairs = [(WIDE, NARROW), (WIDE, PRODUCT), (WIDE, THREE), (PRODUCT, TEN), (PRODUCT, ONE)]
@@ -489,6 +504,7 @@ class TestAuditTamperTable:
 
         monkeypatch.setattr(module, "certificate_of", forbidden)
         monkeypatch.setattr(module, "lazy_enclosure", forbidden)
+        monkeypatch.setattr(module, "membership_in", forbidden)
         for cls, (src, tgt) in zip(verdicts, pairs):
             assert audit_classification(cls, src, tgt)
 
@@ -781,13 +797,13 @@ def _target_members(
         yield from enc_tgt
 
 
-def _reference_classify(src, tgt, grid_points, budget):
-    """(forward, backward) verdicts of the reference ladder, as classify pairs them."""
+def _reference_classify(src, tgt, grid_points, budget, decide=_decide):
+    """(forward, backward) verdicts of a reference ladder, as classify pairs them."""
     if src == tgt:
         return Holds(SameExpression()), Holds(SameExpression())
     enc_src = lazy_enclosure(src, grid_points, budget)
     enc_tgt = lazy_enclosure(tgt, grid_points, budget)
-    return _decide(src, tgt, enc_src, enc_tgt), _decide(tgt, src, enc_tgt, enc_src)
+    return decide(src, tgt, enc_src, enc_tgt), decide(tgt, src, enc_tgt, enc_src)
 
 
 def _refutes_low_end_below_over(new, ref, tgt):
@@ -843,3 +859,114 @@ class TestLadderMatchesReference:
                     same += new == old
                 assert audit_classification(cls, src, tgt)
         assert same
+
+
+# --- certificate-driven reference ladder --------------------------------------
+#
+# The ladder as the package wrote it once every rung read the sides' bounds
+# through `certificate_of`, and before a point target was decided by
+# `membership_in`: four rungs, with an attain rung that scanned the source's
+# samples itself.  Kept verbatim but for the two function names, so the
+# membership route is checked repr for repr against an independent text.
+
+
+def _certificate_decide(
+    src: Expr, tgt: Expr, enc_src: LazyOutcome, enc_tgt: LazyOutcome
+) -> Verdict:
+    """The ladder behind `licensed`, for src != tgt: confirm, refute, attain.
+
+    Each side's bound is read through its certificate alone.  Samples are
+    read from the lazy enclosures in order and drawn only until a rung is
+    decided; an Undecided verdict settles both outcomes in full.
+    """
+    if isinstance(enc_tgt, EmptySet):
+        return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
+    cert, tgt_cert = certificate_of(enc_src), certificate_of(enc_tgt)
+    exact_tgt = tgt_cert is not None and tgt_cert.kind == "exact-interval"
+    point = tgt_cert.bounds.lo if exact_tgt and tgt_cert.bounds.is_point else None
+
+    # Confirm: tgt's certified bound lies inside src's exact interval.
+    if cert is not None and tgt_cert is not None and cert.kind == "exact-interval":
+        source, target = cert.bounds, tgt_cert.bounds
+        if source.encloses(target):
+            witness = None if point is None else _form_witness(enc_src, src, point)
+            value = point if witness is not None else None
+            evidence = IntervalContainment(source, target, tgt_cert.kind, witness, value)
+            return Holds(evidence)
+
+    # Refute: a tgt value that src's certificate excludes.
+    if cert is not None:
+        for env, value in _certificate_members(tgt, enc_tgt, tgt_cert, cert):
+            return Fails(env, value, cert)
+
+    # Attain: tgt is the single value `point`, and a src sample equals it.
+    if point is not None and isinstance(enc_src, SampleStream):
+        for env, value in enc_src:
+            if value == point:
+                return Holds(MembershipWitness(env, value))
+
+    return Undecided(settle(enc_src), settle(enc_tgt))
+
+
+def _certificate_members(
+    tgt: Expr,
+    enc_tgt: LazyOutcome,
+    tgt_cert: ExclusionCertificate | None,
+    cert: ExclusionCertificate,
+) -> Iterator[tuple[TokenEnv, Fraction]]:
+    """Warranted (env, value) pairs of the target that `cert` excludes.
+
+    An affine target offers one end of its interval: the high end when it
+    lies above cert's bound or cert is empty, the low end otherwise.
+    """
+    if isinstance(enc_tgt, AffineForm):
+        iv = tgt_cert.bounds
+        q = iv.hi if cert.bounds is None or iv.hi > cert.bounds.hi else iv.lo
+        if cert.excludes(q):
+            env = _form_witness(enc_tgt, tgt, q)
+            if env is not None:
+                yield env, q
+    else:
+        for env, value in enc_tgt:
+            if cert.excludes(value):
+                yield env, value
+
+
+def _point_corpus(kind, seed):
+    """A seeded source and a target: a value src attains at a grid point, a
+    value just outside src's `over_approx`, or a redeclared copy of src."""
+    rng = random.Random(seed)
+    boxes = token_boxes(rng, 3)
+    src = (gen_affine if seed % 2 else gen_any)(rng, boxes, rng.randint(1, 9))
+    if kind == "redeclare":
+        return src, redeclare(rng, src, spread=1)
+    if kind == "attained":
+        samples = under_approx_samples(src, rng.choice((2, 3)), 10**5)
+        return src, Exact(rng.choice(samples)[1] if samples else F(0), D)
+    over = over_approx(src)
+    if not isinstance(over, Interval):
+        return src, Exact(rand_rational(rng), D)
+    eps = F(1, rng.randint(2, 50))
+    return src, Exact(over.hi + eps if rng.random() < 0.5 else over.lo - eps, D)
+
+
+class TestLadderMatchesCertificateReference:
+    """Deciding a point target by membership changes no verdict repr."""
+
+    @pytest.mark.parametrize("kind", ["attained", "outside", "redeclare"])
+    @pytest.mark.parametrize("grid, budget", [(3, 2000), (2, 5), (2, 0)])
+    def test_seeded_corpus(self, kind, grid, budget):
+        kinds = set()
+        for seed in range(100):
+            a, b = _point_corpus(kind, seed)
+            for src, tgt in ((a, b), (b, a)):
+                cls = classify(src, tgt, grid, budget)
+                ref = _reference_classify(src, tgt, grid, budget, _certificate_decide)
+                assert [repr(v) for v in (cls.forward, cls.backward)] == list(map(repr, ref))
+                kinds.update(type(getattr(v, "evidence", v)).__name__ for v in ref)
+        # attained values confirm with a witness (from samples when there
+        # are any), values outside the bound are refuted
+        wanted = {"attained": {"IntervalContainment"}, "outside": {"Fails"}}.get(kind, set())
+        if kind == "attained" and budget:
+            wanted.add("MembershipWitness")
+        assert wanted <= kinds, kinds
