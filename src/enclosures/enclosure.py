@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -42,6 +41,8 @@ from .semantics import TokenEnv, compile_expr, evaluate, token_consistent
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+_OFF_FRAGMENT = {Mul: "product of two measured subexpressions", Div: "measured denominator"}
 
 DEFAULT_GRID_POINTS = 5
 DEFAULT_ENV_BUDGET = 100_000
@@ -151,10 +152,10 @@ def _affine_parts(
 ) -> tuple[Fraction | NotAffineError, dict[Token, Fraction], bool]:
     """Fold e bottom-up to (constant, coeffs, straddled), filling in boxes.
 
-    A subtree's coeffs have an entry for each token below it, so it is
-    measurement-free exactly when they are empty.  Outside the fragment the
-    constant is the NotAffineError saying why, and the coeffs still list
-    the tokens, because dividing by an exact zero makes any numerator 0.
+    A subtree's linear part (see `_flatten`) is None exactly when it is
+    measurement-free; one flatten at the end makes it the coeffs.  Outside
+    the fragment the constant is the NotAffineError saying why, and the coeffs
+    still list the tokens, because dividing by an exact zero makes any numerator 0.
 
     Each measured leaf narrows its token's box as it is met, as in
     `effective_intervals`.  So a self-quotient is decided on boxes that
@@ -163,29 +164,24 @@ def _affine_parts(
     final boxes too.  Only one that straddles 0 may change as later leaves
     narrow a box; `straddled` says one was met, to be folded again.
     """
-    done: list[tuple[Fraction | NotAffineError, dict[Token, Fraction]]] = []
+    done: list[tuple[Fraction | NotAffineError, object]] = []
     straddled = False
     for node in postorder(e):
         cls, factor = type(node), None
         if cls is Meas:
             narrow_box(boxes, node)
-            c, k = _ZERO, {node.token: _ONE}
+            c, k = _ZERO, node.token
         elif cls is Exact:
-            c, k = node.value, {}
+            c, k = node.value, None
         elif cls is Neg:
-            c, k = done.pop()
-            if not isinstance(c, NotAffineError):
-                c, k = -c, {t: -v for t, v in k.items()}
+            (c, k), factor = done.pop(), _MINUS_ONE
         elif cls in (Add, Sub, Mul, Div):
             (cr, kr), (c, k) = done.pop(), done.pop()
             if cls is Add or cls is Sub:
-                combine = operator.add if cls is Add else operator.sub
-                for t, v in kr.items():  # each pair has one consumer: update in place
-                    old = k.get(t)
-                    k[t] = (v if cls is Add else -v) if old is None else combine(old, v)
+                k = (k, kr, cls is Sub) if k or kr else None
                 # A NotAffineError is truthy, and adding an exact 0 changes nothing.
                 if cr and not isinstance(c, NotAffineError):
-                    c = cr if isinstance(cr, NotAffineError) else combine(c, cr)
+                    c = cr if isinstance(cr, NotAffineError) else (c + cr if cls is Add else c - cr)
             elif cls is Mul and not (k and kr):
                 # A measurement-free factor scales the other one.
                 c, k, factor = (cr, kr, c) if not k else (c, k, cr)
@@ -195,32 +191,46 @@ def _affine_parts(
             elif cls is Div and node.lhs == node.rhs:
                 # Same subtree above and below: 1 where it is nonzero, 0 where zero.
                 if not isinstance(c, NotAffineError):
-                    lo, hi = _linear_bounds(c, k, boxes)
-                    if lo > 0 or hi < 0:
-                        c, k = _ONE, dict.fromkeys(k, _ZERO)
-                    elif lo == 0 and hi == 0:
-                        c, k = _ZERO, dict.fromkeys(k, _ZERO)
+                    lo, hi = _linear_bounds(c, k := _flatten(k), boxes)
+                    if lo > 0 or hi < 0 or lo == hi == 0:
+                        c, k = _ONE if hi else _ZERO, dict.fromkeys(k, _ZERO)
                     else:
                         straddled = True
                         c = NotAffineError(
                             "self-quotient can take both 0 and 1 over the boxes"
                         )
-            elif cls is Mul:
-                k.update(kr)
-                c = NotAffineError("product of two measured subexpressions")
-            else:
-                k.update(kr)
-                c = NotAffineError("measured denominator")
+            else:  # measured on both sides, so off the fragment; the right part's entries win
+                (k := _flatten(k)).update(_flatten(kr))
+                c = NotAffineError(_OFF_FRAGMENT[cls])
         else:
             raise TypeError(f"not an expression node: {node!r}")
         if factor is not None and not isinstance(c, NotAffineError):
-            if c:  # a scaled exact 0 stays 0
-                c = factor * c
-            # A leaf's coefficient _ONE scales to the factor itself.
-            k = {t: factor if v is _ONE else factor * v for t, v in k.items()}
+            c, k = factor * c if c else c, k and (factor, k)  # a scaled exact 0 stays 0
         done.append((c, k))
-    constant, coeffs = done[0]
-    return constant, coeffs, straddled
+    constant, part = done[0]
+    return constant, _flatten(part), straddled
+
+
+def _flatten(part) -> dict[Token, Fraction]:
+    """The coeffs of a linear part, summed left to right with a running multiplier
+    and sign, so each token keeps its first-seen place.  A part is a leaf's Token,
+    a sum (left, right, negate_right), a scaling (factor, part), a dict or None."""
+    if type(part) is not tuple:  # a leaf, a dict (it has one consumer) or None
+        return {part: _ONE} if type(part) is Token else part or {}
+    coeffs: dict[Token, Fraction] = {}
+    stack = [(part, _ONE, False)]
+    while stack:
+        part, m, neg = stack.pop()
+        if type(part) is Token:
+            old = coeffs.get(part)
+            coeffs[part] = (-m if neg else m) if old is None else (old - m if neg else old + m)
+        elif type(part) is dict:
+            stack += [(t, m * v, neg) for t, v in reversed(part.items())]
+        elif type(part) is tuple and len(part) == 2:
+            stack.append((part[1], part[0] if m is _ONE else m * part[0], neg))
+        elif part is not None:  # push the right side first, to pop the left first
+            stack += (part[1], m, neg is not part[2]), (part[0], m, neg)
+    return coeffs
 
 
 def _linear_bounds(

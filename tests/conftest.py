@@ -1,6 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import collections
 import importlib
+from fractions import Fraction
 
 import pytest
 
@@ -34,3 +36,31 @@ def affine_folds(monkeypatch):
 
     monkeypatch.setattr(module, "_affine_parts", counted)
     return folded
+
+
+FRACTION_OPS = (
+    "__add__",
+    "__radd__",
+    "__sub__",
+    "__rsub__",
+    "__mul__",
+    "__rmul__",
+    "__truediv__",
+    "__rtruediv__",
+    "__neg__",
+)
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """Calls to `Fraction`'s arithmetic operators while the test runs, by
+    operator name: a work count that does not depend on the machine."""
+    calls = collections.Counter()
+    for name in FRACTION_OPS:
+
+        def counted(*args, op=getattr(Fraction, name), name=name):
+            calls[name] += 1
+            return op(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls

@@ -334,15 +334,26 @@ def redeclare(rng: random.Random, e: Expr, spread: int = 3) -> Expr:
 
 _TERM_FORMS = ("{m}", "-{m}", "{c} * {m}", "{m} * {c}", "{m} / {c}")
 _SCALES = (Fraction(2), Fraction(-1, 3), Fraction(5, 2), Fraction(-3))
+# How a right-nested chain may join each term to the rest; c is a scale.
+CHAIN_WRAPS = {
+    "sum": "({rest})",
+    "scaled": "{c} * ({rest})",
+    "divided": "({rest}) / {c}",
+    "negated": "-({rest})",
+}
 
 
-def long_affine_text(rng: random.Random, terms: int, ntok: int, right: bool = False) -> str:
+def long_affine_text(
+    rng: random.Random, terms: int, ntok: int, right: bool = False, wrap: str = "({rest})"
+) -> str:
     """A long affine sum in the style of perfbench's `wide` workload.
 
     Each of ntok tokens keeps one declared box and recurs about terms/ntok
     times, in the forms m, -m, c*m, m*c and m/c, joined by + and -.  The
     sum is left-deep, or with `right` a right-nested chain in which each
-    term is joined to the parenthesised rest.
+    term is joined to the rest as `wrap` puts it: parenthesised by default,
+    or scaled, divided or negated as in CHAIN_WRAPS, with a scale c drawn
+    for each level.
     """
     boxes = {f"v{i}": rand_interval(rng) for i in range(ntok)}
     names = [f"v{i % ntok}" for i in range(terms)]
@@ -358,7 +369,8 @@ def long_affine_text(rng: random.Random, terms: int, ntok: int, right: bool = Fa
         if not text:
             text = term
         elif right:
-            text = f"{term} {sign} ({text})"
+            c = f"exact({rng.choice(_SCALES)},d)" if "{c}" in wrap else ""
+            text = f"{term} {sign} " + wrap.format(rest=text, c=c)
         else:
             text = f"{text} {sign} {term}"
     return text

@@ -1,7 +1,11 @@
 """Affine normalization, enclosure outcomes, sampling, membership."""
 
+from __future__ import annotations
+
+import collections
 import importlib
 import itertools
+import operator
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -13,6 +17,7 @@ from enclosures import (
     Add,
     AffineForm,
     BudgetExceededError,
+    Div,
     EmptySet,
     Exact,
     ExactInterval,
@@ -23,8 +28,10 @@ from enclosures import (
     Meas,
     Member,
     Mul,
+    Neg,
     NonMember,
     NotAffineError,
+    Sub,
     Token,
     UNBOUNDED,
     Unknown,
@@ -42,7 +49,10 @@ from enclosures import (
     token_consistent,
     under_approx_samples,
 )
+from enclosures.enclosure import _ONE, _ZERO, _linear_bounds
+from enclosures.expr import Expr, narrow_box, postorder
 from exprgen import (
+    CHAIN_WRAPS,
     D,
     corner_min_max,
     gen_affine,
@@ -177,15 +187,30 @@ class TestToAffineMatchesReference:
         assert 0 < affine <= 400
 
     @pytest.mark.parametrize(
-        "terms, ntok, right",
-        [(100, 25, False), (300, 75, False), (301, 12, True)],
-        ids=["sum100", "sum300", "right-chain300"],
+        "terms, ntok, right, wrap",
+        [
+            (100, 25, False, CHAIN_WRAPS["sum"]),
+            (300, 75, False, CHAIN_WRAPS["sum"]),
+            (301, 12, True, CHAIN_WRAPS["sum"]),
+            (301, 12, True, CHAIN_WRAPS["scaled"]),
+            (301, 12, True, CHAIN_WRAPS["divided"]),
+            (301, 12, True, CHAIN_WRAPS["negated"]),
+        ],
+        ids=[
+            "sum100",
+            "sum300",
+            "right-chain300",
+            "right-chain300-scaled",
+            "right-chain300-divided",
+            "right-chain300-negated",
+        ],
     )
     @pytest.mark.parametrize("seed", range(3))
-    def test_long_trees(self, terms, ntok, right, seed):
+    def test_long_trees(self, terms, ntok, right, wrap, seed):
         # Repeated tokens in the forms m, -m, c*m, m*c and m/c, as in a
-        # long benchmark sum, where the scaling and negation shortcuts fire.
-        e = parse(long_affine_text(random.Random(seed), terms, ntok, right))
+        # long benchmark sum, where the scaling and negation shortcuts fire;
+        # in a right-nested chain each level may also scale or negate the rest.
+        e = parse(long_affine_text(random.Random(seed), terms, ntok, right, wrap))
         assert _matches_reference_fold(e)
 
     def test_interval_is_the_corner_min_max(self):
@@ -317,6 +342,178 @@ class TestOneWalk:
             compared += 1
         assert compared > 50 and infeasible > 20, (compared, infeasible)
 
+
+
+# --- reference fold -----------------------------------------------------------
+#
+# `_affine_parts` as the package wrote it when every subtree's coefficients
+# were a dict rebuilt at each level, kept verbatim but for its name, so the
+# fold into O(1) linear parts is checked repr for repr against an
+# independent text, NotAffineError coefficients included.
+
+
+def _reference_affine_parts(
+    e: Expr, boxes: dict[Token, Interval]
+) -> tuple[Fraction | NotAffineError, dict[Token, Fraction], bool]:
+    """Fold e bottom-up to (constant, coeffs, straddled), filling in boxes.
+
+    A subtree's coeffs have an entry for each token below it, so it is
+    measurement-free exactly when they are empty.  Outside the fragment the
+    constant is the NotAffineError saying why, and the coeffs still list
+    the tokens, because dividing by an exact zero makes any numerator 0.
+
+    Each measured leaf narrows its token's box as it is met, as in
+    `effective_intervals`.  So a self-quotient is decided on boxes that
+    contain the final ones, where its image contains its image on the final
+    boxes: a value that avoids 0, or is identically 0, there does so on the
+    final boxes too.  Only one that straddles 0 may change as later leaves
+    narrow a box; `straddled` says one was met, to be folded again.
+    """
+    done: list[tuple[Fraction | NotAffineError, dict[Token, Fraction]]] = []
+    straddled = False
+    for node in postorder(e):
+        cls, factor = type(node), None
+        if cls is Meas:
+            narrow_box(boxes, node)
+            c, k = _ZERO, {node.token: _ONE}
+        elif cls is Exact:
+            c, k = node.value, {}
+        elif cls is Neg:
+            c, k = done.pop()
+            if not isinstance(c, NotAffineError):
+                c, k = -c, {t: -v for t, v in k.items()}
+        elif cls in (Add, Sub, Mul, Div):
+            (cr, kr), (c, k) = done.pop(), done.pop()
+            if cls is Add or cls is Sub:
+                combine = operator.add if cls is Add else operator.sub
+                for t, v in kr.items():  # each pair has one consumer: update in place
+                    old = k.get(t)
+                    k[t] = (v if cls is Add else -v) if old is None else combine(old, v)
+                # A NotAffineError is truthy, and adding an exact 0 changes nothing.
+                if cr and not isinstance(c, NotAffineError):
+                    c = cr if isinstance(cr, NotAffineError) else combine(c, cr)
+            elif cls is Mul and not (k and kr):
+                # A measurement-free factor scales the other one.
+                c, k, factor = (cr, kr, c) if not k else (c, k, cr)
+            elif cls is Div and not kr:
+                # Total division: x / 0 = 0 for every x, affine or not.
+                c, factor = (_ZERO, _ZERO) if cr == 0 else (c, 1 / cr)
+            elif cls is Div and node.lhs == node.rhs:
+                # Same subtree above and below: 1 where it is nonzero, 0 where zero.
+                if not isinstance(c, NotAffineError):
+                    lo, hi = _linear_bounds(c, k, boxes)
+                    if lo > 0 or hi < 0:
+                        c, k = _ONE, dict.fromkeys(k, _ZERO)
+                    elif lo == 0 and hi == 0:
+                        c, k = _ZERO, dict.fromkeys(k, _ZERO)
+                    else:
+                        straddled = True
+                        c = NotAffineError(
+                            "self-quotient can take both 0 and 1 over the boxes"
+                        )
+            elif cls is Mul:
+                k.update(kr)
+                c = NotAffineError("product of two measured subexpressions")
+            else:
+                k.update(kr)
+                c = NotAffineError("measured denominator")
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        if factor is not None and not isinstance(c, NotAffineError):
+            if c:  # a scaled exact 0 stays 0
+                c = factor * c
+            # A leaf's coefficient _ONE scales to the factor itself.
+            k = {t: factor if v is _ONE else factor * v for t, v in k.items()}
+        done.append((c, k))
+    constant, coeffs = done[0]
+    return constant, coeffs, straddled
+
+
+def _fold_record(parts, e) -> tuple:
+    """What a fold gives for e: the reprs of its constant or the NotAffineError
+    message, its coeff and box items in order and `straddled`, or the token of
+    the InfeasibleTokenError it raises."""
+    boxes = {}
+    try:
+        constant, coeffs, straddled = parts(e, boxes)
+    except InfeasibleTokenError as err:
+        return ("infeasible", err.token)
+    shown = str(constant) if isinstance(constant, NotAffineError) else repr(constant)
+    return shown, repr(list(coeffs.items())), repr(list(boxes.items())), straddled
+
+
+def _zero(e):
+    """e times an exact 0: identically 0, and still measured."""
+    return Mul(e, Exact(F(0), D))
+
+
+def _fold_corpus(count: int):
+    """Seeded trees meant to reach every rule of the fold, with a tag each."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        if seed % 50 == 49:  # long chains, left-deep or right-nested
+            wrap = list(CHAIN_WRAPS.values())[seed // 50 % 4]
+            right = seed // 200 % 2 == 0
+            yield "chain", parse(long_affine_text(rng, rng.randint(20, 80), 6, right, wrap))
+            continue
+        e = (gen_affine, gen_any)[seed % 2](rng, token_boxes(rng), rng.randint(1, 15))
+        if seed % 3 == 0:
+            e = redeclare(rng, e)  # repeated tokens with differing intervals
+        shift = Exact(F(rng.choice((-1, 1)) * 10**6), D)
+        tag, e = [
+            ("plain", e),
+            ("self-quotient", Div(e, e)),  # straddling, definite or zero
+            ("sign-definite", Div(Add(e, shift), Add(e, shift))),
+            ("identically-zero", Div(_zero(e), _zero(e))),
+            ("nested", Div(Add(Div(e, e), e), Add(Div(e, e), e))),
+            ("over-exact-zero", Div(Mul(e, e), Exact(F(0), D))),
+            ("zero-times-product", Mul(Exact(F(0), D), Mul(e, e))),
+        ][seed % 7]
+        leaves = list(meas_leaves(e))
+        if leaves and seed % 4 == 0:  # an occurrence outside its token's box
+            leaf = rng.choice(leaves)
+            clash = Meas(leaf.token, Interval(leaf.interval.hi + 1, leaf.interval.hi + 2), D)
+            e = Add(clash, e) if rng.random() < 0.5 else Add(e, clash)
+            tag = "clash"
+        yield tag, e
+
+
+class TestFoldMatchesReference:
+    def test_seeded_corpus(self):
+        module = importlib.import_module("enclosures.enclosure")
+        seen = collections.Counter()
+        for tag, e in _fold_corpus(3500):
+            got = _fold_record(module._affine_parts, e)
+            assert got == _fold_record(_reference_affine_parts, e), e
+            affine = got[0].startswith("Fraction")
+            seen[tag] += 1
+            seen[got[0] if got[0] == "infeasible" else "affine" if affine else "not-affine"] += 1
+            seen["straddled"] += got[-1] is True
+        assert min(seen.values()) > 30, seen
+
+
+class TestLinearFold:
+    """`to_affine` does O(1) Fraction operations per node on every shape, so
+    doubling a right-nested chain at most doubles the count, give or take 10%.
+    A fold that rebuilds the nested coefficients at each level grows about 4x."""
+
+    @staticmethod
+    def _ops(fraction_ops, terms, right, wrap=CHAIN_WRAPS["sum"]):
+        e = parse(long_affine_text(random.Random(terms), terms, terms // 4, right, wrap))
+        fraction_ops.clear()
+        to_affine(e)
+        return sum(fraction_ops.values())
+
+    @pytest.mark.parametrize("wrap", list(CHAIN_WRAPS.values()), ids=list(CHAIN_WRAPS))
+    def test_right_chain_doubling(self, fraction_ops, wrap):
+        counts = [self._ops(fraction_ops, depth, True, wrap) for depth in (100, 200, 400, 800)]
+        assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
+
+    def test_right_chain_against_left_deep_sum(self, fraction_ops):
+        # Only the sum chain: a scaled, divided or negated level brings a
+        # multiplier of its own, which a left-deep sum has no counterpart for.
+        right, left = self._ops(fraction_ops, 800, True), self._ops(fraction_ops, 800, False)
+        assert right <= 2 * left, (right, left)
 
 
 class TestAffineEnclosure:
