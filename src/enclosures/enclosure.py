@@ -77,7 +77,9 @@ class AffineForm:
 
     Every token appearing in the source expression keeps an entry, even
     with coefficient 0, so witness environments cover all tokens.  Boxes
-    are the effective intervals of the source expression.
+    are the effective intervals of the source expression.  Each
+    `to_affine` call returns a form of its own, so changing its dicts
+    changes no later fold.
     """
 
     constant: Fraction
@@ -137,13 +139,39 @@ def to_affine(e: Expr) -> AffineForm:
     shared value provably avoids 0 over the boxes, and to 0 when it is
     identically 0; this keeps provably-constant self-divisions decidable.
     Raises InfeasibleTokenError when some token has no possible value.
+
+    Trees are immutable, so an operator node keeps the outcome of its first
+    fold in a private attribute, and a later call on the same node folds
+    nothing: it returns a fresh form with copied coeffs and boxes and its
+    `interval` already computed, or raises a fresh error with the same
+    message or token.  A leaf folds in O(1) and keeps nothing.  Equality,
+    hashing, repr, pickle and copy ignore the memo, so `copy.deepcopy(e)`
+    is a cold tree whose fold starts from scratch.
     """
+    memo = getattr(e, "_affine", None)
+    if memo is None:
+        memo = _fold_affine(e)
+        if isinstance(e, (Add, Sub, Mul, Div, Neg)):
+            object.__setattr__(e, "_affine", memo)
+    if type(memo) is tuple:
+        error, arg = memo
+        raise error(arg)
+    form = AffineForm(memo.constant, dict(memo.coeffs), dict(memo.boxes))
+    vars(form)["interval"] = memo.interval  # where cached_property keeps it
+    return form
+
+
+def _fold_affine(e: Expr) -> AffineForm | tuple[type[Exception], object]:
+    """e's affine form, or the error class and argument `to_affine` raises."""
     boxes: dict[Token, Interval] = {}
-    constant, coeffs, straddled = _affine_parts(e, boxes)
-    if straddled:  # the boxes are final now: decide that self-quotient on them
-        constant, coeffs, _ = _affine_parts(e, boxes)
+    try:
+        constant, coeffs, straddled = _affine_parts(e, boxes)
+        if straddled:  # the boxes are final now: decide that self-quotient on them
+            constant, coeffs, _ = _affine_parts(e, boxes)
+    except InfeasibleTokenError as ex:
+        return InfeasibleTokenError, ex.token
     if isinstance(constant, NotAffineError):
-        raise constant
+        return NotAffineError, str(constant)
     return AffineForm(constant, coeffs, boxes)
 
 

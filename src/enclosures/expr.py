@@ -11,6 +11,7 @@ consulted during evaluation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, TypeVar, Union
@@ -54,14 +55,29 @@ class Dim:
         return self.tag
 
 
+def _fraction(x: object) -> Fraction:
+    """x as a Fraction: an int or other rational converts, and a float or any
+    other value raises TypeError, so no inexact number enters a tree."""
+    if isinstance(x, numbers.Rational):
+        return Fraction(x)
+    raise TypeError(f"expected a rational number, got {type(x).__name__} {x!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
-    """Closed rational interval [lo, hi]; nonempty by construction."""
+    """Closed rational interval [lo, hi]; nonempty by construction.
+
+    The ends are Fractions: ints and other rationals are converted, and any
+    other value raises TypeError.
+    """
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self) -> None:
+        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
+            object.__setattr__(self, "lo", _fraction(self.lo))
+            object.__setattr__(self, "hi", _fraction(self.hi))
         if self.lo > self.hi:
             raise IntervalOrderError(f"interval [{self.lo},{self.hi}] has lo > hi")
 
@@ -126,10 +142,15 @@ Bounds = Union[Interval, Unbounded]
 
 @dataclass(frozen=True)
 class Exact:
-    """Exact rational constant with a dimension tag."""
+    """Exact rational constant with a dimension tag; the value is a Fraction,
+    converted as an Interval's ends are."""
 
     value: Fraction
     dim: Dim
+
+    def __post_init__(self) -> None:
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", _fraction(self.value))
 
 
 @dataclass(frozen=True)
@@ -148,7 +169,9 @@ class _Op:
     With fixed arities a tree is determined by its post-order, so trees are
     equal exactly when their post-orders agree, operators compared by class
     and leaves by value.  Unlike the dataclass methods, none of these
-    recurse; repr prints the text the dataclass repr would.
+    recurse; repr prints the text the dataclass repr would.  They read
+    only the fields, so a memo that `enclosure.to_affine` stores on a node
+    is invisible to them, and a copy or an unpickled tree carries none.
     """
 
     def __eq__(self, other: object) -> bool:

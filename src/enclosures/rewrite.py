@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 from .enclosure import (
     DEFAULT_ENV_BUDGET,
@@ -249,26 +249,16 @@ def check_conservativity(e: Expr, e2: Expr) -> bool:
 
 def audit_verdict(verdict: Verdict, src: Expr, tgt: Expr) -> bool:
     """Re-derive every claim a verdict makes, from the expressions alone."""
-    return _audit(verdict, src, tgt, enclosure)
-
-
-def _audit(
-    verdict: Verdict,
-    src: Expr,
-    tgt: Expr,
-    enclose: Callable[[Expr], EnclosureOutcome],
-) -> bool:
-    """`audit_verdict`, taking each side's enclosure from `enclose`."""
     match verdict:
         case Holds(SameExpression()):
             return src == tgt
         case Holds(EmptyTarget(token_name)):
-            enc = enclose(tgt)
+            enc = enclosure(tgt)
             return isinstance(enc, EmptySet) and enc.token.name == token_name
         case Holds(IntervalContainment(source, target, target_kind, witness, value)):
             return (
-                _bounds_claim(src, "exact-interval", source, enclose)
-                and _bounds_claim(tgt, target_kind, target, enclose)
+                _bounds_claim(src, "exact-interval", source)
+                and _bounds_claim(tgt, target_kind, target)
                 and source.encloses(target)
                 and (
                     value is None
@@ -278,19 +268,17 @@ def _audit(
             )
         case Holds(MembershipWitness(env, value)):
             return (
-                _bounds_claim(tgt, "exact-interval", Interval.point(value), enclose)
+                _bounds_claim(tgt, "exact-interval", Interval.point(value))
                 and _attains(env, src, value)
             )
         case Fails(env, value, certificate):
             return (
                 _attains(env, tgt, value)
                 and certificate.excludes(value)
-                and _bounds_claim(src, certificate.kind, certificate.bounds, enclose)
+                and _bounds_claim(src, certificate.kind, certificate.bounds)
             )
         case Undecided(source_outcome, target_outcome):
-            return _outcome_claim(src, source_outcome, enclose) and _outcome_claim(
-                tgt, target_outcome, enclose
-            )
+            return _outcome_claim(src, source_outcome) and _outcome_claim(tgt, target_outcome)
     return False
 
 
@@ -299,26 +287,19 @@ def _attains(env: TokenEnv, e: Expr, value: Fraction | None) -> bool:
     return token_consistent(env, e) and evaluate(env, e) == value
 
 
-def _outcome_claim(
-    e: Expr, out: EnclosureOutcome, enclose: Callable[[Expr], EnclosureOutcome]
-) -> bool:
+def _outcome_claim(e: Expr, out: EnclosureOutcome) -> bool:
     """Re-derive an outcome of e: an Unknown's `over` and each of its
     samples (the grid it came from is not part of the claim); any other
     outcome is e's enclosure itself."""
     if not isinstance(out, Unknown):
-        return out == enclose(e)
+        return out == enclosure(e)
     run = compile_expr(e)
     return out.over == over_approx(e) and all(
         token_consistent(env, e) and run(env.value) == value for env, value in out.under
     )
 
 
-def _bounds_claim(
-    e: Expr,
-    kind: str,
-    bounds: Interval | None,
-    enclose: Callable[[Expr], EnclosureOutcome],
-) -> bool:
+def _bounds_claim(e: Expr, kind: str, bounds: Interval | None) -> bool:
     """Re-derive from e alone what `kind` certifies about `bounds`.
 
     "empty": e's enclosure has no elements (and `bounds` is None);
@@ -326,9 +307,9 @@ def _bounds_claim(
     `over_approx(e)`, which contains it.  Any other kind certifies nothing.
     """
     if kind == "empty":
-        return bounds is None and isinstance(enclose(e), EmptySet)
+        return bounds is None and isinstance(enclosure(e), EmptySet)
     if kind == "exact-interval":
-        enc = enclose(e)
+        enc = enclosure(e)
         return isinstance(enc, ExactInterval) and enc.interval == bounds
     if kind == "over-approx":
         return over_approx(e) == bounds
@@ -338,16 +319,13 @@ def _bounds_claim(
 def audit_classification(cls: Classification, src: Expr, tgt: Expr) -> bool:
     """Check both directional verdicts; the backward one swaps the roles.
 
-    Each side is enclosed at most once, from the expression alone, and
-    both verdicts read that enclosure.
+    Every claim is re-derived through `enclosure`, `over_approx` and
+    evaluation, never through the ladder.  An affine or empty side that
+    `classify` enclosed is an operator node (or an O(1) leaf) whose fold
+    `to_affine` memoized, so its enclosure here reads that memo, the same
+    deterministic fold of the same frozen tree; nothing a verdict carries
+    reaches it.  A sampled side is never enclosed for a genuine verdict.
+    A forged one costs at most one extra `enclosure` per direction, since
+    the first claim it fails ends that direction's check.
     """
-    outcomes: dict[int, EnclosureOutcome] = {}
-
-    def enclose(e: Expr) -> EnclosureOutcome:
-        if id(e) not in outcomes:
-            outcomes[id(e)] = enclosure(e)
-        return outcomes[id(e)]
-
-    return _audit(cls.forward, src, tgt, enclose) and _audit(
-        cls.backward, tgt, src, enclose
-    )
+    return audit_verdict(cls.forward, src, tgt) and audit_verdict(cls.backward, tgt, src)

@@ -335,6 +335,13 @@ class TestBlindCompare:
         assert not report.bounds_equal
         assert not report.demonstrates_insufficiency
 
+    def test_shared_target_is_folded_once(self, affine_folds):
+        same = parse("(meas(ts,[10,11],d) + meas(tb,[1,2],d)) - meas(tb,[1,2],d)")
+        distinct = parse("(meas(ts,[10,11],d) + meas(tb1,[1,2],d)) - meas(tb2,[1,2],d)")
+        target = parse("meas(ts,[10,11],d) + exact(0,d)")
+        blind_compare(same, distinct, target)
+        assert [e for e in affine_folds if e is target] == [target]
+
     def test_pairwise_mode_without_target(self):
         e1 = parse("meas(t,[2,5],d) - meas(t,[2,5],d)")
         e2 = parse("exact(0,d)")

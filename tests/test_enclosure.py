@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import collections
+import copy
 import importlib
 import itertools
 import operator
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -343,6 +345,59 @@ class TestOneWalk:
         assert compared > 50 and infeasible > 20, (compared, infeasible)
 
 
+MEMO_TREES = {
+    "affine": "meas(t,[1,3],d) * exact(2,d) - meas(u,[0,1],d)",
+    "not-affine": "meas(t,[1,2],d) * meas(u,[1,2],d)",
+    "infeasible": "meas(t,[0,1],d) + meas(t,[2,3],d)",
+    "straddling-self-quotient": "meas(t,[-1,1],d) / meas(t,[-1,1],d)",
+}
+
+
+def _fold_outcome(e):
+    """repr of to_affine(e) and its interval, or the error raised, its message and token."""
+    try:
+        f = to_affine(e)
+    except (NotAffineError, InfeasibleTokenError) as ex:
+        return ex, type(ex), str(ex), getattr(ex, "token", None)
+    return f, repr(f), f.interval
+
+
+class TestAffineMemo:
+    """An operator node keeps its fold: a later `to_affine` folds nothing, and
+    no result, copy, pickle or comparison can tell."""
+
+    @pytest.mark.parametrize("name", list(MEMO_TREES))
+    def test_second_call_folds_nothing(self, affine_folds, name):
+        e = parse(MEMO_TREES[name])
+        first = _fold_outcome(e)
+        folds = len(affine_folds)
+        second = _fold_outcome(e)
+        assert len(affine_folds) == folds >= 1
+        assert second[1:] == first[1:] and second[0] is not first[0]
+
+    def test_changing_a_result_changes_no_later_fold(self):
+        e = parse(MEMO_TREES["affine"])
+        f = to_affine(e)
+        f.coeffs[Token("t")] = F(99)
+        f.coeffs[Token("z")] = F(1)
+        f.boxes[Token("u")] = Interval.of(5, 6)
+        del f.boxes[Token("t")]
+        cold = copy.deepcopy(e)
+        assert _fold_outcome(e)[1:] == _fold_outcome(cold)[1:]
+        assert enclosure(e) == enclosure(cold) == ExactInterval(Interval.of(1, 6))
+
+    @pytest.mark.parametrize("name", list(MEMO_TREES))
+    def test_memo_is_invisible_and_not_copied(self, affine_folds, name):
+        e = parse(MEMO_TREES[name])
+        before = pickle.dumps(e), repr(e), hash(e)
+        outcome = _fold_outcome(e)
+        assert (pickle.dumps(e), repr(e), hash(e)) == before
+        assert e == parse(MEMO_TREES[name]) == pickle.loads(before[0])
+        for cold in (copy.deepcopy(e), copy.copy(e), pickle.loads(pickle.dumps(e))):
+            del affine_folds[:]
+            assert _fold_outcome(cold)[1:] == outcome[1:]
+            assert affine_folds[0] is cold
+
 
 # --- reference fold -----------------------------------------------------------
 #
@@ -587,6 +642,11 @@ class TestGridValues:
     def test_degenerate_box(self):
         assert grid_values(Interval.point(F(3)), 5) == [F(3)]
 
+    def test_int_ends_give_fractions(self):
+        values = grid_values(Interval(1, 2), 3)
+        assert values == [F(1), F(3, 2), F(2)]
+        assert all(type(v) is F for v in values)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             grid_values(Interval.of(0, 1), 1)
@@ -714,6 +774,10 @@ class TestEnclosure:
 
     def test_affine_path(self):
         assert enclosure(DIST_DIFF) == ExactInterval(Interval.of(-3, 3))
+
+    def test_int_divisor_stays_exact(self):
+        e = Div(Meas(T, Interval(F(1), F(2)), D), Exact(3, D))
+        assert enclosure(e) == ExactInterval(Interval(F(1, 3), F(2, 3)))
 
     def test_non_affine_is_unknown(self):
         out = enclosure(DIST_DIV)

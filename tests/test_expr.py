@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -53,6 +54,26 @@ class TestInterval:
     def test_encloses(self):
         assert Interval.of(0, 10).encloses(Interval.of(2, 5))
         assert not Interval.of(2, 5).encloses(Interval.of(0, 10))
+
+
+class TestFractionLeaves:
+    """Interval ends and exact values are Fractions from construction on."""
+
+    def test_ints_become_fractions(self):
+        iv, ex = Interval(1, F(5, 2)), Exact(3, D)
+        assert (type(iv.lo), type(iv.hi), type(ex.value)) == (F, F, F)
+        assert (iv, ex) == (Interval(F(1), F(5, 2)), Exact(F(3), D))
+        with pytest.raises(IntervalOrderError):
+            Interval(2, 1)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1", Decimal(1), None])
+    def test_non_rationals_rejected(self, bad):
+        with pytest.raises(TypeError):
+            Interval(bad, F(2))
+        with pytest.raises(TypeError):
+            Interval(F(-2), bad)
+        with pytest.raises(TypeError):
+            Exact(bad, D)
 
 
 class TestTokenAndDim:

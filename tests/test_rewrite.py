@@ -1,5 +1,7 @@
 """Containment verdicts, rewrite classes, and evidence auditing."""
 
+import collections
+import copy
 import dataclasses
 import importlib
 import itertools
@@ -42,6 +44,7 @@ from enclosures import (
     enclosure,
     evaluate,
     licensed,
+    meas_leaves,
     parse,
     to_affine,
     token_consistent,
@@ -481,6 +484,28 @@ class TestAuditTamperTable:
         forged, src, tgt = FORGERIES[name]()
         assert not audit_verdict(forged, src, tgt)
 
+    @pytest.mark.parametrize("name", sorted(FORGERIES))
+    def test_forgery_is_rejected_with_warm_folds(self, affine_folds, monkeypatch, name):
+        # The trees were classified first, so every operator node's fold is
+        # memoized; a forged claim reads the same memo and still fails, at a
+        # cost of at most one sampled enclosure.
+        forged, src, tgt = FORGERIES[name]()
+        classify(src, tgt)
+        classify(tgt, src)
+        module = importlib.import_module("enclosures.enclosure")
+        streams = []
+
+        class Counted(module.SampleStream):
+            def __init__(self, *args):
+                streams.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(module, "SampleStream", Counted)
+        del affine_folds[:]
+        assert not audit_verdict(forged, src, tgt)
+        assert all(isinstance(e, (Meas, Exact)) for e in affine_folds)
+        assert len(streams) <= 1
+
     def test_genuine_evidence_kinds(self):
         over = _genuine(WIDE, PRODUCT, IntervalContainment).evidence
         assert over.target_kind == "over-approx" and over.target == Interval.of(1, 4)
@@ -659,7 +684,8 @@ class TestSamplesDrawnOnDemand:
 
 
 class TestAffineFoldsOnce:
-    """Each side's affine form is folded once per classify and once per audit."""
+    """Each side's affine form is folded at most once per classify and once
+    per audit, and an operator node's fold serves both."""
 
     PAIRS = {
         "interchangeable": (
@@ -695,6 +721,26 @@ class TestAffineFoldsOnce:
         assert audit_classification(cls, src, tgt)
         assert len(affine_folds) <= 2
 
+    def test_one_fold_per_operator_side_for_classify_and_audit(self, affine_folds):
+        # Each operator node keeps its fold, so the audit reads both memos.
+        src = parse("meas(t,[1,3],d) + meas(u,[0,2],d)")
+        tgt = parse("meas(t,[1,2],d) * exact(2,d) - exact(1,d)")
+        cls = classify(src, tgt)
+        assert audit_classification(cls, src, tgt)
+        assert affine_folds == [src, tgt]
+
+    def test_changing_a_fold_changes_no_audit(self):
+        src = parse("meas(t,[0,4],d) + exact(0,d)")
+        tgt = parse("meas(t,[1,2],d) * exact(2,d) - exact(1,d)")
+        cls = classify(src, tgt)
+        for e in (src, tgt):
+            f = to_affine(e)
+            f.coeffs[Token("t")] = F(-7)
+            f.boxes[Token("t")] = Interval.of(100, 101)
+        assert cls.kind is RewriteClass.ONE_WAY_ONLY_FORWARD
+        assert audit_classification(cls, src, tgt)
+        assert classify(src, tgt) == cls
+
     SELF_QUOTIENTS = {
         # straddles 0 until the last leaf narrows t's box
         "straddles-then-positive": ("meas(t,[-1,3],d) / meas(t,[-1,3],d) + meas(t,[1,2],d)", 2),
@@ -713,6 +759,42 @@ class TestAffineFoldsOnce:
         except NotAffineError:
             pass
         assert 1 <= len(affine_folds) <= most
+
+
+def _checked(src, tgt):
+    """repr of every verdict, audit and enclosure of the pair, grid 3."""
+    cls = classify(src, tgt, 3)
+    return repr((
+        cls,
+        licensed(src, tgt, 3),
+        licensed(tgt, src, 3),
+        audit_classification(cls, src, tgt),
+        audit_verdict(cls.forward, src, tgt),
+        audit_verdict(cls.backward, tgt, src),
+        enclosure(src, 3),
+        enclosure(tgt, 3),
+    ))
+
+
+class TestWarmFoldsChangeNothing:
+    def test_warm_and_cold_trees_agree(self):
+        kinds = collections.Counter()
+        for seed in range(240):
+            rng = random.Random(seed)
+            boxes = token_boxes(rng, 3)
+            gen = (gen_affine, gen_any)[seed % 2]
+            src, tgt = gen(rng, boxes, rng.randint(1, 9)), gen(rng, boxes, rng.randint(1, 9))
+            if seed % 3 == 0:
+                tgt = redeclare(rng, tgt)
+            leaf = next(meas_leaves(src), None)
+            if leaf is not None and seed % 5 == 0:  # a leaf outside its token's box empties src
+                clash = Meas(leaf.token, Interval(leaf.interval.hi + 1, leaf.interval.hi + 2), D)
+                src = Add(src, clash)
+            cold = copy.deepcopy((src, tgt))
+            first = _checked(src, tgt)  # folds, then reads the memos it left
+            assert _checked(src, tgt) == first == _checked(*cold), seed
+            kinds[classify(src, tgt, 3).kind] += 1
+        assert len(kinds) == len(RewriteClass), kinds
 
 
 # --- reference ladder ---------------------------------------------------------
