@@ -63,6 +63,11 @@ def _fraction(x: object) -> Fraction:
     raise TypeError(f"expected a rational number, got {type(x).__name__} {x!r}")
 
 
+def _parsed(x: object) -> Fraction:
+    """x as a Fraction, as `_fraction` converts it, or a string Fraction parses."""
+    return Fraction(x) if isinstance(x, str) else _fraction(x)
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed rational interval [lo, hi]; nonempty by construction.
@@ -83,12 +88,13 @@ class Interval:
 
     @classmethod
     def of(cls, lo, hi) -> "Interval":
-        """Build from anything Fraction accepts (ints, strings, Fractions)."""
-        return cls(Fraction(lo), Fraction(hi))
+        """Build from ints, Fractions or strings Fraction parses ("3/4",
+        "1.5"); a float or any other value raises TypeError."""
+        return cls(_parsed(lo), _parsed(hi))
 
     @classmethod
     def point(cls, q) -> "Interval":
-        q = Fraction(q)
+        q = _parsed(q)
         return cls(q, q)
 
     def contains(self, q: Fraction) -> bool:
@@ -168,16 +174,33 @@ class _Op:
 
     With fixed arities a tree is determined by its post-order, so trees are
     equal exactly when their post-orders agree, operators compared by class
-    and leaves by value.  Unlike the dataclass methods, none of these
-    recurse; repr prints the text the dataclass repr would.  They read
-    only the fields, so a memo that `enclosure.to_affine` stores on a node
-    is invisible to them, and a copy or an unpickled tree carries none.
+    and leaves by value.  Equality walks both trees in step and stops at
+    the first difference; hashing and pickling use the post-order.  Unlike
+    the dataclass methods, none of these recurse; repr prints the text the
+    dataclass repr would.  They read only the fields, so the memos that
+    `enclosure.to_affine` (a fold) and `semantics.compile_expr` (a
+    program) store on a node are invisible to them, and a copy or an
+    unpickled tree carries neither.
     """
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return _shape(self) == _shape(other)
+        stack = [(self, other)]  # pairs of subtrees in the same place
+        while stack:
+            a, b = stack.pop()
+            if a is b:  # one parse shares equal leaves, so often so
+                continue
+            cls = type(a)
+            if cls is not type(b):
+                return False
+            if cls is Neg:
+                stack.append((a.operand, b.operand))
+            elif isinstance(a, _Op):  # push the right pair first, to pop the left first
+                stack += (a.rhs, b.rhs), (a.lhs, b.lhs)
+            elif a != b:
+                return False
+        return True
 
     def __hash__(self) -> int:
         return hash(tuple(_shape(self)))

@@ -10,12 +10,12 @@ makes repeated occurrences of one token carry one shared value.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Mapping
 
-from .expr import Add, Div, Exact, Expr, Meas, Mul, Neg, Sub, Token, is_exact, postorder
+from .expr import Add, Div, Exact, Expr, Meas, Mul, Neg, Sub, Token, _fraction, postorder
 
 _ZERO = Fraction(0)
 
@@ -28,12 +28,23 @@ class NotExactError(Exception):
 class TokenEnv:
     """Finite map from tokens to rationals; unbound tokens read as default.
 
+    Values are Fractions: an int or other rational is converted, and a
+    float or any other value raises TypeError.
+
     Only tokens occurring in an expression can influence its value, so the
     default for the rest is observationally irrelevant.
     """
 
     bindings: Mapping[Token, Fraction] = field(default_factory=dict)
     default: Fraction = _ZERO
+
+    def __post_init__(self) -> None:
+        if type(self.default) is not Fraction or any(
+            type(v) is not Fraction for v in self.bindings.values()
+        ):
+            bindings = {t: _fraction(v) for t, v in self.bindings.items()}
+            object.__setattr__(self, "bindings", bindings)
+            object.__setattr__(self, "default", _fraction(self.default))
 
     def value(self, token: Token) -> Fraction:
         return self.bindings.get(token, self.default)
@@ -49,57 +60,111 @@ class TokenEnv:
 EMPTY_ENV = TokenEnv()
 
 
-# A compiled expression maps a token lookup to the expression's value.
-Compiled = Callable[[Callable[[Token], Fraction]], Fraction]
+# A register's value: a reduced integer (numerator, denominator) pair, with
+# the denominator positive.
+_Pair = tuple[int, int]
 
 
-def _quotient(a: Fraction, b: Fraction) -> Fraction:
-    return a / b if b else _ZERO
+def _add(a: _Pair, b: _Pair) -> _Pair:
+    (p, q), (r, s) = a, b
+    n, d = p * s + r * q, q * s
+    g = gcd(n, d)
+    return n // g, d // g
 
 
-def _negate(a: Fraction, _: Fraction) -> Fraction:
-    return -a
+def _sub(a: _Pair, b: _Pair) -> _Pair:
+    (p, q), (r, s) = a, b
+    n, d = p * s - r * q, q * s
+    g = gcd(n, d)
+    return n // g, d // g
 
 
-_STEP = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _quotient}
+def _mul(a: _Pair, b: _Pair) -> _Pair:
+    (p, q), (r, s) = a, b
+    n, d = p * r, q * s
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _quotient(a: _Pair, b: _Pair) -> _Pair:
+    (p, q), (r, s) = a, b
+    if not r:
+        return 0, 1  # total division: x / 0 = 0
+    n, d = (p * s, q * r) if r > 0 else (-p * s, -q * r)
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _negate(a: _Pair, _: _Pair) -> _Pair:
+    return -a[0], a[1]
+
+
+_STEP = {Add: _add, Sub: _sub, Mul: _mul, Div: _quotient, Neg: _negate}
+
+
+class Compiled:
+    """A tree flattened once into a straight-line program over registers.
+
+    Constants are filled in here, each distinct token gets one register
+    that the token lookup loads, and each operator is one step over
+    earlier registers.  Registers hold reduced integer pairs, so a run
+    makes one Fraction, at the end.  `leaves` lists the tree's distinct
+    measured leaves, by node identity, for `token_consistent`.
+    """
+
+    def __init__(self, e: Expr):
+        registers: list[_Pair | None] = []
+        loads: list[tuple[int, Token]] = []
+        steps: list[tuple[int, Callable[[_Pair, _Pair], _Pair], int, int]] = []
+        leaves: dict[int, Meas] = {}
+        token_registers: dict[Token, int] = {}
+        pending: list[int] = []  # registers of subtrees whose parent is still to come
+        for node in postorder(e):
+            cls, k = type(node), len(registers)
+            if cls is Meas:
+                leaves[id(node)] = node
+                k = token_registers.setdefault(node.token, k)
+                if k == len(registers):  # the token's first leaf
+                    loads.append((k, node.token))
+                    registers.append(None)
+            elif cls is Exact:
+                registers.append(node.value.as_integer_ratio())
+            elif cls in _STEP:  # a Neg's one operand fills both places
+                rhs = pending.pop()
+                steps.append((k, _STEP[cls], rhs if cls is Neg else pending.pop(), rhs))
+                registers.append(None)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            pending.append(k)
+        self.leaves = list(leaves.values())
+        self._registers, self._loads, self._steps, self._root = registers, loads, steps, k
+
+    def __call__(self, value_of: Callable[[Token], Fraction]) -> Fraction:
+        """The tree's value, where value_of(t) is token t's value; division
+        is total, as in `evaluate`."""
+        values = self._registers.copy()
+        for k, token in self._loads:
+            values[k] = value_of(token).as_integer_ratio()
+        for k, step, i, j in self._steps:
+            values[k] = step(values[i], values[j])
+        return Fraction(*values[self._root])
 
 
 def compile_expr(e: Expr) -> Compiled:
-    """Flatten the tree once into a straight-line program over registers.
+    """e's program, which can then be run under many environments.
 
-    Register k holds the value of the k-th node in post-order: constants
-    are filled in here, measured leaves are loaded through the token
-    lookup (for instance ``env.value``), and each operator is one step
-    over earlier registers.  One compiled expression can then be run under
-    many environments; division is total, as in `evaluate`.
+    Trees are immutable, so an operator node keeps its program in a
+    private attribute, beside the fold `enclosure.to_affine` keeps, and
+    the program is built once per tree.  A leaf builds one in O(1) and
+    keeps nothing.  Equality, hashing, repr, pickle and copy ignore both
+    memos, so `copy.deepcopy(e)` is a cold tree.
     """
-    registers: list[Fraction | None] = []
-    loads: list[tuple[int, Token]] = []
-    steps: list[tuple[int, Callable[[Fraction, Fraction], Fraction], int, int]] = []
-    pending: list[int] = []  # registers of subtrees whose parent is still to come
-    for k, node in enumerate(postorder(e)):
-        cls = type(node)
-        registers.append(node.value if cls is Exact else None)
-        if cls is Meas:
-            loads.append((k, node.token))
-        elif cls is Neg:
-            steps.append((k, _negate, pending[-1], pending.pop()))
-        elif cls in _STEP:
-            rhs = pending.pop()
-            steps.append((k, _STEP[cls], pending.pop(), rhs))
-        elif cls is not Exact:
-            raise TypeError(f"not an expression node: {node!r}")
-        pending.append(k)
-
-    def run(value_of: Callable[[Token], Fraction]) -> Fraction:
-        values = registers.copy()
-        for k, token in loads:
-            values[k] = value_of(token)
-        for k, step, i, j in steps:
-            values[k] = step(values[i], values[j])
-        return values[-1]
-
-    return run
+    program = getattr(e, "_program", None)
+    if program is None:
+        program = Compiled(e)
+        if isinstance(e, (Add, Sub, Mul, Div, Neg)):
+            object.__setattr__(e, "_program", program)
+    return program
 
 
 def evaluate(env: TokenEnv, e: Expr) -> Fraction:
@@ -112,18 +177,19 @@ def token_consistent(env: TokenEnv, e: Expr) -> bool:
 
     The condition is indexed by tokens, not leaf positions: two leaves
     sharing a token are checked against the same assigned value, once per
-    declared interval.  A leaf node shared within the tree, as equal leaf
-    texts are in one parse, is checked once.
+    declared interval.  The leaves are the ones e's program lists, which
+    `compile_expr` keeps on an operator node beside the fold
+    `enclosure.to_affine` keeps there.  So a leaf node shared within the
+    tree, as equal leaf texts are in one parse, is checked once, and no
+    check walks the tree again.
     """
-    leaves = {id(node): node for node in postorder(e) if type(node) is Meas}
-    return all(
-        leaf.interval.contains(env.value(leaf.token)) for leaf in leaves.values()
-    )
+    value = env.value
+    return all(leaf.interval.contains(value(leaf.token)) for leaf in compile_expr(e).leaves)
 
 
 def exact_value(e: Expr) -> Fraction:
     """Value of a measurement-free expression; independent of any world."""
-    if not is_exact(e):
+    program = compile_expr(e)
+    if program.leaves:
         raise NotExactError("expression contains a measured leaf")
-    return evaluate(EMPTY_ENV, e)
-
+    return program(EMPTY_ENV.value)

@@ -38,6 +38,22 @@ def affine_folds(monkeypatch):
     return folded
 
 
+@pytest.fixture
+def compiles(monkeypatch):
+    """The expressions `compile_expr` builds a program for while the test
+    runs, in order."""
+    module = importlib.import_module("enclosures.semantics")
+    build = module.Compiled
+    built = []
+
+    def counted(e):
+        built.append(e)
+        return build(e)
+
+    monkeypatch.setattr(module, "Compiled", counted)
+    return built
+
+
 FRACTION_OPS = (
     "__add__",
     "__radd__",

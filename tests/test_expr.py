@@ -1,6 +1,7 @@
 """Core types, the expression grammar, and the printer/parser pair."""
 
 import dataclasses
+import importlib
 import random
 from decimal import Decimal
 from fractions import Fraction as F
@@ -74,6 +75,92 @@ class TestFractionLeaves:
             Interval(F(-2), bad)
         with pytest.raises(TypeError):
             Exact(bad, D)
+
+
+    def test_of_and_point_reject_floats(self):
+        assert Interval.of(1, F(5, 2)) == Interval.of("1", "5/2") == Interval(F(1), F(5, 2))
+        assert Interval.of("0.1", 1).lo == F(1, 10)
+        assert Interval.point(3) == Interval.point("3") == Interval(F(3), F(3))
+        for bad in (0.1, 1.0, Decimal(1), None):
+            with pytest.raises(TypeError):
+                Interval.of(bad, 1)
+            with pytest.raises(TypeError):
+                Interval.of(0, bad)
+            with pytest.raises(TypeError):
+                Interval.point(bad)
+
+
+def _deep(depth: int, last: Meas, op=Add) -> Add:
+    """op(m_1, op(m_2, ... op(m_depth, last))): a right chain depth deep."""
+    e = last
+    for i in range(depth, 0, -1):
+        e = op(Meas(Token(f"t{i % 7}"), Interval.of(0, i), D), e)
+    return e
+
+
+class TestLockstepEquality:
+    """Equality walks both trees in step, skips shared subtrees and stops at
+    the first difference; hashing still reads the post-order."""
+
+    LEAF = Meas(Token("t"), Interval.of(0, 1), D)
+    OTHER = Meas(Token("t"), Interval.of(0, 2), D)
+
+    @pytest.fixture
+    def leaf_comparisons(self, monkeypatch):
+        """Meas.__eq__ calls while the test runs."""
+        calls = []
+        compare = Meas.__eq__
+
+        def counted(a, b):
+            calls.append((a, b))
+            return compare(a, b)
+
+        monkeypatch.setattr(Meas, "__eq__", counted)
+        return calls
+
+    def test_deep_trees_equal_and_unequal(self):
+        a, b = _deep(3000, self.LEAF), _deep(3000, self.LEAF)
+        assert a is not b and a == b and hash(a) == hash(b)
+        deeper_diff = _deep(3000, self.OTHER)
+        assert a != deeper_diff and not a == deeper_diff
+        assert _deep(3000, self.LEAF, Sub) != a
+
+    def test_mismatch_at_the_root_walks_nothing(self, leaf_comparisons, monkeypatch):
+        def walked(e):
+            raise AssertionError("equality built a post-order")
+
+        monkeypatch.setattr(importlib.import_module("enclosures.expr"), "postorder", walked)
+        a = _deep(3000, self.LEAF)
+        assert Sub(a.lhs, a.rhs) != a and Neg(a) != Neg(Sub(a.lhs, a.rhs))
+        assert leaf_comparisons == []
+
+    def test_mismatch_at_the_deepest_leaf(self, leaf_comparisons):
+        a, b = _deep(50, self.LEAF), _deep(50, self.OTHER)
+        assert a != b
+        assert leaf_comparisons[-1] == (self.LEAF, self.OTHER)
+        assert len(leaf_comparisons) == 51  # every leaf, the deepest last
+
+    def test_mismatch_in_the_first_leaf_stops_there(self, leaf_comparisons):
+        a = _deep(50, self.LEAF)
+        b = Add(Meas(Token("x"), Interval.of(0, 1), D), a.rhs)
+        assert a != b
+        assert len(leaf_comparisons) == 1
+
+    def test_shared_subtrees_are_not_compared(self, leaf_comparisons):
+        a = _deep(50, self.LEAF)
+        assert Add(a, a) == Add(a, Add(a.lhs, a.rhs))
+        assert leaf_comparisons == []
+
+    def test_mismatch_in_a_shared_leaf(self):
+        # parse shares one node per leaf text, so a tree can hold one leaf
+        # object in several places; a copy differing in one of them differs.
+        e = parse("meas(t,[0,1],d) * meas(t,[0,1],d) + meas(t,[0,1],d)")
+        shared = e.rhs
+        assert e.lhs.lhs is e.lhs.rhs is shared
+        assert e == Add(Mul(shared, shared), shared)
+        assert e != Add(Mul(shared, self.OTHER), shared)
+        assert e != Add(Mul(shared, shared), self.OTHER)
+        assert e != Add(Mul(self.OTHER, shared), shared)
 
 
 class TestTokenAndDim:

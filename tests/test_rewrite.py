@@ -683,6 +683,38 @@ class TestSamplesDrawnOnDemand:
         assert seen and truncated, (seen, truncated)
 
 
+class TestOneProgramPerSide:
+    """A side that `classify` or its audit evaluates builds its program once:
+    the witness `classify` checks and the audit's check of it share the
+    program memoized on the side's operator node."""
+
+    SUM = (
+        "meas(t,[1,3],d) + meas(u,[0,2],d) - exact(2,d) * meas(v,[0,1],d)"
+        " + meas(t,[1,3],d) / exact(3,d)"
+    )
+    PAIRS = {
+        "one-way (halved sum)": (SUM, f"({SUM}) / exact(2,d)", RewriteClass.ONE_WAY_ONLY_FORWARD),
+        "incomparable (shifted sum)": (SUM, f"{SUM} + exact(1,d)", RewriteClass.INCOMPARABLE),
+        "point target": (SUM, "exact(1,d)", RewriteClass.ONE_WAY_ONLY_FORWARD),
+        "sampled point target": (
+            "meas(t,[1,2],d) * meas(u,[1,2],d)",
+            "exact(2,d)",
+            RewriteClass.ONE_WAY_ONLY_FORWARD,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(PAIRS))
+    def test_one_build_per_side_for_classify_and_audit(self, compiles, name):
+        src_text, tgt_text, kind = self.PAIRS[name]
+        src, tgt = parse(src_text), parse(tgt_text)
+        cls = classify(src, tgt)
+        assert cls.kind is kind
+        assert audit_classification(cls, src, tgt)
+        built = [e for e in compiles if not isinstance(e, (Exact, Meas))]  # leaves keep nothing
+        assert built and all(e is src or e is tgt for e in built)
+        assert len(built) == len({id(e) for e in built}), built
+
+
 class TestAffineFoldsOnce:
     """Each side's affine form is folded at most once per classify and once
     per audit, and an operator node's fold serves both."""

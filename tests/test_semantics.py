@@ -1,17 +1,30 @@
 """Evaluation, token consistency, exact values, environment files."""
 
+import copy
+import operator
+import pickle
 import random
 from collections import Counter
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Callable
 
 import pytest
 from hypothesis import given, strategies as st
 
 from enclosures import (
     EMPTY_ENV,
+    Add,
+    Div,
+    Exact,
+    Expr,
     InfeasibleTokenError,
+    Meas,
+    Mul,
+    Neg,
     NotExactError,
     ParseError,
+    Sub,
     Token,
     TokenEnv,
     effective_intervals,
@@ -24,9 +37,14 @@ from enclosures import (
     token_consistent,
     tokens_of,
 )
+from enclosures.expr import postorder
+from enclosures.semantics import compile_expr
 from exprgen import (
+    CHAIN_WRAPS,
+    gen_affine,
     gen_any,
     gen_exact,
+    long_affine_text,
     naive_consistent,
     naive_evaluate,
     rand_rational,
@@ -238,3 +256,261 @@ class TestParseEnv:
         with pytest.raises(ParseError) as err:
             parse_env(text)
         assert str(err.value).startswith(f"line {self.LINES[text]}: ")
+
+
+class TestExactEnvironments:
+    """An environment holds Fractions, as leaves do, so evaluation is exact."""
+
+    T, U = Token("t"), Token("u")
+
+    def test_int_values_become_fractions(self):
+        env = TokenEnv({self.T: 3, self.U: 2})
+        assert all(type(v) is F for v in env.bindings.values())
+        assert env == TokenEnv({self.T: F(3), self.U: F(2)})
+        assert type(TokenEnv(default=1).default) is F
+        quotient = evaluate(env, parse("meas(t,[0,5],d) / meas(u,[1,5],d)"))
+        leaf = evaluate(env, parse("meas(t,[0,5],d)"))
+        assert (quotient, type(quotient)) == (F(3, 2), F)
+        assert (leaf, type(leaf)) == (F(3), F)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+    def test_non_rationals_rejected(self, bad):
+        with pytest.raises(TypeError):
+            TokenEnv({self.T: F(1), self.U: bad})
+        with pytest.raises(TypeError):
+            TokenEnv(default=bad)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "exact(2,d)",
+            "meas(t,[0,5],d)",
+            "-meas(t,[0,5],d)",
+            "exact(1,d) / exact(0,d)",
+            "exact(3,d) * exact(1/3,d)",
+            "meas(t,[0,5],d) - meas(t,[0,5],d)",
+        ],
+    )
+    def test_evaluate_always_gives_a_fraction(self, text):
+        e = parse(text)
+        for env in (EMPTY_ENV, TokenEnv({self.T: 4}), TokenEnv({self.T: F(1, 2)})):
+            value = evaluate(env, e)
+            assert type(value) is F and value == naive_evaluate(env, e)
+        if "meas" not in text:
+            assert type(exact_value(e)) is F
+
+
+# --- reference program ----------------------------------------------------------
+#
+# `compile_expr` and `token_consistent` as the package wrote them before the
+# program was memoized and ran over integer pairs, kept verbatim but for their
+# names, so the program is checked value for value against an independent text.
+
+_ZERO = Fraction(0)
+
+Compiled = Callable[[Callable[[Token], Fraction]], Fraction]
+
+
+def _quotient(a: Fraction, b: Fraction) -> Fraction:
+    return a / b if b else _ZERO
+
+
+def _negate(a: Fraction, _: Fraction) -> Fraction:
+    return -a
+
+
+_STEP = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _quotient}
+
+
+def _reference_compile_expr(e: Expr) -> Compiled:
+    """Flatten the tree once into a straight-line program over registers.
+
+    Register k holds the value of the k-th node in post-order: constants
+    are filled in here, measured leaves are loaded through the token
+    lookup (for instance ``env.value``), and each operator is one step
+    over earlier registers.  One compiled expression can then be run under
+    many environments; division is total, as in `evaluate`.
+    """
+    registers: list[Fraction | None] = []
+    loads: list[tuple[int, Token]] = []
+    steps: list[tuple[int, Callable[[Fraction, Fraction], Fraction], int, int]] = []
+    pending: list[int] = []  # registers of subtrees whose parent is still to come
+    for k, node in enumerate(postorder(e)):
+        cls = type(node)
+        registers.append(node.value if cls is Exact else None)
+        if cls is Meas:
+            loads.append((k, node.token))
+        elif cls is Neg:
+            steps.append((k, _negate, pending[-1], pending.pop()))
+        elif cls in _STEP:
+            rhs = pending.pop()
+            steps.append((k, _STEP[cls], pending.pop(), rhs))
+        elif cls is not Exact:
+            raise TypeError(f"not an expression node: {node!r}")
+        pending.append(k)
+
+    def run(value_of: Callable[[Token], Fraction]) -> Fraction:
+        values = registers.copy()
+        for k, token in loads:
+            values[k] = value_of(token)
+        for k, step, i, j in steps:
+            values[k] = step(values[i], values[j])
+        return values[-1]
+
+    return run
+
+
+def _reference_token_consistent(env: TokenEnv, e: Expr) -> bool:
+    """True iff every measured leaf's interval contains its token's value.
+
+    The condition is indexed by tokens, not leaf positions: two leaves
+    sharing a token are checked against the same assigned value, once per
+    declared interval.  A leaf node shared within the tree, as equal leaf
+    texts are in one parse, is checked once.
+    """
+    leaves = {id(node): node for node in postorder(e) if type(node) is Meas}
+    return all(
+        leaf.interval.contains(env.value(leaf.token)) for leaf in leaves.values()
+    )
+
+
+def _agrees(env: TokenEnv, e: Expr) -> F:
+    """evaluate and token_consistent give the reference's answers; the value."""
+    value = evaluate(env, e)
+    assert type(value) is F
+    assert value == _reference_compile_expr(e)(env.value)
+    assert token_consistent(env, e) is _reference_token_consistent(env, e)
+    return value
+
+
+def _chain(wrap: str) -> Expr:
+    """A depth-800 right chain joined as CHAIN_WRAPS[wrap] says."""
+    return parse(long_affine_text(random.Random(800), 800, 200, True, CHAIN_WRAPS[wrap]))
+
+
+def _inner_env(e: Expr, k: int = 1) -> TokenEnv:
+    """Each token k/3 of the way up its effective box."""
+    return TokenEnv(
+        {t: box.lo + (box.hi - box.lo) * F(k, 3) for t, box in effective_intervals(e).items()}
+    )
+
+
+class TestProgramMatchesReference:
+    """The memoized integer-pair program gives the parent's values and
+    consistency verdicts, as Fractions."""
+
+    @pytest.mark.parametrize("gen", [gen_any, gen_affine], ids=["any", "affine"])
+    def test_seeded_trees(self, gen):
+        consistent = Counter()
+        for seed in range(300):
+            rng = random.Random(seed)
+            boxes = token_boxes(rng)
+            e = gen(rng, boxes, rng.randint(1, 15))
+            if seed % 3 == 0:
+                e = redeclare(rng, e)
+            if seed % 2:
+                e = parse(format_expr(e))  # equal leaf texts share one node
+            tokens = sorted(tokens_of(e), key=lambda t: t.name)
+            for _ in range(4):
+                # Box ends, small rationals (zero denominators are common),
+                # ints and unbound tokens.
+                env = TokenEnv(
+                    {
+                        t: rng.choice(
+                            (
+                                boxes[t].lo,
+                                boxes[t].hi,
+                                rand_rational(rng, -2, 2, 2),
+                                rng.randint(-3, 3),
+                            )
+                        )
+                        for t in tokens
+                        if rng.random() < 0.9
+                    }
+                )
+                assert _agrees(env, e) == naive_evaluate(env, e)
+                consistent[naive_consistent(env, e)] += 1
+        assert consistent[True] > 100 and consistent[False] > 100, consistent
+
+    SPECIAL = [
+        "meas(t,[1,2],d) / exact(0,d)",
+        "meas(u,[-1,1],d) / (meas(t,[0,2],d) - meas(t,[0,2],d))",
+        "(meas(t,[0,2],d) / meas(u,[-1,1],d)) / (exact(1,d) / meas(t,[0,2],d))",
+        "meas(t,[0,2],d) / (meas(u,[-1,1],d) / (meas(t,[0,2],d) / meas(u,[-1,1],d)))",
+        "-(-meas(t,[0,2],d) / -(meas(u,[-1,1],d) - exact(1/2,d)))",
+        "exact(3,d) / exact(-4,d) * -exact(2,d)",
+        "meas(t,[0,2],d) * meas(u,[-1,1],d) - meas(t,[1,3],d)",
+        "meas(t,[0,2],d)",
+        "-meas(u,[-1,1],d)",
+        "exact(5/3,d)",
+    ]
+
+    @pytest.mark.parametrize("text", SPECIAL)
+    def test_quotients_and_negations(self, text):
+        e = parse(text)
+        for t in (0, 1, 2, 3, F(1, 2), F(-7, 3)):
+            for u in (0, -1, F(1, 3), F(1, 2), 1):
+                env = TokenEnv({Token("t"): t, Token("u"): u})
+                assert _agrees(env, e) == naive_evaluate(env, e)
+
+    @pytest.mark.parametrize("wrap", list(CHAIN_WRAPS))
+    def test_depth_800_chains(self, wrap):
+        e = _chain(wrap)
+        for k in (0, 1, 3):
+            _agrees(_inner_env(e, k), e)
+        _agrees(TokenEnv({t: 100 for t in tokens_of(e)}), e)  # inconsistent, ints
+        _agrees(EMPTY_ENV, e)
+
+
+MEMO_TREES = {
+    "affine": "meas(t,[1,3],d) * exact(2,d) - meas(u,[0,1],d)",
+    "product": "meas(t,[1,2],d) * meas(u,[1,2],d) / meas(t,[1,2],d)",
+    "exact": "exact(1,d) / exact(3,d) - -exact(2,d)",
+    "negated": "-meas(t,[1,2],d)",
+}
+MEMO_ENV = TokenEnv({Token("t"): F(3, 2), Token("u"): F(1, 2)})
+
+
+class TestProgramMemo:
+    """An operator node keeps its program: `evaluate`, `token_consistent` and
+    `exact_value` build it once per tree, and no result, copy, pickle or
+    comparison can tell."""
+
+    @pytest.mark.parametrize("name", list(MEMO_TREES))
+    def test_built_once_per_tree(self, compiles, name):
+        e = parse(MEMO_TREES[name])
+        first = evaluate(MEMO_ENV, e), token_consistent(MEMO_ENV, e)
+        for _ in range(3):
+            assert (evaluate(MEMO_ENV, e), token_consistent(MEMO_ENV, e)) == first
+        if name == "exact":
+            assert exact_value(e) == first[0]
+        assert compile_expr(e) is compile_expr(e)
+        assert len(compiles) == 1 and compiles[0] is e
+
+    def test_a_leaf_keeps_nothing(self, compiles):
+        leaf = parse("meas(t,[1,2],d)")
+        fields = dict(vars(leaf))
+        assert evaluate(MEMO_ENV, leaf) == evaluate(MEMO_ENV, leaf) == F(3, 2)
+        assert len(compiles) == 2 and vars(leaf) == fields
+
+    @pytest.mark.parametrize("name", list(MEMO_TREES))
+    def test_memo_is_invisible_and_not_copied(self, compiles, name):
+        e = parse(MEMO_TREES[name])
+        before = pickle.dumps(e), repr(e), hash(e)
+        value = evaluate(MEMO_ENV, e)
+        assert (pickle.dumps(e), repr(e), hash(e)) == before
+        assert e == parse(MEMO_TREES[name]) == pickle.loads(before[0])
+        for cold in (copy.deepcopy(e), copy.copy(e), pickle.loads(pickle.dumps(e))):
+            del compiles[:]
+            assert evaluate(MEMO_ENV, cold) == value
+            assert len(compiles) == 1 and compiles[0] is cold
+
+    @pytest.mark.parametrize("wrap", list(CHAIN_WRAPS))
+    def test_depth_800_chain_makes_no_fraction_arithmetic(self, fraction_ops, wrap):
+        # The parent ran hundreds of Fraction operations per evaluation here.
+        e = _chain(wrap)
+        env = _inner_env(e)
+        for _ in ("cold", "warm"):
+            fraction_ops.clear()
+            evaluate(env, e)
+            assert sum(fraction_ops.values()) <= 2, fraction_ops
