@@ -37,7 +37,7 @@ from .expr import (
     narrow_box,
     postorder,
 )
-from .semantics import TokenEnv, compile_expr, evaluate, token_consistent
+from .semantics import TokenEnv, _mul, compile_expr, evaluate, token_consistent
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -228,7 +228,7 @@ def _affine_parts(
                             "self-quotient can take both 0 and 1 over the boxes"
                         )
             else:  # measured on both sides, so off the fragment; the right part's entries win
-                (k := _flatten(k)).update(_flatten(kr))
+                k = [k, kr]
                 c = NotAffineError(_OFF_FRAGMENT[cls])
         else:
             raise TypeError(f"not an expression node: {node!r}")
@@ -240,25 +240,65 @@ def _affine_parts(
 
 
 def _flatten(part) -> dict[Token, Fraction]:
-    """The coeffs of a linear part, summed left to right with a running multiplier
-    and sign, so each token keeps its first-seen place.  A part is a leaf's Token,
-    a sum (left, right, negate_right), a scaling (factor, part), a dict or None."""
-    if type(part) is not tuple:  # a leaf, a dict (it has one consumer) or None
+    """The coeffs of a linear part.  A part is a leaf's Token, a sum (left,
+    right, negate_right), a scaling (factor, part), a merge [left, right]
+    (left's coeffs updated with right's), a dict or None.
+
+    One walk, left to right with a running multiplier, so each token keeps
+    its first-seen place.  Coefficients are summed as integer (numerator,
+    denominator) pairs, and each is made a Fraction once, at the end.  A
+    merge fills a dict of its own, with its operands' coeffs in turn (a
+    nested merge's operands count as its own), and is then summed in,
+    scaled; a sum, scaling or dict inside a merge is summed on its own first."""
+    if type(part) is not tuple and type(part) is not list:  # a leaf, a one-consumer dict or None
         return {part: _ONE} if type(part) is Token else part or {}
-    coeffs: dict[Token, Fraction] = {}
-    stack = [(part, _ONE, False)]
+    coeffs: dict[str, list] = {}  # token name -> [token, numerator, denominator]
+    into, merge, below = coeffs, False, []  # the dict being filled, and the ones under it
+    stack: list = [(part, 1, 1)]
     while stack:
-        part, m, neg = stack.pop()
-        if type(part) is Token:
-            old = coeffs.get(part)
-            coeffs[part] = (-m if neg else m) if old is None else (old - m if neg else old + m)
-        elif type(part) is dict:
-            stack += [(t, m * v, neg) for t, v in reversed(part.items())]
-        elif type(part) is tuple and len(part) == 2:
-            stack.append((part[1], part[0] if m is _ONE else m * part[0], neg))
-        elif part is not None:  # push the right side first, to pop the left first
-            stack += (part[1], m, neg is not part[2]), (part[0], m, neg)
-    return coeffs
+        part, n, d = stack.pop()
+        while type(part) is tuple and not merge:  # down sums' left sides, and scalings
+            if len(part) == 3:  # the right side waits
+                stack.append((part[1], -n if part[2] else n, d))
+                part = part[0]
+            else:
+                n, d = _mul((n, d), part[0].as_integer_ratio())
+                part = part[1]
+        kind = type(part)
+        if kind is Token:
+            old = None if merge else into.get(part.name)
+            if old is None:
+                into[part.name] = [part, n, d]
+            elif old[2] == d:
+                old[1] += n
+            else:
+                g = gcd(old[2], d)
+                old[1:] = old[1] * (d // g) + n * (old[2] // g), old[2] // g * d
+        elif part is None:
+            continue
+        elif kind is list:
+            if not merge:
+                below.append((into, merge))
+                into, merge = {}, True
+                stack.append((_CLOSE, n, d))
+            stack += (part[1], 1, 1), (part[0], 1, 1)
+        elif part is _CLOSE:  # the dict being filled is complete: into the one under it
+            closed, merged = into, merge
+            into, merge = below.pop()
+            if not merged or not into and n == d == 1:  # a merge's operand, or a sum of one merge
+                into.update(closed)
+            else:  # a merge's coeffs are summed in, scaled
+                stack += [(t, *_mul((p, q), (n, d))) for t, p, q in reversed(closed.values())]
+        elif merge:
+            below.append((into, merge))
+            into, merge = {}, False
+            stack += (_CLOSE, 1, 1), (part, 1, 1)
+        else:
+            stack += [(t, *_mul((n, d), v.as_integer_ratio())) for t, v in reversed(part.items())]
+    return {t: _ONE if p == q else Fraction(p, q) for t, p, q in coeffs.values()}
+
+
+_CLOSE = object()  # on `_flatten`'s stack: the dict being filled is complete
 
 
 def _linear_bounds(

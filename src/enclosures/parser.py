@@ -14,20 +14,24 @@ binary operators are left-associative, and unary minus binds tighter than
 Interval and rational literals stand alone in the same syntax, and an
 environment file holds one "ident = rat" binding per line.
 
-A leaf written with nothing between its parts, as `format_expr` prints
-it, is read in one lexer match, and `parse` builds one node per distinct
-leaf text, so equal leaves in one expression are one object.  Any other
-leaf is read lexeme by lexeme, which is also how every error is found.
+Each input is lexed by one `findall` into plain strings.  A leaf with no
+blank, comment or parenthesis inside its own is one lexeme, and `parse`
+checks it against the grammar and builds its node once per distinct leaf
+text, so equal leaves in one expression are one object.  Any other leaf
+is read lexeme by lexeme, which is also how every error is found; an
+error's character offset is worked out only then.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
+from typing import Callable, TypeVar
 
 from .expr import Add, Div, Dim, Exact, Expr, Interval, Meas, Mul, Neg, Sub, Token
 from .semantics import TokenEnv
+
+_T = TypeVar("_T")
 
 
 class ParseError(ValueError):
@@ -38,70 +42,78 @@ class ParseError(ValueError):
         self.position = position
 
 
+class _Misread(Exception):
+    """A ParseError's message and the index of its lexeme, before its offset is known."""
+
+
 # Precedences: "(" waits below every operator, and unary minus binds
 # tighter than "*" and "/", which bind tighter than "+" and "-".
 _PREFIX = {"(": (0, None), "-": (3, Neg)}
 _INFIX = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_RAT = r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?"  # a numerator, then a nonzero denominator if any
 
-
-def _rat(name: str) -> str:
-    """A compact rational: its numerator, then a nonzero denominator if any."""
-    return rf"(?P<{name}>-?[0-9]+)(?:/(?P<{name}_den>0*[1-9][0-9]*))?"
-
-
-# One match per lexeme, blanks and comments before it included.  A match
-# always succeeds where the previous one ended, so nothing is skipped.
-# The first two alternatives take a whole leaf with no blank, comment or
-# zero denominator inside as one lexeme; any other leaf falls through to
-# one lexeme per name, number and symbol.
+# One match per lexeme, blanks and comments before it included; its group is
+# the lexeme, "" at the end.  A leaf with no blank, comment or parenthesis
+# inside its own is one lexeme, and other text one per name, number and
+# symbol.  `_read` checks first that no character is left between matches.
 _LEXEME = re.compile(
-    r"(?:\s+|#[^\n]*)*(?:"
-    rf"(?P<meas>meas\((?P<token>{_NAME}),\[{_rat('lo')},{_rat('hi')}\],(?P<mdim>{_NAME})\))"
-    rf"|(?P<exact>exact\({_rat('value')},(?P<edim>{_NAME})\))"
-    rf"|(?P<IDENT>{_NAME})|(?P<NUMBER>[0-9]+)"
-    r"|(?P<SYM>[-+*/()\[\],])|(?P<EOF>\Z)|(?P<BAD>.))"
+    rf"(?:\s+|#[^\n]*)*((?:meas|exact)\([^\s#()]*\)|{_NAME}|[0-9]+|[-+*/()\[\],]|\Z)"
 )
-
-# (kind, text, offset): kind is IDENT, NUMBER, EOF or the symbol.  A compact
-# leaf is (LEAF, its keyword, offset, its match); errors name the keyword.
-Lexeme = tuple[str, str, int] | tuple[str, str, int, re.Match]
-
-
-def _lexemes(text: str, start: int = 0, end: int = sys.maxsize) -> list[Lexeme]:
-    out: list[Lexeme] = []
-    for m in _LEXEME.finditer(text, start, end):
-        kind = m.lastgroup
-        if kind in _LEAVES:  # `parse` builds it when reached, so errors keep text order
-            out.append(("LEAF", kind, m.start(kind), m))
-            continue
-        found = m[kind]
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {found!r}", m.start(kind))
-        out.append((found if kind == "SYM" else kind, found, m.start(kind)))
-        if kind == "EOF":
-            break
-    return out
+# A leaf lexeme that the grammar accepts, with its parts as groups.
+_LEAF = re.compile(rf"meas\(({_NAME}),\[{_RAT},{_RAT}\],({_NAME})\)|exact\({_RAT},({_NAME})\)")
+# Text of characters that each start a lexeme; in any other text, lexemes
+# back to back from the start stop short of the end at one that starts none.
+_PLAIN = re.compile(r"[\sA-Za-z0-9()\[\],+*/-]*")
+_LEXABLE = re.compile(rf"(?:\s+|#[^\n]*|{_NAME}|[0-9]+|[-+*/()\[\],])*")
 
 
-def _split(lexeme: Lexeme) -> list[Lexeme]:
-    """A compact leaf as the lexemes it spans: its keyword as a name, then
-    one per symbol, number and name.  None of them is a leaf again, since
-    a name inside a compact leaf is followed by "," or ")", never "("."""
-    _, keyword, pos, m = lexeme
-    return [("IDENT", keyword, pos), *_lexemes(m.string, pos + len(keyword), m.end())[:-1]]
+def _read(text: str, reader: Callable[[list[str]], _T]) -> _T:
+    """reader's result on text's lexemes, with a misread lexeme located in text."""
+    if not _PLAIN.fullmatch(text) and (at := _LEXABLE.match(text).end()) < len(text):
+        raise ParseError(f"unexpected character {text[at]!r}", at)
+    lexemes = _LEXEME.findall(text)
+    try:
+        return reader(lexemes)
+    except _Misread as err:
+        message, index = err.args
+        raise ParseError(message, _offset(text, lexemes, index)) from None
 
 
-def _mismatch(wanted: str, lexeme: Lexeme) -> ParseError:
-    text, pos = lexeme[1], lexeme[2]
-    return ParseError(f"expected {wanted}, found {text or 'end of input'!r}", pos)
+def _split(lexemes: list[str], i: int) -> None:
+    """Put the lexemes a leaf lexeme spans in its place: its keyword, then one
+    per symbol, number and name, none of them a leaf, as it holds no other "("."""
+    keyword = lexemes[i][: lexemes[i].index("(")]
+    lexemes[i : i + 1] = [keyword, *_LEXEME.findall(lexemes[i], len(keyword))[:-1]]
 
 
-def _expect(lexeme: Lexeme, kind: str) -> str:
-    if lexeme[0] != kind:
-        raise _mismatch(repr(kind), lexeme)
-    return lexeme[1]
+def _offset(text: str, lexemes: list[str], index: int) -> int:
+    """Where lexemes[index] starts in text: they are text's lexemes, but for
+    leaf lexemes that `_split` has replaced."""
+    starts: list[int] = []
+    for m in _LEXEME.finditer(text):
+        at = m.start(1)
+        if m[1] == lexemes[len(starts)]:
+            starts.append(at)
+        else:  # a split leaf: where its keyword starts, then where each lexeme after it does
+            rest = _LEXEME.finditer(text, at + len(lexemes[len(starts)]), m.end())
+            starts += [at, *(n.start(1) for n in rest)][:-1]
+    return starts[index]
+
+
+def _mismatch(wanted: str, lexemes: list[str], i: int) -> _Misread:
+    found = lexemes[i].partition("(")[0] or lexemes[i]  # a leaf lexeme shows its keyword
+    return _Misread(f"expected {wanted}, found {found or 'end of input'!r}", i)
+
+
+def _expect(lexemes: list[str], i: int, kind: str) -> str:
+    """lexemes[i] if it is of `kind`: IDENT (as a leaf lexeme is, by its
+    keyword), NUMBER, EOF or the symbol itself."""
+    head = lexemes[i][:1]
+    if ("IDENT" if head.isalpha() else "NUMBER" if head.isdigit() else lexemes[i] or "EOF") != kind:
+        raise _mismatch(repr(kind), lexemes, i)
+    return lexemes[i]
 
 
 # The shape of each leaf after its keyword, and its builder.
@@ -115,16 +127,15 @@ def _rational(numerator: str, denominator: str | None) -> Fraction:
     return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
 
 
-def _compact_leaf(m: re.Match) -> Expr:
-    """The node a compact-leaf match spells."""
-    if m.lastgroup == "exact":
-        value, den, dim = m.group("value", "value_den", "edim")
-        return Exact(_rational(value, den), Dim(dim))
-    token, lo, lo_den, hi, hi_den, dim = m.group("token", "lo", "lo_den", "hi", "hi_den", "mdim")
+def _leaf(m: re.Match) -> Expr:
+    """The node a `_LEAF` match spells."""
+    token, lo, lo_den, hi, hi_den, dim, value, den, edim = m.groups()
+    if token is None:
+        return Exact(_rational(value, den), Dim(edim))
     return Meas(Token(token), Interval(_rational(lo, lo_den), _rational(hi, hi_den)), Dim(dim))
 
 
-def _fields(lexemes: list[Lexeme], i: int, shape: str) -> tuple[list, int]:
+def _fields(lexemes: list[str], i: int, shape: str) -> tuple[list, int]:
     """Read the slots of `shape` from lexemes[i:]; return their values and
     the index after them.  R is a rational, I an identifier, $ the end of
     input, and any other character a lexeme that must appear as written.
@@ -133,21 +144,21 @@ def _fields(lexemes: list[Lexeme], i: int, shape: str) -> tuple[list, int]:
     values: list = []
     for slot in shape:
         if slot == "R":  # ["-"] NUMBER ["/" NUMBER]
-            negative = lexemes[i][0] == "-"
+            negative = lexemes[i] == "-"
             i += negative
-            numerator, denominator = int(_expect(lexemes[i], "NUMBER")), 1
-            if lexemes[i + 1][0] == "/":
+            numerator, denominator = int(_expect(lexemes, i, "NUMBER")), 1
+            if lexemes[i + 1] == "/":
                 i += 2
-                denominator = int(_expect(lexemes[i], "NUMBER"))
+                denominator = int(_expect(lexemes, i, "NUMBER"))
                 if not denominator:
-                    raise ParseError("rational denominator must be nonzero", lexemes[i][2])
+                    raise _Misread("rational denominator must be nonzero", i)
             values.append(Fraction(-numerator if negative else numerator, denominator))
         elif slot == "I":
-            if lexemes[i][0] == "LEAF":  # a keyword where a name goes is that name
-                lexemes[i : i + 1] = _split(lexemes[i])
-            values.append(_expect(lexemes[i], "IDENT"))
+            if "(" in lexemes[i][1:]:  # a leaf lexeme where a name goes: its keyword is that name
+                _split(lexemes, i)
+            values.append(_expect(lexemes, i, "IDENT"))
         else:
-            _expect(lexemes[i], "EOF" if slot == "$" else slot)
+            _expect(lexemes, i, "EOF" if slot == "$" else slot)
             if slot == "]":
                 values[-2:] = [Interval(*values[-2:])]
         i += 1
@@ -160,68 +171,65 @@ def parse(text: str) -> Expr:
     An operator-precedence loop over explicit operand and operator stacks,
     equivalent to the `expr`/`term`/`factor` rules above without recursion:
     prefix minus and "(" wait on the operator stack until the operand they
-    govern is complete.  Equal compact leaf texts give one shared node;
-    each is built when it is reached, so errors come in text order.
+    govern is complete.  Equal leaf lexemes give one shared node; each is
+    built when it is first reached, so errors come in text order.
     """
-    lexemes = _lexemes(text)
+    return _read(text, _expression)
+
+
+def _expression(lexemes: list[str]) -> Expr:
     i = 0
-    operands: list[Expr] = []
+    operands: list[Expr] = []  # left operands of pending binary operators
     pending: list[tuple[int, type | None]] = []  # (precedence, node class)
-    built: dict[str, Expr] = {}  # compact leaf text -> its node
+    built: dict[str, Expr] = {}  # leaf lexeme -> its node
     while True:
-        while lexemes[i][0] in _PREFIX:  # unary minus and "(" before a leaf
-            pending.append(_PREFIX[lexemes[i][0]])
+        while (lexeme := lexemes[i]) in _PREFIX:  # unary minus and "(" before a leaf
+            pending.append(_PREFIX[lexeme])
             i += 1
-        lexeme = lexemes[i]
-        if lexeme[0] == "LEAF":
-            m = lexeme[3]
-            leaf_text = m[lexeme[1]]
-            node = built.get(leaf_text)
-            if node is None:
-                node = built[leaf_text] = _compact_leaf(m)
-            operands.append(node)
+        node = built.get(lexeme)
+        if node is None and (m := _LEAF.fullmatch(lexeme)):
+            node = built[lexeme] = _leaf(m)
+        if node is not None:
             i += 1
         else:
-            leaf = _LEAVES.get(lexeme[1])
+            if "(" in lexeme[1:]:  # a leaf lexeme the grammar rejects: read it slot by slot
+                _split(lexemes, i)
+            leaf = _LEAVES.get(lexemes[i])
             if leaf is None:
-                raise _mismatch("a leaf ('exact' or 'meas')", lexeme)
+                raise _mismatch("a leaf ('exact' or 'meas')", lexemes, i)
             shape, build = leaf
             values, i = _fields(lexemes, i + 1, shape)
-            operands.append(build(*values))
+            node = build(*values)
         while True:  # after an operand: ")" repeats, an infix operator ends
-            kind = lexemes[i][0]
-            infix = _INFIX.get(kind)
+            infix = _INFIX.get(lexeme := lexemes[i])
             # Left associativity: apply pending operators of equal or
             # higher precedence; ")" and the end apply all down to "(",
             # so what is left pending then is a "(" or nothing.
             floor = infix[0] if infix else 1
             while pending and pending[-1][0] >= floor:
-                _, cls = pending.pop()
-                if cls is Neg:
-                    operands[-1] = Neg(operands[-1])
-                else:
-                    rhs = operands.pop()
-                    operands[-1] = cls(operands[-1], rhs)
+                cls = pending.pop()[1]
+                node = Neg(node) if cls is Neg else cls(operands.pop(), node)
             if infix:
-                i += 1
+                operands.append(node)
                 pending.append(infix)
+                i += 1
                 break
             if not pending:
-                _expect(lexemes[i], "EOF")
-                return operands[0]
-            _expect(lexemes[i], ")")
-            i += 1
+                _expect(lexemes, i, "EOF")
+                return node
+            _expect(lexemes, i, ")")
             pending.pop()
+            i += 1
 
 
 def parse_interval(text: str) -> Interval:
     """Parse a standalone interval literal such as "[2,5]" or "[-1/2,3]"."""
-    return _fields(_lexemes(text), 0, "[R,R]$")[0][0]
+    return _read(text, lambda lexemes: _fields(lexemes, 0, "[R,R]$")[0][0])
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a standalone rational literal such as "9/2" or "-3"."""
-    return _fields(_lexemes(text), 0, "R$")[0][0]
+    return _read(text, lambda lexemes: _fields(lexemes, 0, "R$")[0][0])
 
 
 def parse_env(text: str) -> TokenEnv:
@@ -252,7 +260,7 @@ def parse_env(text: str) -> TokenEnv:
         value_at = start + len(line) - len(value.lstrip())
         name, value = name.strip(), value.strip()
         try:
-            _fields(_lexemes(name), 0, "I$")
+            _read(name, lambda lexemes: _fields(lexemes, 0, "I$"))
         except ParseError:
             raise error(f"bad token name {name!r}", name_at) from None
         try:

@@ -2,7 +2,10 @@
 
 import collections
 import importlib
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -80,3 +83,48 @@ def fraction_ops(monkeypatch):
 
         monkeypatch.setattr(Fraction, name, counted)
     return calls
+
+
+@pytest.fixture
+def flattened(monkeypatch, fraction_ops):
+    """For each `_flatten` call while the test runs, in order: the size of
+    the coeffs it returns and the `Fraction` arithmetic calls made inside it."""
+    module = importlib.import_module("enclosures.enclosure")
+    flatten = module._flatten
+    calls = []
+
+    def counted(part):
+        before = sum(fraction_ops.values())
+        coeffs = flatten(part)
+        calls.append((len(coeffs), sum(fraction_ops.values()) - before))
+        return coeffs
+
+    monkeypatch.setattr(module, "_flatten", counted)
+    return calls
+
+
+PERFBENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+@pytest.fixture(scope="session")
+def perfbench_texts():
+    """texts(seeds): every input text perfbench's `gen.py` builds for the
+    seeds, in order: both sides of each `suite`, `products` and `wide`
+    operation, probes included, then each file of its `cli` calls.  gen.py
+    is loaded from the checkout as it is, never changed."""
+    gen = sys.modules.get("perfbench_gen")
+    if gen is None:  # registered first, as its dataclasses look their module up
+        spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+        gen = sys.modules["perfbench_gen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+
+    def texts(seeds):
+        for seed in seeds:
+            for workload in (gen.suite, gen.products, gen.wide):
+                for op in workload(seed):
+                    yield op.src
+                    yield op.tgt
+            for call in gen.cli(seed):
+                yield from call.files.values()
+
+    return texts

@@ -571,6 +571,60 @@ class TestLinearFold:
         assert right <= 2 * left, (right, left)
 
 
+def _mixed_chain(rng: random.Random, depth: int) -> str:
+    """A right-nested chain whose levels mix sums, products and quotients of
+    measured sides, some scaled, negated or divided by an exact 0."""
+    text = ""
+    for _ in range(depth + 1):
+        k = rng.randrange(6)
+        leaf = f"meas(t{k},[{k},{k + 2}],d)"
+        text = f"{leaf} {rng.choice('+-*/')} ({text})" if text else leaf
+        wrap = rng.random()
+        if wrap < 0.1:
+            text = f"({text}) / exact(0,d)"
+        elif wrap < 0.2:
+            text = f"exact({rng.choice(['2', '-3', '1/2'])},d) * ({text})"
+        elif wrap < 0.25:
+            text = f"-({text})"
+    return text
+
+
+def _right_product(factors: int) -> Expr:
+    """t0 * (t1 * (... * t(factors-1))) over distinct tokens."""
+    leaves = [f"meas(t{i},[1,2],d)" for i in range(factors)]
+    return parse(" * (".join(leaves) + ")" * (factors - 1))
+
+
+class TestFlattenWork:
+    """`_flatten` sums integer pairs and makes one Fraction per token, and it
+    fills one dict for a chain of off-fragment products or quotients, with
+    one `update` per operand, where a dict per level made the fold quadratic."""
+
+    @pytest.mark.parametrize("wrap", list(CHAIN_WRAPS.values()), ids=list(CHAIN_WRAPS))
+    def test_no_fraction_arithmetic(self, flattened, wrap):
+        to_affine(parse(long_affine_text(random.Random(800), 800, 200, True, wrap)))
+        assert flattened and all(ops == 0 for _, ops in flattened), flattened
+
+    def test_right_nested_product_doubling(self, flattened):
+        filled = []
+        for factors in (250, 500, 1000, 2000):
+            e = _right_product(factors)
+            flattened.clear()
+            with pytest.raises(NotAffineError):
+                to_affine(e)
+            filled.append(sum(size for size, _ in flattened))
+        assert all(b <= 2.2 * a for a, b in zip(filled, filled[1:])), filled
+
+    # the 3000 levels of merges within sums within merges run on explicit stacks
+    CHAINS = [(seed, (5, 40, 300)[seed % 3]) for seed in range(40)] + [(0, 3000)]
+
+    @pytest.mark.parametrize("seed, depth", CHAINS)
+    def test_mixed_chains_match_reference(self, seed, depth):
+        module = importlib.import_module("enclosures.enclosure")
+        e = parse(_mixed_chain(random.Random(seed), depth))
+        assert _fold_record(module._affine_parts, e) == _fold_record(_reference_affine_parts, e)
+
+
 class TestAffineEnclosure:
     def test_same_token_difference(self):
         out = affine_enclosure(to_affine(SAME_DIFF))

@@ -6,7 +6,10 @@ text.  The round trip checks that blanks, comments and spaced-out
 rationals anywhere between lexemes leave the parsed tree unchanged.  A
 leaf read in one match must parse exactly as it does lexeme by lexeme,
 and equal leaf texts in one expression must give one shared node that
-behaves as distinct equal nodes would.
+behaves as distinct equal nodes would.  Every reader must agree with the
+parent's parser, kept in `parser_reference.py`, on every corpus here and
+on perfbench's inputs, and a parse does its checks once per distinct leaf
+text and works out no character offset unless it fails.
 """
 
 import copy
@@ -29,12 +32,14 @@ from enclosures import (
     classify,
     format_expr,
     parse,
+    parse_env,
     parse_interval,
     parse_rational,
     parser,
 )
 from enclosures.expr import fold, postorder
-from exprgen import gen_affine, gen_any, token_boxes
+import parser_reference as reference
+from exprgen import gen_affine, gen_any, rand_interval, rand_rational, token_boxes
 
 READERS = {"parse": parse, "parse_interval": parse_interval, "parse_rational": parse_rational}
 LEAF = "expected a leaf ('exact' or 'meas')"
@@ -151,26 +156,30 @@ def scatter(rng: random.Random, text: str) -> str:
     return rng.choice(FILLERS) + text + rng.choice(FILLERS)
 
 
-def test_scattered_blanks_and_comments_round_trip():
+def scattered_corpus() -> list[tuple]:
+    """(tree, its text with blanks and comments scattered) for 300 seeds."""
+    corpus = []
     for seed in range(300):
         rng = random.Random(seed)
         e = gen_any(rng, token_boxes(rng), rng.randint(1, 14))
-        text = scatter(rng, format_expr(e))
+        corpus.append((e, scatter(rng, format_expr(e))))
+    return corpus
+
+
+def test_scattered_blanks_and_comments_round_trip():
+    for seed, (e, text) in enumerate(scattered_corpus()):
         assert parse(text) == e, (seed, text)
 
 
-# The lexer pattern without whole-leaf lexemes: one match per name, number
-# and symbol.  Under it `parse` reads every leaf slot by slot.
-LEXEME_ONLY = re.compile(
-    r"(?:\s+|#[^\n]*)*(?:(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)|(?P<NUMBER>[0-9]+)"
-    r"|(?P<SYM>[-+*/()\[\],])|(?P<EOF>\Z)|(?P<BAD>.))"
-)
+# The lexer pattern without leaf lexemes: one match per name, number and
+# symbol.  Under it `parse` reads every leaf slot by slot.
+LEXEME_ONLY = re.compile(r"(?:\s+|#[^\n]*)*([A-Za-z][A-Za-z0-9_]*|[0-9]+|[-+*/()\[\],]|\Z)")
 
 
-def outcome(text: str) -> tuple:
+def outcome(text: str, read=parse) -> tuple:
     """The tree's repr, or the exception's type, message and offset."""
     try:
-        return ("ok", repr(parse(text)))
+        return ("ok", repr(read(text)))
     except Exception as err:  # every failure must match, whatever its type
         return (type(err).__name__, str(err), getattr(err, "position", None))
 
@@ -217,14 +226,19 @@ def mutate(rng: random.Random, text: str) -> str:
     return text
 
 
-def test_whole_leaf_lexemes_parse_as_lexeme_by_lexeme(monkeypatch):
+def mutation_corpus() -> list[str]:
+    """400 printed trees, then 20 000 mutations of them."""
     rng = random.Random(20261018)
     corpus = []
     for seed in range(400):
         gen = gen_affine if seed % 2 else gen_any
         e = gen(rng, token_boxes(rng), rng.randint(1, 16))
         corpus.append(format_expr(e))
-    texts = corpus + [mutate(rng, rng.choice(corpus)) for _ in range(20_000)]
+    return corpus + [mutate(rng, rng.choice(corpus)) for _ in range(20_000)]
+
+
+def test_whole_leaf_lexemes_parse_as_lexeme_by_lexeme(monkeypatch):
+    texts = mutation_corpus()
     fast = [outcome(text) for text in texts]
     slow = lexeme_only(monkeypatch, texts)
     differ = [(text, f, s) for text, f, s in zip(texts, fast, slow) if f != s]
@@ -267,3 +281,97 @@ def test_shared_leaves_behave_as_distinct_equal_leaves(src, tgt):
     cls_shared, cls_distinct = classify(*shared), classify(*distinct)
     assert repr(cls_shared) == repr(cls_distinct)
     assert audit_classification(cls_shared, *shared) == audit_classification(cls_distinct, *distinct)
+
+
+# --- the parent's parser as reference, and the work one parse does -----------
+
+
+def literal_corpora(rng: random.Random) -> dict[str, list[str]]:
+    """Texts for `parse_interval`, `parse_rational` and `parse_env`: printed
+    literals and environment files, then mutations of them."""
+    intervals = []
+    for _ in range(200):
+        iv = rand_interval(rng)
+        shape = rng.choice(["[{},{}]", "[ {} , {} ]", "[{}, {}] # c"])
+        intervals.append(shape.format(iv.lo, iv.hi))
+    rationals = [str(rand_rational(rng)) for _ in range(200)]
+    envs = []
+    for _ in range(200):
+        lines = [f"t{rng.randint(0, 3)} = {rand_rational(rng)}" for _ in range(rng.randint(0, 4))]
+        envs.append(rng.choice(["\n", "\n# c\n", "\r\n"]).join(lines))
+    return {
+        name: texts + [mutate(rng, rng.choice(texts)) for _ in range(3000)]
+        for name, texts in [("interval", intervals), ("rational", rationals), ("env", envs)]
+    }
+
+
+def test_every_corpus_parses_as_the_reference_parser(perfbench_texts):
+    corpora = {
+        "mutations": mutation_corpus(),
+        "scattered": [text for _, text in scattered_corpus()],
+        "perfbench": list(perfbench_texts((1, 2, 3))),
+    }
+    for name, texts in corpora.items():
+        differ = [text for text in texts if outcome(text) != outcome(text, reference.parse)]
+        assert not differ, (name, len(differ), differ[:2])
+    assert len(corpora["perfbench"]) > 3000
+
+
+def test_literal_readers_match_the_reference_parser():
+    readers = {
+        "interval": (parse_interval, reference.parse_interval),
+        "rational": (parse_rational, reference.parse_rational),
+        "env": (parse_env, reference.parse_env),
+    }
+    for name, texts in literal_corpora(random.Random(20261019)).items():
+        read, ref = readers[name]
+        outcomes = [outcome(text, read) for text in texts]
+        differ = [t for t, o in zip(texts, outcomes) if o != outcome(t, ref)]
+        assert not differ, (name, len(differ), differ[:2])
+        assert {o[0] for o in outcomes} >= {"ok", "ParseError"}, name
+
+
+class Counted:
+    """A compiled pattern whose method calls are recorded: (method, text)."""
+
+    def __init__(self, pattern: re.Pattern):
+        self.pattern, self.calls = pattern, []
+
+    def __getattr__(self, name):
+        method = getattr(self.pattern, name)
+
+        def counted(text, *args):
+            self.calls.append((name, text))
+            return method(text, *args)
+
+        return counted
+
+
+LEAF_TEXT = re.compile(r"(?:meas|exact)\([^()]*\)")
+
+
+def test_leaf_grammar_is_checked_once_per_distinct_leaf_text(monkeypatch, perfbench_texts):
+    repeated = 0
+    for text in perfbench_texts([1]):
+        leaves = LEAF_TEXT.findall(text)
+        with monkeypatch.context() as m:
+            m.setattr(parser, "_LEAF", counted := Counted(parser._LEAF))
+            parse(text)
+        assert counted.calls == [("fullmatch", leaf) for leaf in dict.fromkeys(leaves)], text
+        repeated += len(leaves) - len(counted.calls)
+    assert repeated > 10_000  # `wide` repeats most of its leaf texts
+
+
+def test_a_successful_parse_works_out_no_offset(monkeypatch, perfbench_texts):
+    texts = list(perfbench_texts([1])) + [text for _, text in scattered_corpus()]
+    texts += ["meas (t,[1,2],d)", "meas(meas,[1,2],exact) * exact(-0,meas)"]
+    for text in texts:
+        with monkeypatch.context() as m:
+            m.setattr(parser, "_LEXEME", counted := Counted(parser._LEXEME))
+            parse(text)
+        assert counted.calls == [("findall", text)], text
+    with monkeypatch.context() as m:
+        m.setattr(parser, "_LEXEME", counted := Counted(parser._LEXEME))
+        with pytest.raises(ParseError):
+            parse("exact(1,d) + meas(t,[1,2],3)")
+    assert ("finditer", "exact(1,d) + meas(t,[1,2],3)") in counted.calls
