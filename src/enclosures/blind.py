@@ -3,9 +3,11 @@
 Erasing tokens keeps intervals, dimension tags, and tree shape but drops
 observation identity, so repeated leaves are summarized independently.
 The blind enclosure folds the interval arithmetic of `enclosure.BOUNDS_OPS`
-over the erased tree; `over_approx` folds the same table over the
+over the erased tree, on integer (numerator, denominator) pairs with one
+Fraction per end at the end; `over_approx` folds the same table over the
 token-level tree, so the two agree (the dependency problem in its classic
-form).  The comparator at the bottom packages the demonstration that this
+form).  An exact leaf's value converts as `Interval.point` converts it.
+The comparator at the bottom packages the demonstration that this
 summary cannot recover the token-sensitive rewrite class.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .enclosure import BOUNDS_OPS, DEFAULT_ENV_BUDGET, DEFAULT_GRID_POINTS
+from .enclosure import BOUNDS_OPS, DEFAULT_ENV_BUDGET, DEFAULT_GRID_POINTS, _bounds, _Ends, _ends
 from .expr import (
     Add,
     Bounds,
@@ -77,14 +79,14 @@ def blind_enclosure(b: BlindExpr) -> Bounds:
     interval, and every occurrence is treated independently because no
     token identity survives erasure.
     """
-    return fold(b, _leaf_bounds, BOUNDS_OPS)
+    return _bounds(fold(b, _leaf_ends, BOUNDS_OPS))
 
 
-def _leaf_bounds(b: BlindExpr) -> Bounds:
+def _leaf_ends(b: BlindExpr) -> _Ends:
     if isinstance(b, BlindExact):
-        return Interval.point(b.value)
+        return _ends(Interval.point(b.value))
     if isinstance(b, BlindMeas):
-        return b.interval
+        return _ends(b.interval)
     raise TypeError(f"not a blind expression node: {b!r}")
 
 

@@ -37,7 +37,8 @@ from .expr import (
     narrow_box,
     postorder,
 )
-from .semantics import TokenEnv, _mul, compile_expr, evaluate, token_consistent
+from .semantics import TokenEnv, _Pair, compile_expr, evaluate, token_consistent
+from .semantics import _add, _less, _mul, _quotient, _sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -363,28 +364,42 @@ def _form_witness(f: AffineForm, e: Expr, q: Fraction) -> TokenEnv | None:
 
 
 # --- sound over-approximation ------------------------------------------------
+#
+# Bounds are folded as ends: a (lo, hi) pair of reduced integer (numerator,
+# denominator) pairs, or UNBOUNDED.  `_bounds` makes the Fractions at the end.
+
+_Ends = tuple[_Pair, _Pair]
 
 
-def _hull(*values: Fraction) -> Interval:
-    return Interval(min(values), max(values))
+def _hull(*values: _Pair) -> _Ends:
+    lo = hi = values[0]
+    for x in values[1:]:
+        if _less(x, lo):
+            lo = x
+        elif _less(hi, x):
+            hi = x
+    return lo, hi
 
 
-def _div_bounds(a: Interval, b: Interval) -> Bounds:
-    if b.lo == 0 and b.hi == 0:
+def _div_bounds(a: _Ends, b: _Ends) -> _Ends | Unbounded:
+    if not b[0][0] and not b[1][0]:
         # Total division: everything over exactly zero collapses to zero.
-        return Interval.point(0)
-    if b.lo <= 0 <= b.hi:
+        return (0, 1), (0, 1)
+    if b[0][0] <= 0 <= b[1][0]:
         # Denominator values arbitrarily close to zero: no finite bounds.
         return UNBOUNDED
-    return _hull(a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+    (alo, ahi), (blo, bhi) = a, b
+    return _hull(
+        _quotient(alo, blo), _quotient(alo, bhi), _quotient(ahi, blo), _quotient(ahi, bhi)
+    )
 
 
-def _on_bounds(op: Callable[..., Bounds]) -> Callable[..., Bounds]:
-    """op over Intervals, extended to Bounds: any UNBOUNDED operand gives UNBOUNDED."""
+def _on_bounds(op: Callable[..., _Ends | Unbounded]) -> Callable[..., _Ends | Unbounded]:
+    """op over ends, extended to UNBOUNDED: any UNBOUNDED operand gives UNBOUNDED."""
 
-    def extended(*operands: Bounds) -> Bounds:
+    def extended(*operands: _Ends | Unbounded) -> _Ends | Unbounded:
         for b in operands:
-            if isinstance(b, Unbounded):
+            if b is UNBOUNDED:
                 return UNBOUNDED
         return op(*operands)
 
@@ -393,15 +408,17 @@ def _on_bounds(op: Callable[..., Bounds]) -> Callable[..., Bounds]:
 
 # Interval arithmetic: each operator's image on independent operand boxes.
 _INTERVAL_OPS = {
-    Add: lambda a, b: Interval(a.lo + b.lo, a.hi + b.hi),
-    Sub: lambda a, b: Interval(a.lo - b.hi, a.hi - b.lo),
-    Mul: lambda a, b: _hull(a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi),
+    Add: lambda a, b: (_add(a[0], b[0]), _add(a[1], b[1])),
+    Sub: lambda a, b: (_sub(a[0], b[1]), _sub(a[1], b[0])),
+    Mul: lambda a, b: _hull(
+        _mul(a[0], b[0]), _mul(a[0], b[1]), _mul(a[1], b[0]), _mul(a[1], b[1])
+    ),
     Div: _div_bounds,
-    Neg: lambda a: Interval(-a.hi, -a.lo),
+    Neg: lambda a: ((-a[1][0], a[1][1]), (-a[0][0], a[0][1])),
 }
 
-# The same on Bounds.  `fold` applies it to the token-level tree here and
-# to the erased tree in enclosures.blind.
+# The same on ends or UNBOUNDED.  `fold` applies it to the token-level tree
+# here and to the erased tree in enclosures.blind, and `_bounds` reads the result.
 BOUNDS_OPS = {cls: _on_bounds(op) for cls, op in _INTERVAL_OPS.items()}
 
 
@@ -410,61 +427,82 @@ def over_approx(e: Expr) -> Bounds:
 
     Identical to the token-erased enclosure by construction: widening the
     set of environments to occurrence-independent ones can only grow the
-    image, so the result contains the warranted enclosure.
+    image, so the result contains the warranted enclosure.  The ends are
+    folded as integer pairs, and each becomes one Fraction at the end.
     """
-    return fold(e, _leaf_bounds, BOUNDS_OPS)
+    return _bounds(fold(e, _leaf_ends, BOUNDS_OPS))
 
 
-def _leaf_bounds(e: Expr) -> Bounds:
+def _leaf_ends(e: Expr) -> _Ends:
     if isinstance(e, Exact):
-        return Interval.point(e.value)
+        value = e.value.as_integer_ratio()
+        return value, value
     if isinstance(e, Meas):
-        return e.interval
+        return _ends(e.interval)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _ends(box: Interval) -> _Ends:
+    return box.lo.as_integer_ratio(), box.hi.as_integer_ratio()
+
+
+def _bounds(ends: _Ends | Unbounded) -> Bounds:
+    """The Bounds that folded ends stand for."""
+    return ends if ends is UNBOUNDED else Interval(Fraction(*ends[0]), Fraction(*ends[1]))
 
 
 # --- sampled under-approximation ---------------------------------------------
 
+_Axis = tuple[Interval, _Pair, int]  # a token's grid: see `_grid_axis`
+
 
 def grid_values(box: Interval, n: int) -> list[Fraction]:
-    """Both endpoints plus n-2 evenly spaced interior rationals."""
-    first, step, size = _grid_axis(box, n)
-    return [first + k * step for k in range(size)]
+    """Both endpoints plus n-2 evenly spaced interior rationals, each made
+    as one Fraction from integer pairs."""
+    axis = _grid_axis(box, n)
+    return [_grid_value(axis, k) for k in range(axis[2])]
 
 
-def _grid_axis(box: Interval, n: int) -> tuple[Fraction, Fraction, int]:
-    """(first, step, size) of a token's grid: value k is first + k * step."""
+def _grid_axis(box: Interval, n: int) -> _Axis:
+    """(box, step, size) of a token's grid, the step a reduced integer
+    (numerator, denominator) pair: value k is box.lo + k * step."""
     if n < 2:
         raise ValueError("grid needs at least 2 points per token")
     if box.lo == box.hi:
-        return box.lo, Fraction(0), 1
-    return box.lo, (box.hi - box.lo) / (n - 1), n
+        return box, (0, 1), 1
+    lo, hi = _ends(box)
+    return box, _quotient(_sub(hi, lo), (n - 1, 1)), n
 
 
-def _corner_values(box: Interval) -> list[Fraction]:
-    return [box.lo] if box.lo == box.hi else [box.lo, box.hi]
+def _grid_value(axis: _Axis, k: int) -> Fraction:
+    """Value k of an axis: an end of its box, or one Fraction made from pairs."""
+    box, (r, s), size = axis
+    if k == 0 or k == size - 1:
+        return box.hi if k else box.lo
+    p, q = box.lo.as_integer_ratio()
+    return Fraction(p * s + k * r * q, q * s)
 
 
-def _env_stream(
-    tokens: list[Token],
-    boxes: Mapping[Token, Interval],
-    grid_points: int,
-) -> Iterator[tuple[Fraction, ...]]:
-    # Corner environments first: affine extremes live there, and the
-    # refutation search in the classifier checks them before interiors.
-    yield from itertools.product(*(_corner_values(boxes[t]) for t in tokens))
-    # Then the rest of the grid in itertools.product order, driven by an
-    # odometer over grid indices so no per-token grid is materialised.
-    axes = [_grid_axis(boxes[t], grid_points) for t in tokens]
+def _env_stream(axes: list[_Axis]) -> Iterator[tuple[Fraction, ...]]:
+    """The grid's value tuples, one value per axis, each tuple once.
+
+    Corner environments come first: affine extremes live there, and the
+    refutation search in the classifier checks them before interiors.  The
+    rest follow in itertools.product order, driven by an odometer over grid
+    indices so no per-token grid is materialised; when no axis has an
+    interior value, the corners were the whole grid and the walk is skipped.
+    """
+    yield from itertools.product(*([b.lo] if size == 1 else [b.lo, b.hi] for b, _, size in axes))
+    if all(size <= 2 for _, _, size in axes):
+        return
     index = [0] * len(axes)
-    combo = [first for first, _, _ in axes]
+    combo = [box.lo for box, _, _ in axes]
     while True:
         if any(0 < k < size - 1 for k, (_, _, size) in zip(index, axes)):
             yield tuple(combo)  # all-corner combinations were emitted above
         for i in reversed(range(len(axes))):
-            first, step, size = axes[i]
-            index[i] = (index[i] + 1) % size
-            combo[i] = first + index[i] * step
+            index[i] = (index[i] + 1) % axes[i][2]
+            combo[i] = _grid_value(axes[i], index[i])
             if index[i]:
                 break
         else:
@@ -486,14 +524,15 @@ class SampleStream:
     def __init__(self, e: Expr, grid_points: int, budget: int):
         boxes = effective_intervals(e)
         tokens = sorted(boxes, key=lambda t: t.name)
+        axes = [_grid_axis(boxes[t], grid_points) for t in tokens]
         required = 1
-        for t in tokens:
+        for t, (box, step, size) in zip(tokens, axes):
             # Each box is the intersection of every interval declared for t,
             # and grid values are monotone in their index: once both ends of
             # t's grid sit in its box, every environment below is consistent.
-            box = boxes[t]
-            first, step, size = _grid_axis(box, grid_points)
-            if not (box.contains(first) and box.contains(first + (size - 1) * step)):
+            lo, hi = _ends(box)
+            last = _add(lo, _mul((size - 1, 1), step))
+            if _less(last, lo) or _less(hi, last):
                 raise AssertionError(f"grid for token {t} leaves its box {box}")
             required *= size
         self.expr = e
@@ -503,7 +542,7 @@ class SampleStream:
         self.samples: list[tuple[TokenEnv, Fraction]] = []
         self._tokens = tokens
         self._run = compile_expr(e)
-        self._combos = _env_stream(tokens, boxes, grid_points)
+        self._combos = _env_stream(axes)
 
     @functools.cached_property
     def over(self) -> Bounds:

@@ -95,6 +95,11 @@ def _quotient(a: _Pair, b: _Pair) -> _Pair:
     return n // g, d // g
 
 
+def _less(a: _Pair, b: _Pair) -> bool:
+    """a < b, cross-multiplied: both denominators are positive."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
 def _negate(a: _Pair, _: _Pair) -> _Pair:
     return -a[0], a[1]
 

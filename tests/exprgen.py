@@ -34,7 +34,6 @@ from enclosures import (
     effective_intervals,
     evaluate,
     exact_value,
-    grid_values,
     is_exact,
     tokens_of,
 )
@@ -284,6 +283,16 @@ def naive_consistent(env: TokenEnv, e: Expr) -> bool:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def naive_grid(box: Interval, n: int) -> list[Fraction]:
+    """lo + k*(hi-lo)/(n-1) for k < n in plain Fraction arithmetic, or the one
+    value of a point box: the grid, computed from the box's ends alone."""
+    if n < 2:
+        raise ValueError("grid needs at least 2 points per token")
+    if box.lo == box.hi:
+        return [box.lo]
+    return [box.lo + k * (box.hi - box.lo) / (n - 1) for k in range(n)]
+
+
 def naive_samples(e: Expr, grid_points: int, budget: int) -> list[tuple[TokenEnv, Fraction]]:
     """Reference grid sampler: full grids, corners first, checked per environment.
 
@@ -295,7 +304,7 @@ def naive_samples(e: Expr, grid_points: int, budget: int) -> list[tuple[TokenEnv
     except InfeasibleTokenError:
         return []
     tokens = sorted(boxes, key=lambda t: t.name)
-    grids = [grid_values(boxes[t], grid_points) for t in tokens]
+    grids = [naive_grid(boxes[t], grid_points) for t in tokens]
     corners = [sorted({g[0], g[-1]}) for g in grids]
     stream = list(itertools.product(*corners)) + [
         combo
