@@ -4,8 +4,8 @@ Subcommands: eval, enclosure, classify, blind, demo, oracle.  Each builds
 one JSON payload with a stable field order and prints it as one line
 (oracle prints one object per sampled row), so reports can be diffed
 byte for byte; --pretty renders that same payload as plain text.  Exit
-codes: 0 success/decided, 2 bad input, 3 an undetermined classification,
-4 enumeration budget exceeded.
+codes: 0 success/decided, 2 bad input or a result with a number too long
+to print, 3 an undetermined classification, 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -556,6 +556,12 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ParseError, IntervalOrderError, FamilySpecError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except ValueError as ex:
+        if "integer string conversion" not in str(ex):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a number has more than {limit} digits, too many to print", file=sys.stderr)
         return 2
 
 

@@ -32,18 +32,15 @@ from .expr import (
     Sub,
     Token,
     Unbounded,
-    effective_intervals,
     fold,
     narrow_box,
-    postorder,
 )
-from .semantics import TokenEnv, _Pair, compile_expr, evaluate, token_consistent
-from .semantics import _add, _less, _mul, _quotient, _sub
+from .semantics import Compiled, TokenEnv, _Pair, compile_expr, evaluate, token_consistent
+from .semantics import _add, _less, _mul, _negate, _over_itself, _quotient, _sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
-_OFF_FRAGMENT = {Mul: "product of two measured subexpressions", Div: "measured denominator"}
+_UNIT, _MINUS_UNIT = (1, 1), (-1, 1)  # as pairs; `_adjoints` knows 1 by identity
 
 DEFAULT_GRID_POINTS = 5
 DEFAULT_ENV_BUDGET = 100_000
@@ -77,10 +74,11 @@ class AffineForm:
     """constant + sum of coeffs[t] * env(t), with env ranging over the boxes.
 
     Every token appearing in the source expression keeps an entry, even
-    with coefficient 0, so witness environments cover all tokens.  Boxes
+    with coefficient 0, so witness environments cover all tokens; coeffs
+    and boxes list the tokens in the order of their first leaves.  Boxes
     are the effective intervals of the source expression.  Each
     `to_affine` call returns a form of its own, so changing its dicts
-    changes no later fold.
+    changes no later fold, and no program either.
     """
 
     constant: Fraction
@@ -141,13 +139,16 @@ def to_affine(e: Expr) -> AffineForm:
     identically 0; this keeps provably-constant self-divisions decidable.
     Raises InfeasibleTokenError when some token has no possible value.
 
-    Trees are immutable, so an operator node keeps the outcome of its first
-    fold in a private attribute, and a later call on the same node folds
-    nothing: it returns a fresh form with copied coeffs and boxes and its
-    `interval` already computed, or raises a fresh error with the same
-    message or token.  A leaf folds in O(1) and keeps nothing.  Equality,
-    hashing, repr, pickle and copy ignore the memo, so `copy.deepcopy(e)`
-    is a cold tree whose fold starts from scratch.
+    The fold is read off e's program (`compile_expr`), so a cold call
+    walks the tree once, to compile it, or not at all when e's program
+    exists.  Trees are immutable, so an operator node keeps the outcome of
+    its first fold in a private attribute, beside its program, and a later
+    call on the same node folds nothing: it returns a fresh form with
+    copied coeffs and boxes and its `interval` already computed, or raises
+    a fresh error with the same message or token.  A leaf folds in O(1)
+    and keeps nothing.  Equality, hashing, repr, pickle and copy ignore
+    both memos, so `copy.deepcopy(e)` is a cold tree whose fold starts
+    from scratch.
     """
     memo = getattr(e, "_affine", None)
     if memo is None:
@@ -163,143 +164,91 @@ def to_affine(e: Expr) -> AffineForm:
 
 
 def _fold_affine(e: Expr) -> AffineForm | tuple[type[Exception], object]:
-    """e's affine form, or the error class and argument `to_affine` raises."""
-    boxes: dict[Token, Interval] = {}
+    """e's affine form, or the error class and argument `to_affine` raises.
+
+    Read off e's program (`compile_expr`), on the final boxes.  One forward
+    pass gives each register its exact value (a pair), its constant part (a
+    pair, when it is measured) or the message saying why it is off the
+    fragment, and records the factor each step passes back to each measured
+    operand.  The coeffs of an affine root are then its adjoints at the
+    token registers (`_adjoints`).  Off the fragment only dividing by an
+    exact zero leads back to the fragment, and that passes back nothing.
+    """
+    program = compile_expr(e)
     try:
-        constant, coeffs, straddled = _affine_parts(e, boxes)
-        if straddled:  # the boxes are final now: decide that self-quotient on them
-            constant, coeffs, _ = _affine_parts(e, boxes)
+        boxes = _boxes(program)
     except InfeasibleTokenError as ex:
         return InfeasibleTokenError, ex.token
-    if isinstance(constant, NotAffineError):
-        return NotAffineError, str(constant)
-    return AffineForm(constant, coeffs, boxes)
-
-
-def _affine_parts(
-    e: Expr, boxes: dict[Token, Interval]
-) -> tuple[Fraction | NotAffineError, dict[Token, Fraction], bool]:
-    """Fold e bottom-up to (constant, coeffs, straddled), filling in boxes.
-
-    A subtree's linear part (see `_flatten`) is None exactly when it is
-    measurement-free; one flatten at the end makes it the coeffs.  Outside
-    the fragment the constant is the NotAffineError saying why, and the coeffs
-    still list the tokens, because dividing by an exact zero makes any numerator 0.
-
-    Each measured leaf narrows its token's box as it is met, as in
-    `effective_intervals`.  So a self-quotient is decided on boxes that
-    contain the final ones, where its image contains its image on the final
-    boxes: a value that avoids 0, or is identically 0, there does so on the
-    final boxes too.  Only one that straddles 0 may change as later leaves
-    narrow a box; `straddled` says one was met, to be folded again.
-    """
-    done: list[tuple[Fraction | NotAffineError, object]] = []
-    straddled = False
-    for node in postorder(e):
-        cls, factor = type(node), None
-        if cls is Meas:
-            narrow_box(boxes, node)
-            c, k = _ZERO, node.token
-        elif cls is Exact:
-            c, k = node.value, None
-        elif cls is Neg:
-            (c, k), factor = done.pop(), _MINUS_ONE
-        elif cls in (Add, Sub, Mul, Div):
-            (cr, kr), (c, k) = done.pop(), done.pop()
-            if cls is Add or cls is Sub:
-                k = (k, kr, cls is Sub) if k or kr else None
-                # A NotAffineError is truthy, and adding an exact 0 changes nothing.
-                if cr and not isinstance(c, NotAffineError):
-                    c = cr if isinstance(cr, NotAffineError) else (c + cr if cls is Add else c - cr)
-            elif cls is Mul and not (k and kr):
-                # A measurement-free factor scales the other one.
-                c, k, factor = (cr, kr, c) if not k else (c, k, cr)
-            elif cls is Div and not kr:
-                # Total division: x / 0 = 0 for every x, affine or not.
-                c, factor = (_ZERO, _ZERO) if cr == 0 else (c, 1 / cr)
-            elif cls is Div and node.lhs == node.rhs:
-                # Same subtree above and below: 1 where it is nonzero, 0 where zero.
-                if not isinstance(c, NotAffineError):
-                    lo, hi = _linear_bounds(c, k := _flatten(k), boxes)
-                    if lo > 0 or hi < 0 or lo == hi == 0:
-                        c, k = _ONE if hi else _ZERO, dict.fromkeys(k, _ZERO)
-                    else:
-                        straddled = True
-                        c = NotAffineError(
-                            "self-quotient can take both 0 and 1 over the boxes"
-                        )
-            else:  # measured on both sides, so off the fragment; the right part's entries win
-                k = [k, kr]
-                c = NotAffineError(_OFF_FRAGMENT[cls])
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        if factor is not None and not isinstance(c, NotAffineError):
-            c, k = factor * c if c else c, k and (factor, k)  # a scaled exact 0 stays 0
-        done.append((c, k))
-    constant, part = done[0]
-    return constant, _flatten(part), straddled
-
-
-def _flatten(part) -> dict[Token, Fraction]:
-    """The coeffs of a linear part.  A part is a leaf's Token, a sum (left,
-    right, negate_right), a scaling (factor, part), a merge [left, right]
-    (left's coeffs updated with right's), a dict or None.
-
-    One walk, left to right with a running multiplier, so each token keeps
-    its first-seen place.  Coefficients are summed as integer (numerator,
-    denominator) pairs, and each is made a Fraction once, at the end.  A
-    merge fills a dict of its own, with its operands' coeffs in turn (a
-    nested merge's operands count as its own), and is then summed in,
-    scaled; a sum, scaling or dict inside a merge is summed on its own first."""
-    if type(part) is not tuple and type(part) is not list:  # a leaf, a one-consumer dict or None
-        return {part: _ONE} if type(part) is Token else part or {}
-    coeffs: dict[str, list] = {}  # token name -> [token, numerator, denominator]
-    into, merge, below = coeffs, False, []  # the dict being filled, and the ones under it
-    stack: list = [(part, 1, 1)]
-    while stack:
-        part, n, d = stack.pop()
-        while type(part) is tuple and not merge:  # down sums' left sides, and scalings
-            if len(part) == 3:  # the right side waits
-                stack.append((part[1], -n if part[2] else n, d))
-                part = part[0]
+    token_of = dict(program._loads)
+    values: list = program._registers.copy()
+    measured = [False] * len(values)
+    for k in token_of:
+        values[k], measured[k] = (0, 1), True
+    back: list[tuple[int, int, _Pair]] = []  # (register, operand, factor)
+    end = [0] * len(values)  # where each step's records end in `back`
+    for k, step, i, j in program._steps:
+        a, b, mi, mj = values[i], values[j], measured[i], measured[j]
+        fi = fj = None
+        if step is _add or step is _sub:  # a message wins, left first
+            c = a if type(a) is str or not b[0] else b if type(b) is str else step(a, b)
+            fi, fj = mi and _UNIT, mj and (_UNIT if step is _add else _MINUS_UNIT)
+        elif step is _negate:
+            c, fi = a if type(a) is str else (-a[0], a[1]), mi and _MINUS_UNIT
+        elif step is _mul and not (mi and mj):  # a measurement-free factor scales the other
+            c = a if type(a) is str else b if type(b) is str else _mul(a, b)
+            fi, fj = mi and b, mj and a
+        elif not mj:  # total division: x / 0 = 0 for every x, affine or not
+            c = (0, 1) if not b[0] else a if type(a) is str else _quotient(a, b)
+            fi = mi and b[0] and _quotient(_UNIT, b)
+        elif step is _over_itself and type(a) is not str:
+            # Same subtree above and below: 1 where it is nonzero, 0 where zero.
+            # The right copy's records follow the left copy's; a leaf has none.
+            adjoint = _adjoints([] if j in token_of else back[end[i] :], j)
+            coeffs = {token_of[r]: Fraction(*x) for r, x in adjoint.items() if r in token_of}
+            lo, hi = _linear_bounds(Fraction(*a), coeffs, boxes)
+            if lo > 0 or hi < 0 or lo == hi == 0:
+                c = (1, 1) if hi else (0, 1)
             else:
-                n, d = _mul((n, d), part[0].as_integer_ratio())
-                part = part[1]
-        kind = type(part)
-        if kind is Token:
-            old = None if merge else into.get(part.name)
-            if old is None:
-                into[part.name] = [part, n, d]
-            elif old[2] == d:
-                old[1] += n
-            else:
-                g = gcd(old[2], d)
-                old[1:] = old[1] * (d // g) + n * (old[2] // g), old[2] // g * d
-        elif part is None:
-            continue
-        elif kind is list:
-            if not merge:
-                below.append((into, merge))
-                into, merge = {}, True
-                stack.append((_CLOSE, n, d))
-            stack += (part[1], 1, 1), (part[0], 1, 1)
-        elif part is _CLOSE:  # the dict being filled is complete: into the one under it
-            closed, merged = into, merge
-            into, merge = below.pop()
-            if not merged or not into and n == d == 1:  # a merge's operand, or a sum of one merge
-                into.update(closed)
-            else:  # a merge's coeffs are summed in, scaled
-                stack += [(t, *_mul((p, q), (n, d))) for t, p, q in reversed(closed.values())]
-        elif merge:
-            below.append((into, merge))
-            into, merge = {}, False
-            stack += (_CLOSE, 1, 1), (part, 1, 1)
-        else:
-            stack += [(t, *_mul((n, d), v.as_integer_ratio())) for t, v in reversed(part.items())]
-    return {t: _ONE if p == q else Fraction(p, q) for t, p, q in coeffs.values()}
+                c = "self-quotient can take both 0 and 1 over the boxes"
+        elif step is _over_itself:
+            c = a
+        else:  # measured on both sides, so off the fragment
+            c = "product of two measured subexpressions" if step is _mul else "measured denominator"
+        if fi:
+            back.append((k, i, fi))
+        if fj:
+            back.append((k, j, fj))
+        values[k], measured[k], end[k] = c, mi or mj, len(back)
+    constant = values[program._root]
+    if type(constant) is str:
+        return NotAffineError, constant
+    adjoint = _adjoints(back, program._root)
+    coeffs = {}
+    for k, t in program._loads:
+        p, q = adjoint.get(k, (0, 1))
+        coeffs[t] = _ONE if p == q else Fraction(p, q)
+    return AffineForm(Fraction(*constant), coeffs, boxes)
 
 
-_CLOSE = object()  # on `_flatten`'s stack: the dict being filled is complete
+def _adjoints(back: list[tuple[int, int, _Pair]], root: int) -> dict[int, _Pair]:
+    """d root / d r for the registers r that root depends on, from one
+    reverse sweep over the forward pass's records of root's steps."""
+    adjoint = {root: _UNIT}
+    for k, r, f in reversed(back):
+        a = adjoint.get(k)
+        if a is not None and a[0]:
+            term = a if f is _UNIT else f if a is _UNIT else _mul(a, f)
+            adjoint[r] = _add(adjoint[r], term) if r in adjoint else term
+    return adjoint
+
+
+def _boxes(program: Compiled) -> dict[Token, Interval]:
+    """Each token's box: the intersection of its leaves' intervals, as
+    `effective_intervals` gives it, from the program's distinct leaves."""
+    boxes: dict[Token, Interval] = {}
+    for leaf in program.leaves:
+        narrow_box(boxes, leaf)
+    return boxes
 
 
 def _linear_bounds(
@@ -522,7 +471,8 @@ class SampleStream:
     """
 
     def __init__(self, e: Expr, grid_points: int, budget: int):
-        boxes = effective_intervals(e)
+        program = compile_expr(e)
+        boxes = _boxes(program)
         tokens = sorted(boxes, key=lambda t: t.name)
         axes = [_grid_axis(boxes[t], grid_points) for t in tokens]
         required = 1
@@ -541,7 +491,7 @@ class SampleStream:
         self.truncated = False
         self.samples: list[tuple[TokenEnv, Fraction]] = []
         self._tokens = tokens
-        self._run = compile_expr(e)
+        self._run = program
         self._combos = _env_stream(axes)
 
     @functools.cached_property

@@ -178,9 +178,9 @@ class _Op:
     the first difference; hashing and pickling use the post-order.  Unlike
     the dataclass methods, none of these recurse; repr prints the text the
     dataclass repr would.  They read only the fields, so the memos that
-    `enclosure.to_affine` (a fold) and `semantics.compile_expr` (a
-    program) store on a node are invisible to them, and a copy or an
-    unpickled tree carries neither.
+    `semantics.compile_expr` (a program) and `enclosure.to_affine` (the
+    fold it reads off that program) store on a node are invisible to
+    them, and a copy or an unpickled tree carries neither.
     """
 
     def __eq__(self, other: object) -> bool:

@@ -25,6 +25,7 @@ error's character offset is worked out only then.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Callable, TypeVar
 
@@ -67,6 +68,10 @@ _LEAF = re.compile(rf"meas\(({_NAME}),\[{_RAT},{_RAT}\],({_NAME})\)|exact\({_RAT
 # back to back from the start stop short of the end at one that starts none.
 _PLAIN = re.compile(r"[\sA-Za-z0-9()\[\],+*/-]*")
 _LEXABLE = re.compile(rf"(?:\s+|#[^\n]*|{_NAME}|[0-9]+|[-+*/()\[\],])*")
+# The interpreter's int-to-string limit is 0 (none) or at least 640 digits, so
+# a shorter leaf lexeme converts in one match; a longer one is read slot by
+# slot, where a number over the limit is an error at its offset.
+_FAST_LEAF = 640
 
 
 def _read(text: str, reader: Callable[[list[str]], _T]) -> _T:
@@ -146,10 +151,10 @@ def _fields(lexemes: list[str], i: int, shape: str) -> tuple[list, int]:
         if slot == "R":  # ["-"] NUMBER ["/" NUMBER]
             negative = lexemes[i] == "-"
             i += negative
-            numerator, denominator = int(_expect(lexemes, i, "NUMBER")), 1
+            numerator, denominator = _number(lexemes, i), 1
             if lexemes[i + 1] == "/":
                 i += 2
-                denominator = int(_expect(lexemes, i, "NUMBER"))
+                denominator = _number(lexemes, i)
                 if not denominator:
                     raise _Misread("rational denominator must be nonzero", i)
             values.append(Fraction(-numerator if negative else numerator, denominator))
@@ -163,6 +168,13 @@ def _fields(lexemes: list[str], i: int, shape: str) -> tuple[list, int]:
                 values[-2:] = [Interval(*values[-2:])]
         i += 1
     return values, i
+
+
+def _number(lexemes: list[str], i: int) -> int:
+    try:
+        return int(_expect(lexemes, i, "NUMBER"))
+    except ValueError:  # more digits than the interpreter's int-to-string limit
+        raise _Misread(f"number has more than {sys.get_int_max_str_digits()} digits", i) from None
 
 
 def parse(text: str) -> Expr:
@@ -187,7 +199,7 @@ def _expression(lexemes: list[str]) -> Expr:
             pending.append(_PREFIX[lexeme])
             i += 1
         node = built.get(lexeme)
-        if node is None and (m := _LEAF.fullmatch(lexeme)):
+        if node is None and len(lexeme) < _FAST_LEAF and (m := _LEAF.fullmatch(lexeme)):
             node = built[lexeme] = _leaf(m)
         if node is not None:
             i += 1

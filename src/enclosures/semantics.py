@@ -104,6 +104,11 @@ def _negate(a: _Pair, _: _Pair) -> _Pair:
     return -a[0], a[1]
 
 
+def _over_itself(_: _Pair, b: _Pair) -> _Pair:
+    """x / x for one subtree x: 1, or 0 where x is 0, as total division gives."""
+    return (1, 1) if b[0] else (0, 1)
+
+
 _STEP = {Add: _add, Sub: _sub, Mul: _mul, Div: _quotient, Neg: _negate}
 
 
@@ -112,9 +117,12 @@ class Compiled:
 
     Constants are filled in here, each distinct token gets one register
     that the token lookup loads, and each operator is one step over
-    earlier registers.  Registers hold reduced integer pairs, so a run
-    makes one Fraction, at the end.  `leaves` lists the tree's distinct
-    measured leaves, by node identity, for `token_consistent`.
+    earlier registers, in post-order.  A quotient of two equal subtrees is
+    an `_over_itself` step, so `enclosure.to_affine`, which reads its fold
+    off this program, knows a self-quotient by its step.  Registers hold
+    reduced integer pairs, so a run makes one Fraction, at the end.
+    `leaves` lists the tree's distinct measured leaves, by node identity,
+    for `token_consistent` and each token's box.
     """
 
     def __init__(self, e: Expr):
@@ -122,21 +130,24 @@ class Compiled:
         loads: list[tuple[int, Token]] = []
         steps: list[tuple[int, Callable[[_Pair, _Pair], _Pair], int, int]] = []
         leaves: dict[int, Meas] = {}
-        token_registers: dict[Token, int] = {}
+        token_registers: dict[str, int] = {}  # by token name, which hashes in C
         pending: list[int] = []  # registers of subtrees whose parent is still to come
         for node in postorder(e):
-            cls, k = type(node), len(registers)
+            cls = type(node)
             if cls is Meas:
                 leaves[id(node)] = node
-                k = token_registers.setdefault(node.token, k)
-                if k == len(registers):  # the token's first leaf
+                k = token_registers.get(node.token.name)
+                if k is None:  # the token's first leaf
+                    k = token_registers[node.token.name] = len(registers)
                     loads.append((k, node.token))
                     registers.append(None)
             elif cls is Exact:
+                k = len(registers)
                 registers.append(node.value.as_integer_ratio())
             elif cls in _STEP:  # a Neg's one operand fills both places
-                rhs = pending.pop()
-                steps.append((k, _STEP[cls], rhs if cls is Neg else pending.pop(), rhs))
+                k, rhs = len(registers), pending.pop()
+                step = _over_itself if cls is Div and node.lhs == node.rhs else _STEP[cls]
+                steps.append((k, step, rhs if cls is Neg else pending.pop(), rhs))
                 registers.append(None)
             else:
                 raise TypeError(f"not an expression node: {node!r}")
@@ -159,8 +170,9 @@ def compile_expr(e: Expr) -> Compiled:
     """e's program, which can then be run under many environments.
 
     Trees are immutable, so an operator node keeps its program in a
-    private attribute, beside the fold `enclosure.to_affine` keeps, and
-    the program is built once per tree.  A leaf builds one in O(1) and
+    private attribute, and the program is built once per tree: evaluation,
+    consistency checks, sampling and the affine fold `enclosure.to_affine`
+    keeps beside it all read this one.  A leaf builds one in O(1) and
     keeps nothing.  Equality, hashing, repr, pickle and copy ignore both
     memos, so `copy.deepcopy(e)` is a cold tree.
     """
@@ -183,10 +195,9 @@ def token_consistent(env: TokenEnv, e: Expr) -> bool:
     The condition is indexed by tokens, not leaf positions: two leaves
     sharing a token are checked against the same assigned value, once per
     declared interval.  The leaves are the ones e's program lists, which
-    `compile_expr` keeps on an operator node beside the fold
-    `enclosure.to_affine` keeps there.  So a leaf node shared within the
-    tree, as equal leaf texts are in one parse, is checked once, and no
-    check walks the tree again.
+    `compile_expr` keeps on an operator node.  So a leaf node shared
+    within the tree, as equal leaf texts are in one parse, is checked
+    once, and no check walks the tree again.
     """
     value = env.value
     return all(leaf.interval.contains(value(leaf.token)) for leaf in compile_expr(e).leaves)

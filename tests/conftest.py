@@ -28,16 +28,16 @@ def env_draws(monkeypatch):
 
 @pytest.fixture
 def affine_folds(monkeypatch):
-    """The expressions `_affine_parts` folds while the test runs, in order."""
+    """The expressions `_fold_affine` folds while the test runs, in order."""
     module = importlib.import_module("enclosures.enclosure")
-    parts = module._affine_parts
+    fold = module._fold_affine
     folded = []
 
-    def counted(e, *args):
+    def counted(e):
         folded.append(e)
-        return parts(e, *args)
+        return fold(e)
 
-    monkeypatch.setattr(module, "_affine_parts", counted)
+    monkeypatch.setattr(module, "_fold_affine", counted)
     return folded
 
 
@@ -86,20 +86,19 @@ def fraction_ops(monkeypatch):
 
 
 @pytest.fixture
-def flattened(monkeypatch, fraction_ops):
-    """For each `_flatten` call while the test runs, in order: the size of
-    the coeffs it returns and the `Fraction` arithmetic calls made inside it."""
+def sweeps(monkeypatch):
+    """For each adjoint sweep `to_affine` makes while the test runs, in
+    order: the records it goes back over and the registers it reaches."""
     module = importlib.import_module("enclosures.enclosure")
-    flatten = module._flatten
+    sweep = module._adjoints
     calls = []
 
-    def counted(part):
-        before = sum(fraction_ops.values())
-        coeffs = flatten(part)
-        calls.append((len(coeffs), sum(fraction_ops.values()) - before))
-        return coeffs
+    def counted(back, root):
+        adjoint = sweep(back, root)
+        calls.append((len(back), len(adjoint)))
+        return adjoint
 
-    monkeypatch.setattr(module, "_flatten", counted)
+    monkeypatch.setattr(module, "_adjoints", counted)
     return calls
 
 

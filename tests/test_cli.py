@@ -594,3 +594,24 @@ class TestUndecodableInput:
         code, out, err = run(capsys, "enclosure", flag, value, files("e.expr", "exact(1,d)"))
         assert code == 2 and out == ""
         assert err.endswith(f"error: argument {flag}: expected an integer, got '{value}'\n")
+
+
+# The interpreter's int-to-string limit: 0 where it has none.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-to-string limit in this interpreter")
+class TestNumbersOverTheDigitLimit:
+    def test_long_literal_is_a_parse_error(self, files, capsys):
+        text = f"exact({'9' * (DIGIT_LIMIT + 700)},d)"
+        code, out, err = run(capsys, "enclosure", files("e.expr", text))
+        assert code == 2 and out == ""
+        assert err == f"error: number has more than {DIGIT_LIMIT} digits (at offset 6)\n"
+
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+    def test_result_too_long_to_print_exits_2(self, files, capsys, pretty):
+        # Each factor prints; their product has more digits than str() allows.
+        factor = f"exact({'7' * (DIGIT_LIMIT // 2)},d)"
+        code, out, err = run(capsys, "enclosure", *pretty, files("e.expr", f"{factor} * {factor} * {factor}"))
+        assert code == 2 and out == ""
+        assert err == f"error: a number has more than {DIGIT_LIMIT} digits, too many to print\n"

@@ -9,6 +9,7 @@ import itertools
 import operator
 import pickle
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -53,6 +54,7 @@ from enclosures import (
 )
 from enclosures.enclosure import _ONE, _ZERO, _linear_bounds
 from enclosures.expr import Expr, narrow_box, postorder
+from enclosures.semantics import compile_expr
 from exprgen import (
     CHAIN_WRAPS,
     D,
@@ -169,6 +171,8 @@ class TestToAffineMatchesReference:
             True,
         ),
         "self-quotient-straddles": ("meas(t,[-1,1],d) / meas(t,[-1,1],d)", False),
+        # one token under two intervals: one register, but not a self-quotient
+        "same-token-unequal-leaves": ("meas(t1,[-13,-7/4],d) / meas(t1,[-12,-7/4],d)", False),
         "product": ("meas(t,[1,2],d) * meas(u,[1,2],d)", False),
     }
 
@@ -304,14 +308,22 @@ class TestDeferredSelfQuotient:
 
 class TestOneWalk:
     def test_to_affine_walks_the_tree_once(self, monkeypatch):
-        module = importlib.import_module("enclosures.enclosure")
+        # The one walk is the one inside compile_expr; the fold and its
+        # boxes read the program, and a tree whose program exists walks
+        # nothing.
         walked = []
-        postorder = module.postorder
-        monkeypatch.setattr(module, "postorder", lambda e: walked.append(e) or postorder(e))
-        monkeypatch.setattr(module, "effective_intervals", None)  # not needed by to_affine
+        for name in ("enclosures.expr", "enclosures.semantics"):
+            module = importlib.import_module(name)
+            monkeypatch.setattr(module, "postorder", lambda e: walked.append(e) or postorder(e))
+        assert not hasattr(importlib.import_module("enclosures.enclosure"), "postorder")
         e = parse(long_affine_text(random.Random(0), 100, 25))
         to_affine(e)
         assert walked == [e]
+        compiled = parse(long_affine_text(random.Random(1), 100, 25))
+        compile_expr(compiled)
+        del walked[:]
+        to_affine(compiled)
+        assert walked == []
 
     @pytest.mark.parametrize("gen", [gen_affine, gen_any], ids=["affine", "any"])
     def test_boxes_match_effective_intervals(self, gen):
@@ -403,8 +415,8 @@ class TestAffineMemo:
 #
 # `_affine_parts` as the package wrote it when every subtree's coefficients
 # were a dict rebuilt at each level, kept verbatim but for its name, so the
-# fold into O(1) linear parts is checked repr for repr against an
-# independent text, NotAffineError coefficients included.
+# fold read off the compiled program is checked repr for repr against an
+# independent text.
 
 
 def _reference_affine_parts(
@@ -484,17 +496,19 @@ def _reference_affine_parts(
     return constant, coeffs, straddled
 
 
-def _fold_record(parts, e) -> tuple:
-    """What a fold gives for e: the reprs of its constant or the NotAffineError
-    message, its coeff and box items in order and `straddled`, or the token of
-    the InfeasibleTokenError it raises."""
+def _reference_outcome(e) -> tuple:
+    """`_fold_outcome(e)[1:]` by the reference fold, folded again once the
+    boxes are final when a self-quotient straddled 0."""
     boxes = {}
     try:
-        constant, coeffs, straddled = parts(e, boxes)
+        constant, coeffs, straddled = _reference_affine_parts(e, boxes)
+        if straddled:
+            constant, coeffs, _ = _reference_affine_parts(e, boxes)
     except InfeasibleTokenError as err:
-        return ("infeasible", err.token)
-    shown = str(constant) if isinstance(constant, NotAffineError) else repr(constant)
-    return shown, repr(list(coeffs.items())), repr(list(boxes.items())), straddled
+        return InfeasibleTokenError, str(err), err.token
+    if isinstance(constant, NotAffineError):
+        return NotAffineError, str(constant), None
+    return repr(AffineForm(constant, coeffs, boxes)), Interval(*_linear_bounds(constant, coeffs, boxes))
 
 
 def _zero(e):
@@ -535,15 +549,14 @@ def _fold_corpus(count: int):
 
 class TestFoldMatchesReference:
     def test_seeded_corpus(self):
-        module = importlib.import_module("enclosures.enclosure")
         seen = collections.Counter()
         for tag, e in _fold_corpus(3500):
-            got = _fold_record(module._affine_parts, e)
-            assert got == _fold_record(_reference_affine_parts, e), e
-            affine = got[0].startswith("Fraction")
+            got = _fold_outcome(e)[1:]
+            assert got == _reference_outcome(e), e
             seen[tag] += 1
-            seen[got[0] if got[0] == "infeasible" else "affine" if affine else "not-affine"] += 1
-            seen["straddled"] += got[-1] is True
+            seen["affine" if type(got[0]) is str else got[0].__name__] += 1
+            if got[0] is NotAffineError:  # each reason, a straddling self-quotient included
+                seen[got[1]] += 1
         assert min(seen.values()) > 30, seen
 
 
@@ -595,34 +608,71 @@ def _right_product(factors: int) -> Expr:
     return parse(" * (".join(leaves) + ")" * (factors - 1))
 
 
+def _profiler_events(run) -> int:
+    """Profiler events (calls, returns and builtin calls) while run() runs:
+    a work count that does not depend on the machine."""
+    events = [0]
+
+    def count(frame, event, arg):
+        events[0] += 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    except NotAffineError:
+        pass
+    finally:
+        sys.setprofile(None)
+    return events[0]
+
+
 class TestFlattenWork:
-    """`_flatten` sums integer pairs and makes one Fraction per token, and it
-    fills one dict for a chain of off-fragment products or quotients, with
-    one `update` per operand, where a dict per level made the fold quadratic."""
+    """The work of flattening a tree into its linear form: the fold sums
+    integer pairs and makes one Fraction per token, it is linear in the
+    tree's size off the fragment too, and a self-quotient's sweep goes back
+    over its own operand's steps only."""
 
     @pytest.mark.parametrize("wrap", list(CHAIN_WRAPS.values()), ids=list(CHAIN_WRAPS))
-    def test_no_fraction_arithmetic(self, flattened, wrap):
-        to_affine(parse(long_affine_text(random.Random(800), 800, 200, True, wrap)))
-        assert flattened and all(ops == 0 for _, ops in flattened), flattened
+    def test_no_fraction_arithmetic(self, fraction_ops, wrap):
+        e = parse(long_affine_text(random.Random(800), 800, 200, True, wrap))
+        fraction_ops.clear()
+        to_affine(e)
+        assert not fraction_ops, fraction_ops
 
-    def test_right_nested_product_doubling(self, flattened):
-        filled = []
+    def test_right_nested_product_doubling(self):
+        events = []
         for factors in (250, 500, 1000, 2000):
             e = _right_product(factors)
-            flattened.clear()
-            with pytest.raises(NotAffineError):
-                to_affine(e)
-            filled.append(sum(size for size, _ in flattened))
-        assert all(b <= 2.2 * a for a, b in zip(filled, filled[1:])), filled
+            events.append(_profiler_events(lambda: to_affine(e)))
+        assert all(b <= 2.2 * a for a, b in zip(events, events[1:])), events
 
-    # the 3000 levels of merges within sums within merges run on explicit stacks
+    @pytest.mark.parametrize("wrap", list(CHAIN_WRAPS.values()), ids=list(CHAIN_WRAPS))
+    def test_right_chain_doubling(self, wrap):
+        # TestLinearFold counts Fraction operations, of which the fold now makes none.
+        events = []
+        for depth in (100, 200, 400, 800):
+            e = parse(long_affine_text(random.Random(depth), depth, depth // 4, True, wrap))
+            events.append(_profiler_events(lambda: to_affine(e)))
+        assert all(b <= 2.2 * a for a, b in zip(events, events[1:])), events
+
+    def test_self_quotient_sweeps_doubling(self, sweeps):
+        # A sweep over the whole program at each quotient took 32 s at 4000.
+        visited = []
+        for terms in (500, 1000, 2000, 4000):
+            quotients = [f"meas(t{k},[1,2],d) / meas(t{k},[1,2],d)" for k in range(terms)]
+            e = parse(" + ".join(quotients))
+            sweeps.clear()
+            assert to_affine(e).constant == terms
+            visited.append(sum(steps + tokens for steps, tokens in sweeps))
+        assert all(b <= 2.2 * a for a, b in zip(visited, visited[1:])), visited
+
+    # the 3000-level chain: no step of either fold recurses
     CHAINS = [(seed, (5, 40, 300)[seed % 3]) for seed in range(40)] + [(0, 3000)]
 
     @pytest.mark.parametrize("seed, depth", CHAINS)
     def test_mixed_chains_match_reference(self, seed, depth):
-        module = importlib.import_module("enclosures.enclosure")
         e = parse(_mixed_chain(random.Random(seed), depth))
-        assert _fold_record(module._affine_parts, e) == _fold_record(_reference_affine_parts, e)
+        assert _fold_outcome(e)[1:] == _reference_outcome(e)
 
 
 class TestAffineEnclosure:

@@ -16,6 +16,7 @@ import copy
 import pickle
 import random
 import re
+import sys
 
 import pytest
 
@@ -44,6 +45,11 @@ from exprgen import gen_affine, gen_any, rand_interval, rand_rational, token_box
 READERS = {"parse": parse, "parse_interval": parse_interval, "parse_rational": parse_rational}
 LEAF = "expected a leaf ('exact' or 'meas')"
 NONZERO = "rational denominator must be nonzero"
+# The interpreter's int-to-string limit: 0 where it has none.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "9" * (DIGIT_LIMIT + 1)
+TOO_LONG = f"number has more than {DIGIT_LIMIT} digits"
+NO_LIMIT = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-to-string limit in this interpreter")
 
 ERRORS = [
     # unexpected characters are reported before any grammar error
@@ -118,6 +124,17 @@ ERRORS = [
     ("parse_rational", "- -1", "expected 'NUMBER', found '-'", 2),
     ("parse_rational", "1 2", "expected 'EOF', found '2'", 2),
     ("parse_rational", "3/", "expected 'NUMBER', found 'end of input'", 2),
+    # a number with more digits than the interpreter converts, in each reader
+    *(
+        pytest.param(*row, marks=NO_LIMIT, id=f"{row[0]}-too-long-{row[3]}")
+        for row in [
+            ("parse", f"exact({LONG},d)", TOO_LONG, 6),
+            ("parse", f"meas(t,[0,1/{LONG}],d) + exact(1,d)", TOO_LONG, 12),
+            ("parse", f"exact(1,d) - meas(t,[-{LONG},0],d)", TOO_LONG, 22),
+            ("parse_interval", f"[1,{LONG}]", TOO_LONG, 3),
+            ("parse_rational", f"-1/{LONG}", TOO_LONG, 3),
+        ]
+    ),
 ]
 
 

@@ -4,6 +4,7 @@ import copy
 import operator
 import pickle
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from fractions import Fraction as F
@@ -38,7 +39,7 @@ from enclosures import (
     tokens_of,
 )
 from enclosures.expr import postorder
-from enclosures.semantics import compile_expr
+from enclosures.semantics import _over_itself, compile_expr
 from exprgen import (
     CHAIN_WRAPS,
     gen_affine,
@@ -238,6 +239,15 @@ class TestParseEnv:
             parse_env(text)
         assert err.value.position == self.MALFORMED[text]
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int-to-string limit in this interpreter",
+    )
+    def test_value_over_the_digit_limit(self):
+        with pytest.raises(ParseError) as err:
+            parse_env(f"t = 1\nu = {'9' * (sys.get_int_max_str_digits() + 1)}\n")
+        assert err.value.position == 10 and str(err.value).startswith("line 2: bad rational")
+
     # Line numbers count "\n" breaks only, as an editor does.
     LINES = {
         "t1 9/2": 1,
@@ -410,6 +420,10 @@ class TestProgramMatchesReference:
                 e = redeclare(rng, e)
             if seed % 2:
                 e = parse(format_expr(e))  # equal leaf texts share one node
+            if seed % 5 == 2:
+                e = Div(e, e)  # a self-quotient: 1, or 0 where e is 0
+            elif seed % 5 == 4:
+                e = Div(e, parse(format_expr(e)))  # the same over an equal copy
             tokens = sorted(tokens_of(e), key=lambda t: t.name)
             for _ in range(4):
                 # Box ends, small rationals (zero denominators are common),
@@ -443,6 +457,14 @@ class TestProgramMatchesReference:
         "meas(t,[0,2],d)",
         "-meas(u,[-1,1],d)",
         "exact(5/3,d)",
+        # self-quotients, whose operand is 0 under some of the environments below
+        "meas(t,[0,2],d) / meas(t,[0,2],d)",
+        "(meas(t,[0,2],d) - meas(u,[-1,1],d)) / (meas(t,[0,2],d) - meas(u,[-1,1],d))",
+        "(meas(t,[0,2],d) * meas(u,[-1,1],d)) / (meas(t,[0,2],d) * meas(u,[-1,1],d))",
+        "(meas(t,[0,2],d) / meas(u,[-1,1],d)) / (meas(t,[0,2],d) / meas(u,[-1,1],d))",
+        "(exact(0,d) * meas(t,[0,2],d)) / (exact(0,d) * meas(t,[0,2],d))",
+        # two leaves of one token under different intervals are not equal trees
+        "meas(t,[-13,-7/4],d) / meas(t,[-12,-7/4],d)",
     ]
 
     @pytest.mark.parametrize("text", SPECIAL)
@@ -452,6 +474,20 @@ class TestProgramMatchesReference:
             for u in (0, -1, F(1, 3), F(1, 2), 1):
                 env = TokenEnv({Token("t"): t, Token("u"): u})
                 assert _agrees(env, e) == naive_evaluate(env, e)
+
+    @pytest.mark.parametrize(
+        "text, over_itself",
+        [
+            ("meas(t,[0,2],d) / meas(t,[0,2],d)", True),
+            ("(meas(t,[0,2],d) - exact(1,d)) / (meas(t,[0,2],d) - exact(1,d))", True),
+            ("exact(0,d) / exact(0,d)", True),
+            # one token, so one register, but two intervals: not equal trees
+            ("meas(t,[-13,-7/4],d) / meas(t,[-12,-7/4],d)", False),
+            ("meas(t,[0,2],d) / meas(u,[0,2],d)", False),
+        ],
+    )
+    def test_self_quotient_is_its_own_step(self, text, over_itself):
+        assert (compile_expr(parse(text))._steps[-1][1] is _over_itself) is over_itself
 
     @pytest.mark.parametrize("wrap", list(CHAIN_WRAPS))
     def test_depth_800_chains(self, wrap):
