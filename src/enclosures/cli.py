@@ -24,6 +24,7 @@ from .enclosure import (
     EnclosureOutcome,
     ExactInterval,
     Unknown,
+    _boxes,
     enclosure,
     under_approx_samples,
 )
@@ -36,7 +37,6 @@ from .expr import (
     IntervalOrderError,
     Unbounded,
     dims_of,
-    effective_intervals,
     format_expr,
 )
 from .families import (
@@ -62,7 +62,7 @@ from .rewrite import (
     audit_classification,
     classify,
 )
-from .semantics import EMPTY_ENV, TokenEnv, evaluate, token_consistent
+from .semantics import EMPTY_ENV, TokenEnv, compile_expr, evaluate, token_consistent
 
 PRETTY_SAMPLE_LIMIT = 20
 
@@ -312,8 +312,8 @@ def _cmd_eval(args) -> int:
         "value": str(evaluate(env, expr)),
         "consistent": token_consistent(env, expr),
     }
-    try:
-        effective = effective_intervals(expr)
+    try:  # the boxes of the program `evaluate` has just built, with no second walk
+        effective = _boxes(compile_expr(expr))
         payload["effective_intervals"] = {
             t.name: _interval_json(iv)
             for t, iv in sorted(effective.items(), key=lambda kv: kv[0].name)

@@ -36,7 +36,7 @@ from .expr import (
     narrow_box,
 )
 from .semantics import Compiled, TokenEnv, _Pair, compile_expr, evaluate, token_consistent
-from .semantics import _add, _less, _mul, _negate, _over_itself, _quotient, _sub
+from .semantics import _add, _ends, _less, _mul, _negate, _over_itself, _quotient, _sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -141,20 +141,18 @@ def to_affine(e: Expr) -> AffineForm:
 
     The fold is read off e's program (`compile_expr`), so a cold call
     walks the tree once, to compile it, or not at all when e's program
-    exists.  Trees are immutable, so an operator node keeps the outcome of
-    its first fold in a private attribute, beside its program, and a later
-    call on the same node folds nothing: it returns a fresh form with
-    copied coeffs and boxes and its `interval` already computed, or raises
-    a fresh error with the same message or token.  A leaf folds in O(1)
-    and keeps nothing.  Equality, hashing, repr, pickle and copy ignore
-    both memos, so `copy.deepcopy(e)` is a cold tree whose fold starts
-    from scratch.
+    exists.  Trees are immutable, so every node, leaf or operator, keeps
+    the outcome of its first fold in a private attribute, beside its
+    program, and a later call on the same node folds nothing: it returns a
+    fresh form with copied coeffs and boxes and its `interval` already
+    computed, or raises a fresh error with the same message or token.
+    Equality, hashing, repr, pickle and copy ignore both memos, so
+    `copy.deepcopy(e)` is a cold tree whose fold starts from scratch.
     """
     memo = getattr(e, "_affine", None)
     if memo is None:
         memo = _fold_affine(e)
-        if isinstance(e, (Add, Sub, Mul, Div, Neg)):
-            object.__setattr__(e, "_affine", memo)
+        object.__setattr__(e, "_affine", memo)
     if type(memo) is tuple:
         error, arg = memo
         raise error(arg)
@@ -389,10 +387,6 @@ def _leaf_ends(e: Expr) -> _Ends:
     if isinstance(e, Meas):
         return _ends(e.interval)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def _ends(box: Interval) -> _Ends:
-    return box.lo.as_integer_ratio(), box.hi.as_integer_ratio()
 
 
 def _bounds(ends: _Ends | Unbounded) -> Bounds:

@@ -12,7 +12,7 @@ consulted during evaluation.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, TypeVar, Union
 
@@ -83,7 +83,8 @@ class Interval:
         if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
             object.__setattr__(self, "lo", _fraction(self.lo))
             object.__setattr__(self, "hi", _fraction(self.hi))
-        if self.lo > self.hi:
+        (p, q), (r, s) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        if p * s > r * q:  # lo > hi, cross-multiplied: both denominators are positive
             raise IntervalOrderError(f"interval [{self.lo},{self.hi}] has lo > hi")
 
     @classmethod
@@ -146,8 +147,16 @@ Bounds = Union[Interval, Unbounded]
 # languages, and the erasure map is a homomorphism on the node classes.
 
 
+class _Leaf:
+    """Shared base of the leaves: pickle and copy take a leaf's fields only,
+    not the program and fold memos stored on it, so a copy is cold."""
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class Exact:
+class Exact(_Leaf):
     """Exact rational constant with a dimension tag; the value is a Fraction,
     converted as an Interval's ends are."""
 
@@ -160,7 +169,7 @@ class Exact:
 
 
 @dataclass(frozen=True)
-class Meas:
+class Meas(_Leaf):
     """One measurement: token identity, declared interval, dimension tag."""
 
     token: Token
@@ -179,8 +188,8 @@ class _Op:
     the dataclass methods, none of these recurse; repr prints the text the
     dataclass repr would.  They read only the fields, so the memos that
     `semantics.compile_expr` (a program) and `enclosure.to_affine` (the
-    fold it reads off that program) store on a node are invisible to
-    them, and a copy or an unpickled tree carries neither.
+    fold it reads off that program) store on any node, leaf or operator,
+    are invisible to them, and a deep copy or an unpickled tree carries neither.
     """
 
     def __eq__(self, other: object) -> bool:

@@ -244,12 +244,18 @@ def parse_rational(text: str) -> Fraction:
     return _read(text, lambda lexemes: _fields(lexemes, 0, "R$")[0][0])
 
 
+def _quote(text: str) -> str:
+    """repr of text, or of its first 40 characters and "..." when longer."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
 def parse_env(text: str) -> TokenEnv:
     """Parse an environment file: one "token = rational" binding per line.
 
     Blank lines and "#" comments are allowed; later bindings for the same
     token win; unlisted tokens default to 0.  An error's position is the
-    offset of the name or value it names, or of the line without "=".
+    offset of the name or value it names, or of the line without "=", and
+    it quotes at most the first 40 characters of that name or value.
     """
 
     def error(message: str, at: int) -> ParseError:
@@ -274,9 +280,9 @@ def parse_env(text: str) -> TokenEnv:
         try:
             _read(name, lambda lexemes: _fields(lexemes, 0, "I$"))
         except ParseError:
-            raise error(f"bad token name {name!r}", name_at) from None
+            raise error(f"bad token name {_quote(name)}", name_at) from None
         try:
             bindings[Token(name)] = parse_rational(value)
         except ParseError:
-            raise error(f"bad rational {value!r}", value_at) from None
+            raise error(f"bad rational {_quote(value)}", value_at) from None
     return TokenEnv(bindings)

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping
 
-from .expr import Add, Div, Exact, Expr, Meas, Mul, Neg, Sub, Token, _fraction, postorder
+from .expr import Add, Div, Exact, Expr, Interval, Meas, Mul, Neg, Sub, Token, postorder
+from .expr import _fraction
 
 _ZERO = Fraction(0)
 
@@ -109,6 +110,10 @@ def _over_itself(_: _Pair, b: _Pair) -> _Pair:
     return (1, 1) if b[0] else (0, 1)
 
 
+def _ends(box: Interval) -> tuple[_Pair, _Pair]:
+    return box.lo.as_integer_ratio(), box.hi.as_integer_ratio()
+
+
 _STEP = {Add: _add, Sub: _sub, Mul: _mul, Div: _quotient, Neg: _negate}
 
 
@@ -122,7 +127,8 @@ class Compiled:
     off this program, knows a self-quotient by its step.  Registers hold
     reduced integer pairs, so a run makes one Fraction, at the end.
     `leaves` lists the tree's distinct measured leaves, by node identity,
-    for `token_consistent` and each token's box.
+    for each token's box, and `_checks` each one's token and box ends as
+    pairs, for `token_consistent`.
     """
 
     def __init__(self, e: Expr):
@@ -153,6 +159,7 @@ class Compiled:
                 raise TypeError(f"not an expression node: {node!r}")
             pending.append(k)
         self.leaves = list(leaves.values())
+        self._checks = [(leaf.token, *_ends(leaf.interval)) for leaf in self.leaves]
         self._registers, self._loads, self._steps, self._root = registers, loads, steps, k
 
     def __call__(self, value_of: Callable[[Token], Fraction]) -> Fraction:
@@ -169,18 +176,17 @@ class Compiled:
 def compile_expr(e: Expr) -> Compiled:
     """e's program, which can then be run under many environments.
 
-    Trees are immutable, so an operator node keeps its program in a
-    private attribute, and the program is built once per tree: evaluation,
-    consistency checks, sampling and the affine fold `enclosure.to_affine`
-    keeps beside it all read this one.  A leaf builds one in O(1) and
-    keeps nothing.  Equality, hashing, repr, pickle and copy ignore both
-    memos, so `copy.deepcopy(e)` is a cold tree.
+    Trees are immutable, so every node, leaf or operator, keeps its
+    program in a private attribute, and the program is built once per
+    tree: evaluation, consistency checks, sampling and the affine fold
+    `enclosure.to_affine` keeps beside it all read this one.  Equality,
+    hashing, repr, pickle and copy ignore both memos, so `copy.deepcopy(e)`
+    is a cold tree.
     """
     program = getattr(e, "_program", None)
     if program is None:
         program = Compiled(e)
-        if isinstance(e, (Add, Sub, Mul, Div, Neg)):
-            object.__setattr__(e, "_program", program)
+        object.__setattr__(e, "_program", program)
     return program
 
 
@@ -195,12 +201,16 @@ def token_consistent(env: TokenEnv, e: Expr) -> bool:
     The condition is indexed by tokens, not leaf positions: two leaves
     sharing a token are checked against the same assigned value, once per
     declared interval.  The leaves are the ones e's program lists, which
-    `compile_expr` keeps on an operator node.  So a leaf node shared
-    within the tree, as equal leaf texts are in one parse, is checked
-    once, and no check walks the tree again.
+    `compile_expr` keeps on e.  So a leaf node shared within the tree, as
+    equal leaf texts are in one parse, is checked once, no check walks the
+    tree again, and each check cross-multiplies integer pairs.
     """
     value = env.value
-    return all(leaf.interval.contains(value(leaf.token)) for leaf in compile_expr(e).leaves)
+    for token, (p, q), (r, s) in compile_expr(e)._checks:
+        n, d = value(token).as_integer_ratio()
+        if n * q < p * d or r * d < n * s:  # below lo or above hi
+            return False
+    return True
 
 
 def exact_value(e: Expr) -> Fraction:

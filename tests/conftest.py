@@ -70,12 +70,12 @@ FRACTION_OPS = (
 )
 
 
-@pytest.fixture
-def fraction_ops(monkeypatch):
-    """Calls to `Fraction`'s arithmetic operators while the test runs, by
-    operator name: a work count that does not depend on the machine."""
+FRACTION_COMPARES = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def _counted_fraction_methods(monkeypatch, names) -> collections.Counter:
     calls = collections.Counter()
-    for name in FRACTION_OPS:
+    for name in names:
 
         def counted(*args, op=getattr(Fraction, name), name=name):
             calls[name] += 1
@@ -83,6 +83,20 @@ def fraction_ops(monkeypatch):
 
         monkeypatch.setattr(Fraction, name, counted)
     return calls
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """Calls to `Fraction`'s arithmetic operators while the test runs, by
+    operator name: a work count that does not depend on the machine."""
+    return _counted_fraction_methods(monkeypatch, FRACTION_OPS)
+
+
+@pytest.fixture
+def fraction_compares(monkeypatch):
+    """Calls to `Fraction`'s comparisons while the test runs, by name; each
+    goes through the `numbers.Rational` check of `Fraction._richcmp`."""
+    return _counted_fraction_methods(monkeypatch, FRACTION_COMPARES)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Command-line behavior: golden outputs, exit codes, and diagnostics."""
 
+import importlib
 import json
 import os
 import random
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from enclosures.cli import main
+from enclosures.expr import postorder
 from exprgen import rand_family_spec
 
 SAME_DIFF = "meas(t,[2,5],d) - meas(t,[2,5],d)"
@@ -122,6 +124,21 @@ class TestEval:
             "  t1: [2,5]",
             "  t2: [2,5]",
         ]
+
+    @pytest.mark.parametrize("command", ["eval", "enclosure"])
+    def test_one_walk(self, files, capsys, monkeypatch, command):
+        # eval's boxes come from the program `evaluate` builds, as
+        # enclosure's do, so neither walks the tree a second time.
+        walked = []
+        for name in ("enclosures.expr", "enclosures.semantics"):
+            module = importlib.import_module(name)
+            monkeypatch.setattr(module, "postorder", lambda e: walked.append(e) or postorder(e))
+        text = " + ".join(f"meas(t{k % 7},[{k % 7},{k % 7 + 1}],d)" for k in range(50))
+        code, out, _ = run(capsys, command, files("e.expr", text))
+        assert code == 0 and len(walked) == 1
+        if command == "eval":
+            boxes = json_lines(out)[0]["effective_intervals"]
+            assert boxes == {f"t{k}": [str(k), str(k + 1)] for k in range(7)}
 
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "eval", "missing.expr")

@@ -561,26 +561,21 @@ class TestFoldMatchesReference:
 
 
 class TestLinearFold:
-    """`to_affine` does O(1) Fraction operations per node on every shape, so
-    doubling a right-nested chain at most doubles the count, give or take 10%.
-    A fold that rebuilds the nested coefficients at each level grows about 4x."""
+    """`to_affine` does O(1) work per node on every shape, so a right-nested
+    chain costs about what a left-deep sum of the same size does, counted in
+    profiler events.  A fold that rebuilds the nested coefficients at each
+    level is quadratic in the depth; `TestFlattenWork` doubles each chain."""
 
     @staticmethod
-    def _ops(fraction_ops, terms, right, wrap=CHAIN_WRAPS["sum"]):
-        e = parse(long_affine_text(random.Random(terms), terms, terms // 4, right, wrap))
-        fraction_ops.clear()
-        to_affine(e)
-        return sum(fraction_ops.values())
+    def _events(right: bool) -> int:
+        e = parse(long_affine_text(random.Random(800), 800, 200, right))
+        return _profiler_events(lambda: to_affine(e))
 
-    @pytest.mark.parametrize("wrap", list(CHAIN_WRAPS.values()), ids=list(CHAIN_WRAPS))
-    def test_right_chain_doubling(self, fraction_ops, wrap):
-        counts = [self._ops(fraction_ops, depth, True, wrap) for depth in (100, 200, 400, 800)]
-        assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
-
-    def test_right_chain_against_left_deep_sum(self, fraction_ops):
+    def test_right_chain_against_left_deep_sum(self):
         # Only the sum chain: a scaled, divided or negated level brings a
         # multiplier of its own, which a left-deep sum has no counterpart for.
-        right, left = self._ops(fraction_ops, 800, True), self._ops(fraction_ops, 800, False)
+        # At depth 800 they read about 78 000 and 75 000 events.
+        right, left = self._events(True), self._events(False)
         assert right <= 2 * left, (right, left)
 
 
@@ -648,7 +643,8 @@ class TestFlattenWork:
 
     @pytest.mark.parametrize("wrap", list(CHAIN_WRAPS.values()), ids=list(CHAIN_WRAPS))
     def test_right_chain_doubling(self, wrap):
-        # TestLinearFold counts Fraction operations, of which the fold now makes none.
+        # Doubling the depth at most doubles the work, give or take 10%; a
+        # fold quadratic in the depth grows about 4x.
         events = []
         for depth in (100, 200, 400, 800):
             e = parse(long_affine_text(random.Random(depth), depth, depth // 4, True, wrap))

@@ -686,7 +686,7 @@ class TestSamplesDrawnOnDemand:
 class TestOneProgramPerSide:
     """A side that `classify` or its audit evaluates builds its program once:
     the witness `classify` checks and the audit's check of it share the
-    program memoized on the side's operator node."""
+    program memoized on the side's node."""
 
     SUM = (
         "meas(t,[1,3],d) + meas(u,[0,2],d) - exact(2,d) * meas(v,[0,1],d)"
@@ -710,9 +710,39 @@ class TestOneProgramPerSide:
         cls = classify(src, tgt)
         assert cls.kind is kind
         assert audit_classification(cls, src, tgt)
-        built = [e for e in compiles if not isinstance(e, (Exact, Meas))]  # leaves keep nothing
+        built = [e for e in compiles if not isinstance(e, (Exact, Meas))]  # leaf sides: below
         assert built and all(e is src or e is tgt for e in built)
         assert len(built) == len({id(e) for e in built}), built
+
+
+class TestLeafSides:
+    """A leaf keeps its program and its fold as an operator node does, so
+    `classify` and its audit together build and fold each side once, a leaf
+    side too.  The first pair is a `products` pair: a product of tokens,
+    one repeated, against an exact point."""
+
+    PAIRS = {
+        "products": (
+            "meas(g13,[1,3/2],d) * meas(g89,[1,2],d) * meas(g13,[1,3/2],d)",
+            "exact(1,d)",
+            RewriteClass.ONE_WAY_ONLY_FORWARD,
+        ),
+        "leaf source": (
+            "meas(t,[0,4],d)",
+            "meas(t,[1,2],d) * exact(2,d) - exact(1,d)",
+            RewriteClass.ONE_WAY_ONLY_FORWARD,
+        ),
+        "two leaves": ("meas(t,[0,2],d)", "meas(t,[1,3],d)", RewriteClass.INCOMPARABLE),
+    }
+
+    @pytest.mark.parametrize("name", list(PAIRS))
+    def test_one_program_and_one_fold_per_side(self, compiles, affine_folds, name):
+        src_text, tgt_text, kind = self.PAIRS[name]
+        src, tgt = parse(src_text), parse(tgt_text)
+        cls = classify(src, tgt)
+        assert cls.kind is kind and audit_classification(cls, src, tgt)
+        for built in (compiles, affine_folds):
+            assert sorted(map(id, built)) == sorted([id(src), id(tgt)]), built
 
 
 class TestAffineFoldsOnce:

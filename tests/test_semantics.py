@@ -1,6 +1,7 @@
 """Evaluation, token consistency, exact values, environment files."""
 
 import copy
+import dataclasses
 import operator
 import pickle
 import random
@@ -20,6 +21,8 @@ from enclosures import (
     Exact,
     Expr,
     InfeasibleTokenError,
+    Interval,
+    IntervalOrderError,
     Meas,
     Mul,
     Neg,
@@ -35,6 +38,7 @@ from enclosures import (
     meas_leaves,
     parse,
     parse_env,
+    to_affine,
     token_consistent,
     tokens_of,
 )
@@ -183,6 +187,57 @@ class TestTokenConsistentMatchesReference:
         assert reused > 40, reused
 
 
+class TestBoxChecksOnPairs:
+    """A consistency check and an interval's order check cross-multiply
+    integer pairs, so neither makes a Fraction comparison."""
+
+    # Token j is declared [j/2, j+1] and [j/3, j+2] in turn, so its box is [j/2, j+1].
+    SUM = " + ".join(
+        f"meas(t{k % 10},[{k % 10}/{2 + k // 10 % 2},{k % 10 + 1 + k // 10 % 2}],d)"
+        for k in range(50)
+    )
+    ENVS = {
+        "low ends": {j: F(j, 2) for j in range(10)},
+        "high ends": {j: F(j + 1) for j in range(10)},
+        "inside": {j: F(j, 2) + F(1, 7) for j in range(10)},
+        "below one box": {**{j: F(j, 2) for j in range(10)}, 9: F(9, 2) - F(1, 100)},
+        "above one box": {**{j: F(j + 1) for j in range(10)}, 4: F(5) + F(1, 100)},
+        "negative": {j: F(-1, 3) for j in range(10)},
+    }
+
+    def test_token_consistent_on_50_leaves(self, fraction_compares):
+        e = parse(self.SUM)
+        envs = [TokenEnv({Token(f"t{j}"): v for j, v in env.items()}) for env in self.ENVS.values()]
+        expected = [naive_consistent(env, e) for env in envs]
+        assert expected == [True, True, True, False, False, False]
+        fraction_compares.clear()
+        for _ in ("cold", "warm"):
+            assert [token_consistent(env, e) for env in envs] == expected
+        assert not fraction_compares, fraction_compares
+
+    ENDS = [
+        (F(1, 3), F(1, 2)),
+        (F(1, 2), F(1, 3)),
+        (F(-1, 2), F(-1, 3)),
+        (F(-1, 3), F(-1, 2)),
+        (F(-2), F(-2)),
+        (F(-7, 3), F(5)),
+        (F(5), F(-7, 3)),
+    ]
+
+    def test_interval_order_check(self, fraction_compares):
+        ordered = [lo <= hi for lo, hi in self.ENDS]
+        fraction_compares.clear()
+        made = []
+        for lo, hi in self.ENDS:
+            try:
+                made.append(Interval(lo, hi) is not None)
+            except IntervalOrderError as err:
+                assert str(err) == f"interval [{lo},{hi}] has lo > hi"
+                made.append(False)
+        assert made == ordered and not fraction_compares, fraction_compares
+
+
 class TestExactValue:
     def test_sum(self):
         assert exact_value(parse("exact(3,d) + exact(4,d)")) == F(7)
@@ -247,6 +302,21 @@ class TestParseEnv:
         with pytest.raises(ParseError) as err:
             parse_env(f"t = 1\nu = {'9' * (sys.get_int_max_str_digits() + 1)}\n")
         assert err.value.position == 10 and str(err.value).startswith("line 2: bad rational")
+
+    # A rejected name or value is quoted up to 40 characters, and cut there.
+    QUOTED = {
+        "t = " + "1" * 39 + "x": "line 1: bad rational '" + "1" * 39 + "x' (at offset 4)",
+        "t = " + "9" * 5000 + "x": "line 1: bad rational '" + "9" * 40 + "'... (at offset 4)",
+        "t = 1\n" + "u" * 5000 + "- = 1": (
+            "line 2: bad token name '" + "u" * 40 + "'... (at offset 6)"
+        ),
+    }
+
+    @pytest.mark.parametrize("text", list(QUOTED), ids=["40", "5000-digit value", "5000-char name"])
+    def test_long_rejects_are_quoted_in_part(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_env(text)
+        assert str(err.value) == self.QUOTED[text] and len(str(err.value)) <= 90
 
     # Line numbers count "\n" breaks only, as an editor does.
     LINES = {
@@ -508,7 +578,7 @@ MEMO_ENV = TokenEnv({Token("t"): F(3, 2), Token("u"): F(1, 2)})
 
 
 class TestProgramMemo:
-    """An operator node keeps its program: `evaluate`, `token_consistent` and
+    """Every node keeps its program: `evaluate`, `token_consistent` and
     `exact_value` build it once per tree, and no result, copy, pickle or
     comparison can tell."""
 
@@ -523,11 +593,23 @@ class TestProgramMemo:
         assert compile_expr(e) is compile_expr(e)
         assert len(compiles) == 1 and compiles[0] is e
 
-    def test_a_leaf_keeps_nothing(self, compiles):
-        leaf = parse("meas(t,[1,2],d)")
-        fields = dict(vars(leaf))
-        assert evaluate(MEMO_ENV, leaf) == evaluate(MEMO_ENV, leaf) == F(3, 2)
-        assert len(compiles) == 2 and vars(leaf) == fields
+    def test_a_leaf_keeps_its_memos(self, compiles, affine_folds):
+        # A leaf builds its program and its fold once, as an operator node
+        # does; its fields, its pickle and its copies do not show them.
+        for text in ("meas(t,[1,2],d)", "exact(3/2,d)"):
+            leaf = parse(text)
+            fields, cold = dict(vars(leaf)), pickle.dumps(leaf)
+            del compiles[:], affine_folds[:]
+            assert evaluate(MEMO_ENV, leaf) == evaluate(MEMO_ENV, leaf) == F(3, 2)
+            assert to_affine(leaf) == to_affine(leaf)
+            assert compiles == affine_folds == [leaf]
+            assert {name: vars(leaf)[name] for name in fields} == fields
+            assert pickle.dumps(leaf) == cold
+            copies = copy.copy(leaf), copy.deepcopy(leaf), dataclasses.replace(leaf)
+            for copied in (*copies, pickle.loads(cold)):
+                assert copied == leaf and vars(copied) == fields
+                del compiles[:]
+                assert evaluate(MEMO_ENV, copied) == F(3, 2) and compiles == [copied]
 
     @pytest.mark.parametrize("name", list(MEMO_TREES))
     def test_memo_is_invisible_and_not_copied(self, compiles, name):
