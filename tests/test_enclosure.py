@@ -563,13 +563,28 @@ class TestFoldMatchesReference:
 class TestLinearFold:
     """`to_affine` does O(1) work per node on every shape, so a right-nested
     chain costs about what a left-deep sum of the same size does, counted in
-    profiler events.  A fold that rebuilds the nested coefficients at each
-    level is quadratic in the depth; `TestFlattenWork` doubles each chain."""
+    profiler events, and its one adjoint sweep goes over each step once.  A
+    fold that rebuilds the nested coefficients at each level is quadratic in
+    the depth; `TestFlattenWork` doubles each chain in profiler events too."""
 
     @staticmethod
     def _events(right: bool) -> int:
         e = parse(long_affine_text(random.Random(800), 800, 200, right))
         return _profiler_events(lambda: to_affine(e))
+
+    @pytest.mark.parametrize("wrap", list(CHAIN_WRAPS.values()), ids=list(CHAIN_WRAPS))
+    def test_right_chain_doubling(self, sweeps, wrap):
+        # With no self-quotient the fold makes one sweep, over the records of
+        # the whole program and the registers it reaches: doubling the depth
+        # at most doubles them, give or take 10%.
+        visited = []
+        for depth in (100, 200, 400, 800):
+            e = parse(long_affine_text(random.Random(depth), depth, depth // 4, True, wrap))
+            sweeps.clear()
+            to_affine(e)
+            assert len(sweeps) == 1, sweeps
+            visited.append(sum(steps + tokens for steps, tokens in sweeps))
+        assert all(b <= 2.2 * a for a, b in zip(visited, visited[1:])), visited
 
     def test_right_chain_against_left_deep_sum(self):
         # Only the sum chain: a scaled, divided or negated level brings a
