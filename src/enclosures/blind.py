@@ -4,9 +4,9 @@ Erasing tokens keeps intervals, dimension tags, and tree shape but drops
 observation identity, so repeated leaves are summarized independently.
 The blind enclosure folds the interval arithmetic of `enclosure.BOUNDS_OPS`
 over the erased tree, on integer (numerator, denominator) pairs with one
-Fraction per end at the end; `over_approx` folds the same table over the
-token-level tree, so the two agree (the dependency problem in its classic
-form).  An exact leaf's value converts as `Interval.point` converts it.
+Fraction per end at the end; `over_approx` folds the same table, with the
+same leaf reader `enclosure._leaf_ends`, over the token-level tree, so the
+two agree by construction (the dependency problem in its classic form).
 The comparator at the bottom packages the demonstration that this
 summary cannot recover the token-sensitive rewrite class.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .enclosure import BOUNDS_OPS, DEFAULT_ENV_BUDGET, DEFAULT_GRID_POINTS, _bounds, _Ends, _ends
+from .enclosure import BOUNDS_OPS, DEFAULT_ENV_BUDGET, DEFAULT_GRID_POINTS, _bounds, _leaf_ends
 from .expr import (
     Add,
     Bounds,
@@ -80,14 +80,6 @@ def blind_enclosure(b: BlindExpr) -> Bounds:
     token identity survives erasure.
     """
     return _bounds(fold(b, _leaf_ends, BOUNDS_OPS))
-
-
-def _leaf_ends(b: BlindExpr) -> _Ends:
-    if isinstance(b, BlindExact):
-        return _ends(Interval.point(b.value))
-    if isinstance(b, BlindMeas):
-        return _ends(b.interval)
-    raise TypeError(f"not a blind expression node: {b!r}")
 
 
 def format_blind(b: BlindExpr) -> str:

@@ -411,11 +411,7 @@ def _cmd_oracle(args) -> int:
         samples = under_approx_samples(expr, args.grid, args.budget)
     except BudgetExceededError as ex:
         samples = ex.partial
-        print(
-            f"warning: budget exceeded: grid needs {ex.required} environments,"
-            f" budget is {ex.budget}",
-            file=sys.stderr,
-        )
+        print(f"warning: budget exceeded: {ex}", file=sys.stderr)
         code = 4
     for env, value in samples:
         row = _sample_json(env, value)

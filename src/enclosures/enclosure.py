@@ -26,7 +26,6 @@ from .expr import (
     Expr,
     InfeasibleTokenError,
     Interval,
-    Meas,
     Mul,
     Neg,
     Sub,
@@ -295,9 +294,9 @@ def _form_witness(f: AffineForm, e: Expr, q: Fraction) -> TokenEnv | None:
     Each token moves from the end of its box that minimises f towards the
     end that maximises it, by the same fraction lam of the way.
     """
-    lo, hi = f.interval.lo, f.interval.hi
-    if q < lo or q > hi:
+    if not f.interval.contains(q):
         return None
+    lo, hi = f.interval.lo, f.interval.hi
     lam = (q - lo) / (hi - lo) if lo != hi else _ZERO
     values = {}
     for t, box in f.boxes.items():
@@ -305,9 +304,12 @@ def _form_witness(f: AffineForm, e: Expr, q: Fraction) -> TokenEnv | None:
         start, end = (box.hi, box.lo) if c < 0 else (box.lo, box.hi)
         values[t] = start + lam * (end - start) if c and lam else start
     env = TokenEnv(values)
-    if token_consistent(env, e) and evaluate(env, e) == q:
-        return env
-    return None
+    return env if _attains(env, e, q) else None
+
+
+def _attains(env: TokenEnv, e: Expr, value: Fraction | None) -> bool:
+    """env is consistent with e and evaluates it to value: every witness test."""
+    return token_consistent(env, e) and evaluate(env, e) == value
 
 
 # --- sound over-approximation ------------------------------------------------
@@ -372,21 +374,27 @@ BOUNDS_OPS = {cls: _on_bounds(op) for cls, op in _INTERVAL_OPS.items()}
 def over_approx(e: Expr) -> Bounds:
     """Interval bounds treating every measured occurrence independently.
 
-    Identical to the token-erased enclosure by construction: widening the
-    set of environments to occurrence-independent ones can only grow the
-    image, so the result contains the warranted enclosure.  The ends are
-    folded as integer pairs, and each becomes one Fraction at the end.
+    Identical to the token-erased enclosure by construction, since
+    `blind.blind_enclosure` folds the same table with the same leaf reader:
+    widening the set of environments to occurrence-independent ones can
+    only grow the image, so the result contains the warranted enclosure.
+    The ends are folded as integer pairs, each made one Fraction at the end.
     """
     return _bounds(fold(e, _leaf_ends, BOUNDS_OPS))
 
 
-def _leaf_ends(e: Expr) -> _Ends:
-    if isinstance(e, Exact):
-        value = e.value.as_integer_ratio()
+def _leaf_ends(leaf: object) -> _Ends:
+    """A leaf's ends, token-level or token-erased: its `interval`, or its
+    `value` as a point.  An `Exact` value is a Fraction already; any other
+    value converts as `Interval.point` converts it."""
+    if isinstance(leaf, Exact):
+        value = leaf.value.as_integer_ratio()
         return value, value
-    if isinstance(e, Meas):
-        return _ends(e.interval)
-    raise TypeError(f"not an expression node: {e!r}")
+    if isinstance(getattr(leaf, "interval", None), Interval):
+        return _ends(leaf.interval)
+    if hasattr(leaf, "value"):
+        return _ends(Interval.point(leaf.value))
+    raise TypeError(f"not an expression node: {leaf!r}")
 
 
 def _bounds(ends: _Ends | Unbounded) -> Bounds:

@@ -99,7 +99,9 @@ class Interval:
         return cls(q, q)
 
     def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
+        (p, r), (s, t) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        n, d = q.as_integer_ratio()
+        return p * d <= n * r and n * t <= s * d  # lo <= q <= hi, cross-multiplied
 
     def intersect(self, other: "Interval") -> Union["Interval", None]:
         """Intersection, or None when the intervals are disjoint."""
@@ -110,7 +112,7 @@ class Interval:
         return Interval(lo, hi)
 
     def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        return self.contains(other.lo) and self.contains(other.hi)
 
     @property
     def is_point(self) -> bool:

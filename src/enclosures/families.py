@@ -62,37 +62,26 @@ class FamilySpec:
                 raise FamilySpecError("background interval needs lo < hi")
 
 
+def _occurrences(name: str, interval: Interval, dim: Dim, mode: str) -> tuple[Meas, Meas]:
+    """Two occurrences of one measured quantity: one shared leaf in the same
+    mode, leaves with the fresh tokens <name>1 and <name>2 in the distinct mode."""
+    if mode == "same":
+        m = Meas(Token(name), interval, dim)
+        return m, m
+    return Meas(Token(f"{name}1"), interval, dim), Meas(Token(f"{name}2"), interval, dim)
+
+
 def source_expr(spec: FamilySpec, mode: str) -> Expr:
     """The measurement-bearing side of the pair, in the given mode."""
-    d = spec.dim
-    match spec.family, mode:
-        case "cancellation", "same":
-            m = Meas(Token("t"), spec.interval, d)
-            return Sub(m, m)
-        case "cancellation", "distinct":
-            return Sub(
-                Meas(Token("t1"), spec.interval, d),
-                Meas(Token("t2"), spec.interval, d),
-            )
-        case "background", "same":
-            s = Meas(Token("ts"), spec.signal, d)
-            b = Meas(Token("tb"), spec.background, d)
-            return Sub(Add(s, b), b)
-        case "background", "distinct":
-            s = Meas(Token("ts"), spec.signal, d)
-            return Sub(
-                Add(s, Meas(Token("tb1"), spec.background, d)),
-                Meas(Token("tb2"), spec.background, d),
-            )
-        case "division", "same":
-            m = Meas(Token("t"), spec.interval, d)
-            return Div(m, m)
-        case "division", "distinct":
-            return Div(
-                Meas(Token("t1"), spec.interval, d),
-                Meas(Token("t2"), spec.interval, d),
-            )
-    raise FamilySpecError(f"unknown mode: {mode!r}")
+    if mode not in MODES:
+        raise FamilySpecError(f"unknown mode: {mode!r}")
+    match spec.family:
+        case "cancellation":
+            return Sub(*_occurrences("t", spec.interval, spec.dim, mode))
+        case "division":
+            return Div(*_occurrences("t", spec.interval, spec.dim, mode))
+    b1, b2 = _occurrences("tb", spec.background, spec.dim, mode)
+    return Sub(Add(Meas(Token("ts"), spec.signal, spec.dim), b1), b2)
 
 
 def target_expr(spec: FamilySpec) -> Expr:

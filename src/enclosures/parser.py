@@ -109,7 +109,7 @@ def _offset(text: str, lexemes: list[str], index: int) -> int:
 
 def _mismatch(wanted: str, lexemes: list[str], i: int) -> _Misread:
     found = lexemes[i].partition("(")[0] or lexemes[i]  # a leaf lexeme shows its keyword
-    return _Misread(f"expected {wanted}, found {found or 'end of input'!r}", i)
+    return _Misread(f"expected {wanted}, found {_quote(found or 'end of input')}", i)
 
 
 def _expect(lexemes: list[str], i: int, kind: str) -> str:

@@ -27,6 +27,7 @@ from .enclosure import (
     LazyOutcome,
     Member,
     Unknown,
+    _attains,
     _form_witness,
     certificate_of,
     enclosure,
@@ -36,7 +37,7 @@ from .enclosure import (
     settle,
 )
 from .expr import Expr, Interval, is_exact
-from .semantics import TokenEnv, compile_expr, evaluate, exact_value, token_consistent
+from .semantics import TokenEnv, exact_value
 
 
 class PreconditionViolated(ValueError):
@@ -282,21 +283,13 @@ def audit_verdict(verdict: Verdict, src: Expr, tgt: Expr) -> bool:
     return False
 
 
-def _attains(env: TokenEnv, e: Expr, value: Fraction | None) -> bool:
-    """env is consistent with e and evaluates it to value."""
-    return token_consistent(env, e) and evaluate(env, e) == value
-
-
 def _outcome_claim(e: Expr, out: EnclosureOutcome) -> bool:
     """Re-derive an outcome of e: an Unknown's `over` and each of its
     samples (the grid it came from is not part of the claim); any other
     outcome is e's enclosure itself."""
     if not isinstance(out, Unknown):
         return out == enclosure(e)
-    run = compile_expr(e)
-    return out.over == over_approx(e) and all(
-        token_consistent(env, e) and run(env.value) == value for env, value in out.under
-    )
+    return out.over == over_approx(e) and all(_attains(env, e, v) for env, v in out.under)
 
 
 def _bounds_claim(e: Expr, kind: str, bounds: Interval | None) -> bool:

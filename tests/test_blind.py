@@ -135,6 +135,22 @@ class TestBlindEnclosure:
     def test_exact_leaf_is_singleton(self):
         assert blind_enclosure(BlindExact(F(0), D)) == Interval.point(F(0))
 
+    @pytest.mark.parametrize("value, point", [(3, F(3)), ("1/2", F(1, 2))])
+    def test_exact_leaf_value_converts_as_interval_point(self, value, point):
+        bounds = blind_enclosure(BlindExact(value, D))
+        assert bounds == Interval.point(value) == Interval.point(point)
+        assert type(bounds.lo) is F and type(bounds.hi) is F
+
+    @pytest.mark.parametrize(
+        "leaf", [None, 3, F(1, 2), "exact(1,d)", Interval.of(1, 2), Token("t")], ids=repr
+    )
+    def test_a_non_node_raises_type_error_in_both_folds(self, leaf):
+        for bound in (over_approx, blind_enclosure):
+            with pytest.raises(TypeError):
+                bound(leaf)
+            with pytest.raises(TypeError):
+                bound(Neg(leaf))
+
     def test_zero_containing_denominator_unbounded(self):
         b = Div(BlindExact(F(1), D), BlindMeas(Interval.of(-1, 1), D))
         assert blind_enclosure(b) is UNBOUNDED

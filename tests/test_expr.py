@@ -56,6 +56,17 @@ class TestInterval:
         assert Interval.of(0, 10).encloses(Interval.of(2, 5))
         assert not Interval.of(2, 5).encloses(Interval.of(0, 10))
 
+    def test_contains_and_encloses_agree_with_fraction_order(self):
+        # Both cross-multiply integer pairs; check them against Fraction's
+        # own order on ends and values of mixed signs and denominators.
+        values = sorted({F(n, d) for n in range(-7, 8) for d in (1, 2, 3, 7)})[::3]
+        boxes = [Interval(lo, hi) for lo in values for hi in values if lo <= hi]
+        for iv in boxes:
+            for q in values + [-2, 0, 3]:
+                assert iv.contains(q) is (iv.lo <= q <= iv.hi), (iv, q)
+            for other in boxes:
+                assert iv.encloses(other) is (iv.lo <= other.lo and other.hi <= iv.hi)
+
 
 class TestFractionLeaves:
     """Interval ends and exact values are Fractions from construction on."""

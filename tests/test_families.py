@@ -119,6 +119,54 @@ class TestShapes:
         assert tgt == Exact(0, Dim("kg"))
 
 
+SPECS = {
+    "cancellation": dict(interval=Interval.of(2, 5)),
+    "background": dict(signal=Interval.of(10, 11), background=Interval.of(1, 2)),
+    "division": dict(interval=Interval.of(1, 2)),
+}
+
+
+def _meas(name, lo, hi):
+    return (
+        f"Meas(token=Token(name={name!r}), interval=Interval(lo=Fraction({lo}, 1),"
+        f" hi=Fraction({hi}, 1)), dim=Dim(tag='d'))"
+    )
+
+
+# The source trees' reprs, as `source_expr`'s six hand-written cases gave them.
+SOURCE_REPRS = {
+    ("cancellation", "same"): f"Sub(lhs={_meas('t', 2, 5)}, rhs={_meas('t', 2, 5)})",
+    ("cancellation", "distinct"): f"Sub(lhs={_meas('t1', 2, 5)}, rhs={_meas('t2', 2, 5)})",
+    ("background", "same"): (
+        f"Sub(lhs=Add(lhs={_meas('ts', 10, 11)}, rhs={_meas('tb', 1, 2)}), rhs={_meas('tb', 1, 2)})"
+    ),
+    ("background", "distinct"): (
+        f"Sub(lhs=Add(lhs={_meas('ts', 10, 11)}, rhs={_meas('tb1', 1, 2)}),"
+        f" rhs={_meas('tb2', 1, 2)})"
+    ),
+    ("division", "same"): f"Div(lhs={_meas('t', 1, 2)}, rhs={_meas('t', 1, 2)})",
+    ("division", "distinct"): f"Div(lhs={_meas('t1', 1, 2)}, rhs={_meas('t2', 1, 2)})",
+}
+
+
+class TestSourceTrees:
+    @pytest.mark.parametrize("family, mode", sorted(SOURCE_REPRS))
+    def test_repr_is_pinned(self, family, mode):
+        src, _ = build_pair(FamilySpec(family, mode, **SPECS[family]))
+        assert repr(src) == SOURCE_REPRS[family, mode]
+
+    @pytest.mark.parametrize("family", sorted(SPECS))
+    def test_same_mode_shares_one_leaf_and_distinct_mode_none(self, family):
+        def occurrences(src):  # the two leaves of the quantity measured twice
+            return (src.lhs.rhs, src.rhs) if family == "background" else (src.lhs, src.rhs)
+
+        same, distinct, _ = build_variants(FamilySpec(family, "same", **SPECS[family]))
+        first, second = occurrences(same)
+        assert first is second
+        first, second = occurrences(distinct)
+        assert first is not second and first.token != second.token
+
+
 class TestExpectedClass:
     def test_modes(self):
         assert expected_class("same") is RewriteClass.INTERCHANGEABLE

@@ -128,3 +128,62 @@ def test_guard_passes_a_layered_package(tmp_path):
     graph, nested = import_graph(root)
     assert graph == {"low": set(), "mid": {"low"}, "top": {"low", "mid"}}
     assert find_cycle(graph) is None and nested == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports at top level and never uses, in its code or in
+    its annotations, string annotations included; stdlib `ast` only, so the
+    guard runs where no linter is installed."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [
+        (a.asname or a.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for a in node.names
+    ]
+    annotations = [
+        ann
+        for node in ast.walk(tree)
+        for ann in (
+            [node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign))
+            else [node.returns] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else []
+        )
+        if ann is not None
+    ]
+    texts = [
+        ast.parse(c.value, mode="eval")
+        for ann in annotations
+        for c in ast.walk(ann)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+    used = {n.id for root in [tree, *texts] for n in ast.walk(root) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {
+        path.stem: unused_imports(path)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {mod: names for mod, names in unused.items() if names} == {}
+
+
+def test_unused_import_guard_reads_code_and_annotations(tmp_path):
+    root = _package(
+        tmp_path,
+        {
+            "a": (
+                "from __future__ import annotations\n"
+                "import json, os.path\n"
+                "from fractions import Fraction\n"
+                "from typing import Mapping, Union\n"
+                "from .b import B, C, D as E\n"
+                "def f(x: Mapping[str, 'B'], y: Union['Fraction', None]) -> C:\n"
+                "    return json.dumps(x)\n"
+            ),
+        },
+    )
+    assert unused_imports(root / "a.py") == ["os", "E"]

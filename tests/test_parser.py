@@ -107,6 +107,16 @@ ERRORS = [
     ("parse", "(exact(1,d)))", "expected 'EOF', found ')'", 12),
     ("parse", "exact(1,d) exact(2,d)", "expected 'EOF', found 'exact'", 11),
     ("parse", "exact(1,d) # c\n meas", "expected 'EOF', found 'meas'", 16),
+    # a found lexeme is quoted up to its first 40 characters
+    pytest.param(
+        "parse", "exact(1,d) " + "9" * 40, f"expected 'EOF', found {'9' * 40!r}", 11,
+        id="found-40-digits",
+    ),
+    pytest.param(
+        "parse", "exact(1,d) " + "9" * 5000, f"expected 'EOF', found {'9' * 40!r}...", 11,
+        id="found-5000-digits",
+    ),
+    pytest.param("parse", "x" * 41, f"{LEAF}, found {'x' * 40!r}...", 0, id="found-41-letters"),
     # standalone intervals
     ("parse_interval", "2,5]", "expected '[', found '2'", 0),
     ("parse_interval", "[1,2", "expected ']', found 'end of input'", 4),

@@ -745,6 +745,21 @@ class TestLeafSides:
             assert sorted(map(id, built)) == sorted([id(src), id(tgt)]), built
 
 
+class TestBoundsCompareIntegerPairs:
+    """`Interval.contains` and `encloses` cross-multiply integer pairs, so a
+    `products` op, whose ladder and audit check bounds through them, orders
+    no `Fraction`: each ordering goes through `Fraction._richcmp`'s
+    `numbers.Rational` check.  Equality tests are cheaper and not counted."""
+
+    def test_products_pair_orders_no_fraction(self, fraction_compares):
+        src_text, tgt_text, kind = TestLeafSides.PAIRS["products"]
+        src, tgt = parse(src_text), parse(tgt_text)
+        fraction_compares.clear()
+        cls = classify(src, tgt)
+        assert cls.kind is kind and audit_classification(cls, src, tgt)
+        assert set(fraction_compares) <= {"__eq__"}, fraction_compares
+
+
 class TestAffineFoldsOnce:
     """Each side's affine form is folded at most once per classify and once
     per audit, and an operator node's fold serves both."""
