@@ -13,7 +13,6 @@ summary cannot recover the token-sensitive rewrite class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -33,16 +32,17 @@ from .expr import (
     fold,
     format_tree,
 )
+from .record import record
 from .rewrite import Classification, classify
 
 
-@dataclass(frozen=True)
+@record
 class BlindExact:
     value: Fraction
     dim: Dim
 
 
-@dataclass(frozen=True)
+@record
 class BlindMeas:
     """A measured leaf with its token forgotten."""
 
@@ -98,7 +98,7 @@ def _blind_leaf_text(b: BlindExpr) -> str:
 # --- the blind-view comparator ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonReport:
     """Blind-view agreement versus token-sensitive classification.
 

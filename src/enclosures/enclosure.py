@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterator, Mapping, Union
@@ -34,6 +33,7 @@ from .expr import (
     fold,
     narrow_box,
 )
+from .record import record
 from .semantics import Compiled, TokenEnv, _Pair, compile_expr, evaluate, token_consistent
 from .semantics import _add, _ends, _less, _mul, _negate, _over_itself, _quotient, _sub
 
@@ -68,7 +68,7 @@ class BudgetExceededError(Exception):
         self.partial = partial
 
 
-@dataclass(frozen=True)
+@record
 class AffineForm:
     """constant + sum of coeffs[t] * env(t), with env ranging over the boxes.
 
@@ -93,21 +93,21 @@ class AffineForm:
 # --- enclosure outcomes ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EmptySet:
     """No token-consistent environment exists; the enclosure is empty."""
 
     token: Token
 
 
-@dataclass(frozen=True)
+@record
 class ExactInterval:
     """The enclosure is exactly this interval: every rational in it is attained."""
 
     interval: Interval
 
 
-@dataclass(frozen=True)
+@record
 class Unknown:
     """Certified sandwich for a non-affine expression.
 
@@ -203,7 +203,7 @@ def _fold_affine(e: Expr) -> AffineForm | tuple[type[Exception], object]:
             adjoint = _adjoints([] if j in token_of else back[end[i] :], j)
             coeffs = {token_of[r]: Fraction(*x) for r, x in adjoint.items() if r in token_of}
             lo, hi = _linear_bounds(Fraction(*a), coeffs, boxes)
-            if lo > 0 or hi < 0 or lo == hi == 0:
+            if lo.numerator > 0 or hi.numerator < 0 or lo.numerator == hi.numerator == 0:
                 c = (1, 1) if hi else (0, 1)
             else:
                 c = "self-quotient can take both 0 and 1 over the boxes"
@@ -301,7 +301,7 @@ def _form_witness(f: AffineForm, e: Expr, q: Fraction) -> TokenEnv | None:
     values = {}
     for t, box in f.boxes.items():
         c = f.coeffs.get(t, _ZERO)
-        start, end = (box.hi, box.lo) if c < 0 else (box.lo, box.hi)
+        start, end = (box.hi, box.lo) if c.numerator < 0 else (box.lo, box.hi)
         values[t] = start + lam * (end - start) if c and lam else start
     env = TokenEnv(values)
     return env if _attains(env, e, q) else None
@@ -598,7 +598,7 @@ def enclosure(
 # --- membership with certificates --------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ExclusionCertificate:
     """Machine-checkable reason a rational is outside an enclosure.
 
@@ -629,7 +629,7 @@ def certificate_of(out: LazyOutcome) -> ExclusionCertificate | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class Member:
     """q is warranted: env is consistent and evaluates to it."""
 
@@ -637,14 +637,14 @@ class Member:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class NonMember:
     """q is certified outside the enclosure."""
 
     certificate: ExclusionCertificate
 
 
-@dataclass(frozen=True)
+@record
 class Inconclusive:
     """Neither a witness nor an exclusion certificate was found."""
 

@@ -12,9 +12,10 @@ consulted during evaluation.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, TypeVar, Union
+
+from .record import fields, record
 
 
 class IntervalOrderError(ValueError):
@@ -29,20 +30,20 @@ class InfeasibleTokenError(Exception):
         self.token = token
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     """Opaque identity of one observation event; only equality matters."""
 
     name: str
 
-    def __hash__(self) -> int:  # the dataclass hash builds a tuple per call
+    def __hash__(self) -> int:  # a record's hash builds a tuple per call
         return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class Dim:
     """Dimension tag compared only syntactically; no units algebra."""
 
@@ -68,7 +69,7 @@ def _parsed(x: object) -> Fraction:
     return Fraction(x) if isinstance(x, str) else _fraction(x)
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     """Closed rational interval [lo, hi]; nonempty by construction.
 
@@ -104,12 +105,18 @@ class Interval:
         return p * d <= n * r and n * t <= s * d  # lo <= q <= hi, cross-multiplied
 
     def intersect(self, other: "Interval") -> Union["Interval", None]:
-        """Intersection, or None when the intervals are disjoint."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
+        """Intersection, or None when the intervals are disjoint.
+
+        They meet exactly when one's lower end lies in the other, and that
+        end is then the greater; ends are ordered as `contains` orders them.
+        """
+        if self.contains(other.lo):
+            lo = other.lo
+        elif other.contains(self.lo):
+            lo = self.lo
+        else:
             return None
-        return Interval(lo, hi)
+        return Interval(lo, other.hi if self.contains(other.hi) else self.hi)
 
     def encloses(self, other: "Interval") -> bool:
         return self.contains(other.lo) and self.contains(other.hi)
@@ -154,10 +161,10 @@ class _Leaf:
     not the program and fold memos stored on it, so a copy is cold."""
 
     def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in fields(self)}
 
 
-@dataclass(frozen=True)
+@record
 class Exact(_Leaf):
     """Exact rational constant with a dimension tag; the value is a Fraction,
     converted as an Interval's ends are."""
@@ -170,7 +177,7 @@ class Exact(_Leaf):
             object.__setattr__(self, "value", _fraction(self.value))
 
 
-@dataclass(frozen=True)
+@record
 class Meas(_Leaf):
     """One measurement: token identity, declared interval, dimension tag."""
 
@@ -187,8 +194,8 @@ class _Op:
     equal exactly when their post-orders agree, operators compared by class
     and leaves by value.  Equality walks both trees in step and stops at
     the first difference; hashing and pickling use the post-order.  Unlike
-    the dataclass methods, none of these recurse; repr prints the text the
-    dataclass repr would.  They read only the fields, so the memos that
+    a record's own methods, none of these recurse; repr prints the text a
+    record's repr would.  They read only the fields, so the memos that
     `semantics.compile_expr` (a program) and `enclosure.to_affine` (the
     fold it reads off that program) store on any node, leaf or operator,
     are invisible to them, and a deep copy or an unpickled tree carries neither.
@@ -223,31 +230,31 @@ class _Op:
         return _rebuild, (_shape(self),)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Add(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Sub(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Mul(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Div(_Op):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Neg(_Op):
     operand: "Expr"
 
@@ -331,7 +338,7 @@ def _render(e: Expr, parts: Callable[[Expr], list]) -> str:
 
 
 def _repr_parts(node: Expr) -> list:
-    """The pieces of the dataclass repr of node."""
+    """The pieces of the record repr of node."""
     if type(node) is Neg:
         return ["Neg(operand=", node.operand, ")"]
     if isinstance(node, _Op):

@@ -10,10 +10,10 @@ pair interchangeable; splitting leaves only the forward rewrite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import Add, Dim, Div, Exact, Expr, Interval, Meas, Sub, Token
+from .record import record
 from .rewrite import RewriteClass
 
 FAMILIES = ("cancellation", "background", "division")
@@ -24,7 +24,7 @@ class FamilySpecError(ValueError):
     """A family parameterization violates its side conditions."""
 
 
-@dataclass(frozen=True)
+@record
 class FamilySpec:
     """Validated parameters for one family instance.
 

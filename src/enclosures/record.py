@@ -1,0 +1,103 @@
+"""Frozen records: the constructor, equality, hash, repr and immutability
+that the package's value classes share.
+
+`record` does for a class what `@dataclass(frozen=True)` did, without
+importing `dataclasses`, which pulls in `inspect`, `ast`, `dis` and
+`tokenize` and compiles each generated method on its own; every
+`python -m enclosures` call paid for both.  A record's fields are the
+names its class body annotates, in order.  `fields` and `replace` stand
+in for their `dataclasses` namesakes.
+"""
+
+from __future__ import annotations
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a record."""
+
+
+class Factory:
+    """A field default made afresh for each record: `x: dict = Factory(dict)`."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _repr(self):
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields(self))
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def record(cls):
+    """Make cls a frozen record of the fields its own class body annotates.
+
+    cls gets an `__init__` taking the fields in order, a field's class
+    attribute as its default, and calling `__post_init__` last where cls
+    has one; `__eq__` and `__hash__` over the tuple of the fields, and the
+    `Name(field=value, ...)` repr, each unless cls or a base already defines
+    it; `__match_args__`; and a `__setattr__` and `__delattr__` that raise
+    FrozenInstanceError.  `__init__` sets the fields with
+    `object.__setattr__`, as a `__post_init__` that converts them must too.
+    The three methods that the package calls in bulk, `__init__`, `__eq__`
+    and `__hash__`, are compiled for cls, so they read each field by name
+    as hand-written ones would.
+    """
+    names = tuple(cls.__annotations__)
+    scope = {"_set": object.__setattr__}
+    params = []
+    body = []
+    for name in names:
+        value = name
+        if name in cls.__dict__:
+            default = scope[f"_d_{name}"] = cls.__dict__[name]
+            params.append(f"{name}=_d_{name}")
+            if isinstance(default, Factory):
+                value = f"_d_{name}.make() if {name} is _d_{name} else {name}"
+        else:
+            params.append(name)
+        body.append(f"    _set(self, {name!r}, {value})")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    lines = [f"def __init__({', '.join(['self', *params])}):", *(body or ["    pass"])]
+    mine = f"({''.join(f'self.{name},' for name in names)})"
+    theirs = f"({''.join(f'other.{name},' for name in names)})"
+    if cls.__eq__ is object.__eq__:
+        lines += [
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return {mine} == {theirs}",
+            "    return NotImplemented",
+        ]
+    if cls.__hash__ is object.__hash__:
+        lines += ["def __hash__(self):", f"    return hash({mine})"]
+    exec("\n".join(lines), scope)
+    for method in ("__init__", "__eq__", "__hash__"):
+        if method in scope:
+            scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, scope[method])
+    if cls.__repr__ is object.__repr__:
+        cls.__repr__ = _repr
+    cls.__match_args__ = names
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def fields(record) -> tuple[str, ...]:
+    """The field names of a record or record class, in order."""
+    return record.__match_args__
+
+
+def replace(record, **changes):
+    """A new record like record, with the fields named in changes replaced;
+    it is built by the class's `__init__`, so `__post_init__` checks it."""
+    kept = {name: getattr(record, name) for name in fields(record) if name not in changes}
+    return type(record)(**kept, **changes)

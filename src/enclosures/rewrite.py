@@ -10,7 +10,6 @@ be re-validated from scratch, which the audit helpers at the bottom do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -37,7 +36,8 @@ from .enclosure import (
     settle,
 )
 from .expr import Expr, Interval, is_exact
-from .semantics import TokenEnv, exact_value
+from .record import record
+from .semantics import TokenEnv, _less, exact_value
 
 
 class PreconditionViolated(ValueError):
@@ -47,19 +47,19 @@ class PreconditionViolated(ValueError):
 # --- evidence carried by Holds -----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SameExpression:
     """src and tgt are the same tree; containment is reflexive."""
 
 
-@dataclass(frozen=True)
+@record
 class EmptyTarget:
     """tgt's enclosure is empty, so it is contained in anything."""
 
     token_name: str
 
 
-@dataclass(frozen=True)
+@record
 class IntervalContainment:
     """tgt's certified bound sits inside src's exact interval.
 
@@ -76,7 +76,7 @@ class IntervalContainment:
     witness_value: Fraction | None = None
 
 
-@dataclass(frozen=True)
+@record
 class MembershipWitness:
     """tgt's enclosure is the single value; env makes src attain it."""
 
@@ -90,12 +90,12 @@ HoldsEvidence = Union[SameExpression, EmptyTarget, IntervalContainment, Membersh
 # --- three-valued verdicts ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Holds:
     evidence: HoldsEvidence
 
 
-@dataclass(frozen=True)
+@record
 class Fails:
     """env is consistent with tgt, evaluates it to value, and the
     certificate shows value is outside src's enclosure."""
@@ -105,7 +105,7 @@ class Fails:
     certificate: ExclusionCertificate
 
 
-@dataclass(frozen=True)
+@record
 class Undecided:
     """Neither direction of the containment could be certified."""
 
@@ -124,7 +124,7 @@ class RewriteClass(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     kind: RewriteClass
     forward: Verdict
@@ -180,7 +180,10 @@ def _decide(
     # bound or cert is empty, the low end otherwise.
     if cert is not None and isinstance(enc_tgt, AffineForm):
         iv = tgt_cert.bounds
-        q = iv.hi if cert.bounds is None or iv.hi > cert.bounds.hi else iv.lo
+        above = cert.bounds is None or _less(
+            cert.bounds.hi.as_integer_ratio(), iv.hi.as_integer_ratio()
+        )
+        q = iv.hi if above else iv.lo
         env = _form_witness(enc_tgt, tgt, q) if cert.excludes(q) else None
         if env is not None:
             return Fails(env, q, cert)

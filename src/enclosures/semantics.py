@@ -10,13 +10,13 @@ makes repeated occurrences of one token carry one shared value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping
 
 from .expr import Add, Div, Exact, Expr, Interval, Meas, Mul, Neg, Sub, Token, postorder
 from .expr import _fraction
+from .record import Factory, record
 
 _ZERO = Fraction(0)
 
@@ -25,7 +25,7 @@ class NotExactError(Exception):
     """Raised when an exact value is requested for a measured expression."""
 
 
-@dataclass(frozen=True)
+@record
 class TokenEnv:
     """Finite map from tokens to rationals; unbound tokens read as default.
 
@@ -36,7 +36,7 @@ class TokenEnv:
     default for the rest is observationally irrelevant.
     """
 
-    bindings: Mapping[Token, Fraction] = field(default_factory=dict)
+    bindings: Mapping[Token, Fraction] = Factory(dict)
     default: Fraction = _ZERO
 
     def __post_init__(self) -> None:

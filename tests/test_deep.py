@@ -6,7 +6,6 @@ RecursionError instead of an answer or a documented exit code.
 """
 
 import copy
-import dataclasses
 import json
 import pickle
 import random
@@ -30,6 +29,7 @@ from enclosures import (
     audit_classification,
     classify,
     enclosure,
+    fields,
     format_expr,
     parse,
     to_affine,
@@ -247,11 +247,11 @@ def test_scaling_by_zero_does_not_absorb_a_product():
 
 
 def ref_repr(e) -> str:
-    """The dataclass repr, field by field; recursion is fine on small trees."""
+    """The record repr, field by field; recursion is fine on small trees."""
     if not isinstance(e, (Add, Sub, Mul, Div, Neg)):
         return repr(e)
-    fields = (f"{f.name}={ref_repr(getattr(e, f.name))}" for f in dataclasses.fields(e))
-    return f"{type(e).__qualname__}({', '.join(fields)})"
+    parts = (f"{name}={ref_repr(getattr(e, name))}" for name in fields(e))
+    return f"{type(e).__qualname__}({', '.join(parts)})"
 
 
 def test_repr_text():

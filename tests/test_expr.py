@@ -1,6 +1,5 @@
 """Core types, the expression grammar, and the printer/parser pair."""
 
-import dataclasses
 import importlib
 import random
 from decimal import Decimal
@@ -14,6 +13,7 @@ from enclosures import (
     Dim,
     Div,
     Exact,
+    FrozenInstanceError,
     InfeasibleTokenError,
     Interval,
     IntervalOrderError,
@@ -184,9 +184,9 @@ class TestTokenAndDim:
         assert repr(first.token) == "Token(name='t')" and repr(first.dim) == "Dim(tag='d')"
 
     def test_fields_stay_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             Token("t").name = "u"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             Dim("d").tag = "e"
 
 

@@ -2,7 +2,6 @@
 
 import collections
 import copy
-import dataclasses
 import importlib
 import itertools
 import random
@@ -46,6 +45,7 @@ from enclosures import (
     licensed,
     meas_leaves,
     parse,
+    replace,
     to_affine,
     token_consistent,
 )
@@ -389,7 +389,7 @@ def _genuine(src, tgt, evidence_type):
 
 def _containment(src, tgt, **changes):
     real = _genuine(src, tgt, IntervalContainment).evidence
-    return Holds(dataclasses.replace(real, **changes)), src, tgt
+    return Holds(replace(real, **changes)), src, tgt
 
 
 def _failure(src, tgt, certificate):
@@ -405,7 +405,7 @@ def _membership_against(src, genuine_tgt, forged_tgt):
 def _open(src, tgt, side, forge):
     """A genuine Undecided with one side's outcome replaced by forge(outcome)."""
     real = _genuine(src, tgt, Undecided)
-    return dataclasses.replace(real, **{side: forge(getattr(real, side))}), src, tgt
+    return replace(real, **{side: forge(getattr(real, side))}), src, tgt
 
 
 def _first_sample(env=None, value=None):
@@ -415,7 +415,7 @@ def _first_sample(env=None, value=None):
     def forge(outcome):
         (real_env, real_value), *rest = outcome.under
         first = (env or real_env, real_value + 1 if value is None else value)
-        return dataclasses.replace(outcome, under=(first, *rest))
+        return replace(outcome, under=(first, *rest))
 
     return forge
 
@@ -467,7 +467,7 @@ FORGERIES = {
         UNDET_SRC,
         UNDET_TGT,
         "target_outcome",
-        lambda outcome: dataclasses.replace(outcome, over=Interval.of(1, 5)),
+        lambda outcome: replace(outcome, over=Interval.of(1, 5)),
     ),
     "undecided-wrong-exact-interval": lambda: _open(
         UNDET_SRC,

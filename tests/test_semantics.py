@@ -1,7 +1,6 @@
 """Evaluation, token consistency, exact values, environment files."""
 
 import copy
-import dataclasses
 import operator
 import pickle
 import random
@@ -38,6 +37,7 @@ from enclosures import (
     meas_leaves,
     parse,
     parse_env,
+    replace,
     to_affine,
     token_consistent,
     tokens_of,
@@ -605,7 +605,7 @@ class TestProgramMemo:
             assert compiles == affine_folds == [leaf]
             assert {name: vars(leaf)[name] for name in fields} == fields
             assert pickle.dumps(leaf) == cold
-            copies = copy.copy(leaf), copy.deepcopy(leaf), dataclasses.replace(leaf)
+            copies = copy.copy(leaf), copy.deepcopy(leaf), replace(leaf)
             for copied in (*copies, pickle.loads(cold)):
                 assert copied == leaf and vars(copied) == fields
                 del compiles[:]
