@@ -3,7 +3,8 @@
 Each case pins one rendering branch that the other CLI tests reach only
 loosely or not at all: every enclosure outcome shape, each verdict line
 form, the empty environment, blind comparison against each other, two
-demos, and the help text of the top level and of every subcommand.
+demos, the help text of the top level and of every subcommand, and the
+usage errors that argparse reports on stderr with exit code 2.
 """
 
 import pytest
@@ -368,6 +369,61 @@ options:
 """,
 }
 
+TOP_USAGE = "usage: enclosures [-h] {eval,enclosure,classify,blind,demo,oracle} ...\n"
+
+# (id, argv, stderr) of a call that argparse rejects with exit code 2
+USAGE_ERRORS = [
+    (
+        "unrecognized-after-command",
+        ["classify", "a.expr", "b.expr", "--bogus"],
+        TOP_USAGE + "enclosures: error: unrecognized arguments: --bogus\n",
+    ),
+    (
+        "unknown-command",
+        ["bogus"],
+        TOP_USAGE + "enclosures: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'eval', 'enclosure', 'classify', 'blind', 'demo', 'oracle')\n",
+    ),
+    (
+        "no-command",
+        [],
+        TOP_USAGE + "enclosures: error: the following arguments are required: command\n",
+    ),
+    (
+        "classify-without-files",
+        ["classify"],
+        """\
+usage: enclosures classify [-h] [--grid N] [--budget N] [--json | --pretty]
+                           [--dim-lint]
+                           source_file target_file
+enclosures classify: error: the following arguments are required: source_file, target_file
+""",
+    ),
+    (
+        "classify-bad-grid",
+        ["classify", "--grid", "x", "a.expr", "b.expr"],
+        """\
+usage: enclosures classify [-h] [--grid N] [--budget N] [--json | --pretty]
+                           [--dim-lint]
+                           source_file target_file
+enclosures classify: error: argument --grid: expected an integer, got 'x'
+""",
+    ),
+    (
+        "demo-without-family",
+        ["demo", "--mode", "same"],
+        """\
+usage: enclosures demo [-h] [--grid N] [--budget N] [--json | --pretty]
+                       [--dim-lint] --family
+                       {cancellation,background,division} --mode
+                       {same,distinct} [--interval [LO,HI]]
+                       [--signal-interval [LO,HI]]
+                       [--background-interval [LO,HI]] [--dim TAG]
+enclosures demo: error: the following arguments are required: --family
+""",
+    ),
+]
+
 
 def call(capsys, argv):
     code = main(argv)
@@ -390,3 +446,11 @@ def test_help_text(monkeypatch, capsys, command):
     monkeypatch.setenv("COLUMNS", "80")
     argv = ([] if command == "top" else [command]) + ["--help"]
     assert call(capsys, argv) == (0, HELP[command], "")
+
+
+@pytest.mark.parametrize(
+    "argv, err", [case[1:] for case in USAGE_ERRORS], ids=[case[0] for case in USAGE_ERRORS]
+)
+def test_usage_error(monkeypatch, capsys, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert call(capsys, argv) == (2, "", err)
