@@ -5,13 +5,16 @@ one JSON payload with a stable field order and prints it as one line
 (oracle prints one object per sampled row), so reports can be diffed
 byte for byte; --pretty renders that same payload as plain text.  Exit
 codes: 0 success/decided, 2 bad input or a result with a number too long
-to print, 3 an undetermined classification, 4 enumeration budget exceeded.
+to print, 3 an undetermined classification, 4 enumeration budget exceeded,
+141 stdout closed early.  `run()`, not `main()`, is the process entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -483,7 +486,7 @@ _INTERVAL_FLAGS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--grid",
@@ -526,30 +529,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Token-sensitive enclosures and rewrite classification "
         "for measurement-bearing arithmetic.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, positionals, handler in _COMMANDS:
+    names = "{" + ",".join(c[0] for c in _COMMANDS) + "}"  # for the top-level usage line
+    built = [c for c in _COMMANDS if c[0] == command]
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names if built else None)
+    for name, help_text, positionals, handler in built or _COMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)
         for arg, arg_help, nargs in positionals:
             p.add_argument(arg, nargs=nargs, help=arg_help)
         p.set_defaults(handler=handler)
-
-    demo = sub.choices["demo"]
-    demo.add_argument("--family", required=True, choices=FAMILIES)
-    demo.add_argument("--mode", required=True, choices=MODES)
-    for field, flag, help_text in _INTERVAL_FLAGS:
-        demo.add_argument(flag, dest=field, metavar="[LO,HI]", help=help_text)
-    demo.add_argument("--dim", default="d", metavar="TAG", help="dimension tag")
+        if name == "demo":
+            p.add_argument("--family", required=True, choices=FAMILIES)
+            p.add_argument("--mode", required=True, choices=MODES)
+            for field, flag, help_text in _INTERVAL_FLAGS:
+                p.add_argument(flag, dest=field, metavar="[LO,HI]", help=help_text)
+            p.add_argument("--dim", default="d", metavar="TAG", help="dimension tag")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as ex:
         return 0 if ex.code is None else int(ex.code)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        raise  # a closed stdout is not bad input; run() ends the call quietly
     except (ParseError, IntervalOrderError, FamilySpecError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
@@ -561,5 +568,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry: main(), then gc.freeze() to spare the collection at exit."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout goes to /dev/null, so the exit's flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -9,7 +9,7 @@ names its class body annotates, in order.  `fields` and `replace` stand
 in for their `dataclasses` namesakes.
 """
 
-from __future__ import annotations
+import operator
 
 
 class FrozenInstanceError(AttributeError):
@@ -46,9 +46,8 @@ def record(cls):
     it; `__match_args__`; and a `__setattr__` and `__delattr__` that raise
     FrozenInstanceError.  `__init__` sets the fields with
     `object.__setattr__`, as a `__post_init__` that converts them must too.
-    The three methods that the package calls in bulk, `__init__`, `__eq__`
-    and `__hash__`, are compiled for cls, so they read each field by name
-    as hand-written ones would.
+    Only `__init__` is compiled for cls, as it needs the fields' names and
+    defaults; `__eq__` and `__hash__` share one `operator.attrgetter`.
     """
     names = tuple(cls.__annotations__)
     scope = {"_set": object.__setattr__}
@@ -67,22 +66,19 @@ def record(cls):
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     lines = [f"def __init__({', '.join(['self', *params])}):", *(body or ["    pass"])]
-    mine = f"({''.join(f'self.{name},' for name in names)})"
-    theirs = f"({''.join(f'other.{name},' for name in names)})"
-    if cls.__eq__ is object.__eq__:
-        lines += [
-            "def __eq__(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return {mine} == {theirs}",
-            "    return NotImplemented",
-        ]
-    if cls.__hash__ is object.__hash__:
-        lines += ["def __hash__(self):", f"    return hash({mine})"]
     exec("\n".join(lines), scope)
-    for method in ("__init__", "__eq__", "__hash__"):
-        if method in scope:
-            scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
-            setattr(cls, method, scope[method])
+    # attrgetter takes at least one name, and gives a bare value for one.
+    get = operator.attrgetter(*names) if names else lambda r: ()
+    key = (lambda r: (get(r),)) if len(names) == 1 else get
+
+    def __eq__(self, other):
+        return get(self) == get(other) if other.__class__ is self.__class__ else NotImplemented
+
+    methods = {"__init__": scope["__init__"], "__eq__": __eq__, "__hash__": lambda self: hash(key(self))}
+    for method, function in methods.items():
+        if method == "__init__" or getattr(cls, method) is getattr(object, method):
+            function.__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, function)
     if cls.__repr__ is object.__repr__:
         cls.__repr__ = _repr
     cls.__match_args__ = names

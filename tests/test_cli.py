@@ -1,5 +1,7 @@
 """Command-line behavior: golden outputs, exit codes, and diagnostics."""
 
+import argparse
+import gc
 import importlib
 import json
 import os
@@ -589,6 +591,70 @@ class TestInstalledEntryPoints:
     )
     def test_installed_console_script(self, tmp_path):
         check_script(tmp_path, [shutil.which("enclosures")])
+
+
+class TestProcessEntry:
+    """`run()` is the process entry; `main()` acts on nothing beyond its streams."""
+
+    def test_main_leaves_the_collector_unfrozen(self, files, capsys):
+        before = gc.get_freeze_count()
+        assert run(capsys, "enclosure", files("e.expr", SAME_DIFF))[0] == 0
+        assert gc.get_freeze_count() == before
+
+    def test_run_freezes_the_collector(self, files):
+        code = (
+            "import gc, sys; from enclosures.cli import run; code = run(); "
+            "print(gc.get_freeze_count() > 0, code, file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "enclosure", files("e.expr", SAME_DIFF)],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+        )
+        assert json.loads(proc.stdout)["result"]["interval"] == ["0", "0"]
+        assert proc.stderr == "True 0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["oracle", "--grid", "30"], ["enclosure"]],
+        ids=["closed-while-printing", "closed-at-exit"],
+    )
+    def test_closed_stdout_exits_141_quietly(self, files, argv):
+        # The reader is gone before the call starts, so every write to stdout
+        # fails: oracle's 900 rows overflow the buffer inside main(), and
+        # enclosure's one line fails at the final flush.
+        path = files("e.expr", "meas(a,[0,9],d) + meas(b,[0,9],d)")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "enclosures", *argv, path],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=checkout_env(),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
+    @pytest.mark.parametrize(
+        "argv, built", [(["classify", "a.expr", "b.expr"], 1), (["-h"], 6), (["bogus"], 6)]
+    )
+    def test_parser_builds_only_the_named_subcommand(self, monkeypatch, capsys, argv, built):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        main(argv)
+        capsys.readouterr()
+        assert len(calls) == built
 
 
 class TestUndecodableInput:

@@ -2,9 +2,9 @@
 
 Every fenced block that opens with `$ enclosures ...` is one example: the
 command goes through `cli.main` in a directory holding the input files
-the README names, and its stdout must equal the rest of the block.  The
-```python block runs as written, and each `print(...)  # text` line must
-print `text`.
+the README names, and its stdout must equal the rest of the block.  Each
+```python block runs as written, and each `print(...)  # text` line in it
+must print `text`.
 """
 
 import re
@@ -28,7 +28,8 @@ INPUTS = {
 TEXT = README.read_text(encoding="utf-8")
 EXAMPLE = re.compile(r"^```sh\n\$ enclosures (.*)\n((?:(?!```).*\n)*)```$", re.MULTILINE)
 EXAMPLES = EXAMPLE.findall(TEXT)
-LIBRARY = re.search(r"^```python\n((?:(?!```).*\n)*)```$", TEXT, re.MULTILINE).group(1)
+LIBRARY = re.findall(r"^```python\n((?:(?!```).*\n)*)```$", TEXT, re.MULTILINE)
+PRINTED = re.compile(r"^\s*print\(.*\)  +# (.*)$", re.MULTILINE)
 
 
 def test_readme_has_examples():
@@ -45,7 +46,10 @@ def test_readme_example(tmp_path, monkeypatch, capsys, command, expected):
 
 
 def test_readme_library_block(capsys):
-    expected = re.findall(r"^print\(.*\)  +# (.*)$", LIBRARY, re.MULTILINE)
-    assert len(expected) == 4
-    exec(compile(LIBRARY, str(README), "exec"), {})
-    assert capsys.readouterr().out.splitlines() == expected
+    counts = []
+    for block in LIBRARY:
+        expected = PRINTED.findall(block)
+        exec(compile(block, str(README), "exec"), {})
+        assert capsys.readouterr().out.splitlines() == expected
+        counts.append(len(expected))
+    assert counts == [4, 3]
