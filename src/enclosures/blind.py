@@ -2,11 +2,9 @@
 
 Erasing tokens keeps intervals, dimension tags, and tree shape but drops
 observation identity, so repeated leaves are summarized independently.
-The blind enclosure folds the interval arithmetic of `enclosure.BOUNDS_OPS`
-over the erased tree, on integer (numerator, denominator) pairs with one
-Fraction per end at the end; `over_approx` folds the same table, with the
-same leaf reader `enclosure._leaf_ends`, over the token-level tree, so the
-two agree by construction (the dependency problem in its classic form).
+The blind enclosure and `over_approx` are one interval fold
+(`enclosure._interval_image`) of the erased and of the token-level tree, so
+the two agree by construction (the dependency problem in its classic form).
 The comparator at the bottom packages the demonstration that this
 summary cannot recover the token-sensitive rewrite class.
 """
@@ -16,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .enclosure import BOUNDS_OPS, DEFAULT_ENV_BUDGET, DEFAULT_GRID_POINTS, _bounds, _leaf_ends
+from .enclosure import DEFAULT_ENV_BUDGET, DEFAULT_GRID_POINTS, _interval_image
 from .expr import (
     Add,
     Bounds,
@@ -79,7 +77,7 @@ def blind_enclosure(b: BlindExpr) -> Bounds:
     interval, and every occurrence is treated independently because no
     token identity survives erasure.
     """
-    return _bounds(fold(b, _leaf_ends, BOUNDS_OPS))
+    return _interval_image(b)
 
 
 def format_blind(b: BlindExpr) -> str:

@@ -14,7 +14,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .expr import (
     UNBOUNDED,
@@ -29,7 +29,7 @@ from .expr import (
     Neg,
     Sub,
     Token,
-    Unbounded,
+    _fraction,
     fold,
     narrow_box,
 )
@@ -283,9 +283,10 @@ def affine_witness(e: Expr, q: Fraction) -> TokenEnv | None:
 
     Interpolates between the two extremal environments; returns None when
     q is outside the exact interval.  The returned environment is checked
-    against the original expression before being handed out.
+    against the original expression before being handed out.  q converts
+    as an `Exact` value does, so a float raises TypeError.
     """
-    return _form_witness(to_affine(e), e, q)
+    return _form_witness(to_affine(e), e, _fraction(q))
 
 
 def _form_witness(f: AffineForm, e: Expr, q: Fraction) -> TokenEnv | None:
@@ -315,9 +316,13 @@ def _attains(env: TokenEnv, e: Expr, value: Fraction | None) -> bool:
 # --- sound over-approximation ------------------------------------------------
 #
 # Bounds are folded as ends: a (lo, hi) pair of reduced integer (numerator,
-# denominator) pairs, or UNBOUNDED.  `_bounds` makes the Fractions at the end.
+# denominator) pairs.  `_interval_image` makes the Fractions at the end.
 
 _Ends = tuple[_Pair, _Pair]
+
+
+class _Unbounded(Exception):
+    """A denominator's bounds hold 0 but are not both 0: no finite bounds."""
 
 
 def _hull(*values: _Pair) -> _Ends:
@@ -330,29 +335,17 @@ def _hull(*values: _Pair) -> _Ends:
     return lo, hi
 
 
-def _div_bounds(a: _Ends, b: _Ends) -> _Ends | Unbounded:
+def _div_bounds(a: _Ends, b: _Ends) -> _Ends:
     if not b[0][0] and not b[1][0]:
         # Total division: everything over exactly zero collapses to zero.
         return (0, 1), (0, 1)
     if b[0][0] <= 0 <= b[1][0]:
         # Denominator values arbitrarily close to zero: no finite bounds.
-        return UNBOUNDED
+        raise _Unbounded
     (alo, ahi), (blo, bhi) = a, b
     return _hull(
         _quotient(alo, blo), _quotient(alo, bhi), _quotient(ahi, blo), _quotient(ahi, bhi)
     )
-
-
-def _on_bounds(op: Callable[..., _Ends | Unbounded]) -> Callable[..., _Ends | Unbounded]:
-    """op over ends, extended to UNBOUNDED: any UNBOUNDED operand gives UNBOUNDED."""
-
-    def extended(*operands: _Ends | Unbounded) -> _Ends | Unbounded:
-        for b in operands:
-            if b is UNBOUNDED:
-                return UNBOUNDED
-        return op(*operands)
-
-    return extended
 
 
 # Interval arithmetic: each operator's image on independent operand boxes.
@@ -366,21 +359,27 @@ _INTERVAL_OPS = {
     Neg: lambda a: ((-a[1][0], a[1][1]), (-a[0][0], a[0][1])),
 }
 
-# The same on ends or UNBOUNDED.  `fold` applies it to the token-level tree
-# here and to the erased tree in enclosures.blind, and `_bounds` reads the result.
-BOUNDS_OPS = {cls: _on_bounds(op) for cls, op in _INTERVAL_OPS.items()}
+
+def _interval_image(tree: object) -> Bounds:
+    """`_INTERVAL_OPS` folded over a token-level or token-erased tree, from
+    its leaves' ends (`_leaf_ends`): UNBOUNDED once some denominator may be
+    0, so an unbounded operand anywhere gives UNBOUNDED, even over exact 0."""
+    try:
+        lo, hi = fold(tree, _leaf_ends, _INTERVAL_OPS)
+    except _Unbounded:
+        return UNBOUNDED
+    return Interval(Fraction(*lo), Fraction(*hi))
 
 
 def over_approx(e: Expr) -> Bounds:
     """Interval bounds treating every measured occurrence independently.
 
     Identical to the token-erased enclosure by construction, since
-    `blind.blind_enclosure` folds the same table with the same leaf reader:
-    widening the set of environments to occurrence-independent ones can
-    only grow the image, so the result contains the warranted enclosure.
-    The ends are folded as integer pairs, each made one Fraction at the end.
+    `blind.blind_enclosure` is the same `_interval_image` of the erased
+    tree: widening the set of environments to occurrence-independent ones
+    can only grow the image, so the result contains the warranted enclosure.
     """
-    return _bounds(fold(e, _leaf_ends, BOUNDS_OPS))
+    return _interval_image(e)
 
 
 def _leaf_ends(leaf: object) -> _Ends:
@@ -395,11 +394,6 @@ def _leaf_ends(leaf: object) -> _Ends:
     if hasattr(leaf, "value"):
         return _ends(Interval.point(leaf.value))
     raise TypeError(f"not an expression node: {leaf!r}")
-
-
-def _bounds(ends: _Ends | Unbounded) -> Bounds:
-    """The Bounds that folded ends stand for."""
-    return ends if ends is UNBOUNDED else Interval(Fraction(*ends[0]), Fraction(*ends[1]))
 
 
 # --- sampled under-approximation ---------------------------------------------
@@ -559,6 +553,17 @@ def under_approx_samples(
 LazyOutcome = Union[EmptySet, AffineForm, SampleStream]
 
 
+def _fold_outcome(e: Expr) -> EmptySet | AffineForm | None:
+    """What e's affine fold (`to_affine`) decides: its form, its EmptySet when
+    some token has no possible value, or None when e leaves the fragment."""
+    try:
+        return to_affine(e)
+    except InfeasibleTokenError as ex:
+        return EmptySet(ex.token)
+    except NotAffineError:
+        return None
+
+
 def lazy_enclosure(
     e: Expr,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -566,12 +571,8 @@ def lazy_enclosure(
 ) -> LazyOutcome:
     """`enclosure` with an affine e left as its form and the samples of any
     other e left undrawn."""
-    try:
-        return to_affine(e)
-    except InfeasibleTokenError as ex:
-        return EmptySet(ex.token)
-    except NotAffineError:
-        return SampleStream(e, grid_points, budget)
+    out = _fold_outcome(e)
+    return SampleStream(e, grid_points, budget) if out is None else out
 
 
 def settle(out: LazyOutcome) -> EnclosureOutcome:
@@ -660,8 +661,9 @@ def membership(
     grid_points: int = DEFAULT_GRID_POINTS,
     budget: int = DEFAULT_ENV_BUDGET,
 ) -> MembershipResult:
-    """Decide whether q is a warranted value of e, where a certificate exists."""
-    return membership_in(e, q, lazy_enclosure(e, grid_points, budget))
+    """Decide whether q is a warranted value of e, where a certificate exists;
+    q converts as an `Exact` value does, so a float raises TypeError."""
+    return membership_in(e, _fraction(q), lazy_enclosure(e, grid_points, budget))
 
 
 def membership_in(e: Expr, q: Fraction, out: LazyOutcome) -> MembershipResult:

@@ -20,16 +20,15 @@ from .enclosure import (
     AffineForm,
     EmptySet,
     EnclosureOutcome,
-    ExactInterval,
     ExclusionCertificate,
     Inconclusive,
     LazyOutcome,
     Member,
     Unknown,
     _attains,
+    _fold_outcome,
     _form_witness,
     certificate_of,
-    enclosure,
     lazy_enclosure,
     membership_in,
     over_approx,
@@ -257,7 +256,7 @@ def audit_verdict(verdict: Verdict, src: Expr, tgt: Expr) -> bool:
         case Holds(SameExpression()):
             return src == tgt
         case Holds(EmptyTarget(token_name)):
-            enc = enclosure(tgt)
+            enc = _fold_outcome(tgt)
             return isinstance(enc, EmptySet) and enc.token.name == token_name
         case Holds(IntervalContainment(source, target, target_kind, witness, value)):
             return (
@@ -289,9 +288,10 @@ def audit_verdict(verdict: Verdict, src: Expr, tgt: Expr) -> bool:
 def _outcome_claim(e: Expr, out: EnclosureOutcome) -> bool:
     """Re-derive an outcome of e: an Unknown's `over` and each of its
     samples (the grid it came from is not part of the claim); any other
-    outcome is e's enclosure itself."""
+    outcome must be the one e's affine fold settles to (none off the fragment)."""
     if not isinstance(out, Unknown):
-        return out == enclosure(e)
+        folded = _fold_outcome(e)
+        return folded is not None and out == settle(folded)
     return out.over == over_approx(e) and all(_attains(env, e, v) for env, v in out.under)
 
 
@@ -303,10 +303,10 @@ def _bounds_claim(e: Expr, kind: str, bounds: Interval | None) -> bool:
     `over_approx(e)`, which contains it.  Any other kind certifies nothing.
     """
     if kind == "empty":
-        return bounds is None and isinstance(enclosure(e), EmptySet)
+        return bounds is None and isinstance(_fold_outcome(e), EmptySet)
     if kind == "exact-interval":
-        enc = enclosure(e)
-        return isinstance(enc, ExactInterval) and enc.interval == bounds
+        form = _fold_outcome(e)
+        return isinstance(form, AffineForm) and form.interval == bounds
     if kind == "over-approx":
         return over_approx(e) == bounds
     return False
@@ -315,13 +315,12 @@ def _bounds_claim(e: Expr, kind: str, bounds: Interval | None) -> bool:
 def audit_classification(cls: Classification, src: Expr, tgt: Expr) -> bool:
     """Check both directional verdicts; the backward one swaps the roles.
 
-    Every claim is re-derived through `enclosure`, `over_approx` and
-    evaluation, never through the ladder.  An affine or empty side that
-    `classify` enclosed is an operator node (or an O(1) leaf) whose fold
-    `to_affine` memoized, so its enclosure here reads that memo, the same
-    deterministic fold of the same frozen tree; nothing a verdict carries
-    reaches it.  A sampled side is never enclosed for a genuine verdict.
-    A forged one costs at most one extra `enclosure` per direction, since
-    the first claim it fails ends that direction's check.
+    Every claim is re-derived through each side's affine fold
+    (`to_affine`), `over_approx` and evaluation, never through the ladder.
+    A side that `classify` enclosed is a node whose fold `to_affine`
+    memoized, so the audit reads that memo, the same deterministic fold of
+    the same frozen tree; nothing a verdict carries reaches it.  No claim
+    is re-derived by sampling: only the fold can certify an exact or empty
+    enclosure, so a forged one is rejected without drawing a sample.
     """
     return audit_verdict(cls.forward, src, tgt) and audit_verdict(cls.backward, tgt, src)

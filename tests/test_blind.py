@@ -12,7 +12,6 @@ from enclosures import (
     BlindExact,
     BlindMeas,
     Bounds,
-    Dim,
     Div,
     Exact,
     Interval,

@@ -725,6 +725,11 @@ class TestAffineWitness:
     def test_outside_returns_none(self):
         assert affine_witness(SAME_DIFF, F(1)) is None
 
+    def test_q_converts_as_an_exact_value(self):
+        assert evaluate(affine_witness(DIST_DIFF, 1), DIST_DIFF) == 1
+        with pytest.raises(TypeError, match=r"got float 0\.5$"):
+            affine_witness(DIST_DIFF, 0.5)
+
 
 class TestOverApprox:
     def test_dependency_problem_visible(self):
@@ -965,6 +970,15 @@ class TestMembership:
         res = membership(DIST_DIV, F(2))
         assert isinstance(res, Member)
         assert evaluate(res.env, DIST_DIV) == F(2)
+
+    @pytest.mark.parametrize("e", [DIST_DIFF, DIST_DIV], ids=["affine", "sampled"])
+    def test_q_converts_as_an_exact_value(self, e):
+        for q in (1, F(1, 2)):
+            res = membership(e, q)
+            assert isinstance(res, Member) and type(res.value) is F and res.value == q
+            assert evaluate(res.env, e) == q
+        with pytest.raises(TypeError, match=r"got float 0\.5$"):
+            membership(e, 0.5)
 
     def test_inconclusive_interior(self):
         # 7/5 is inside the over bounds but not on the default grid

@@ -171,6 +171,12 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert {mod: names for mod, names in unused.items() if names} == {}
 
 
+def test_no_test_module_imports_a_name_it_does_not_use():
+    tests = Path(__file__).resolve().parent
+    unused = {path.name: unused_imports(path) for path in sorted(tests.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
 def test_unused_import_guard_reads_code_and_annotations(tmp_path):
     root = _package(
         tmp_path,

@@ -377,6 +377,10 @@ PRODUCT = parse("meas(p,[1,2],d) * meas(q,[1,2],d)")  # over-approx [1,4]
 THREE = parse("exact(3,d)")
 TEN = parse("exact(10,d)")
 EMPTY = parse("meas(e,[0,1],d) + meas(e,[2,3],d)")  # e has no possible value
+# 5**7 grid environments, over-approx [1,128]: only a fold can cheaply say
+# it is not exact and not empty
+SEVEN = parse(" * ".join(f"meas(t{i},[1,2],d)" for i in range(7)))
+BIG = parse("exact(200,d)")
 
 
 def _genuine(src, tgt, evidence_type):
@@ -475,7 +479,37 @@ FORGERIES = {
         "target_outcome",
         lambda outcome: ExactInterval(Interval.of(1, 3)),
     ),
+    "seven-fails-exact-interval": lambda: _failure(
+        SEVEN, BIG, ExclusionCertificate("exact-interval", Interval.of(1, 128))
+    ),
+    "seven-fails-empty": lambda: _failure(SEVEN, BIG, ExclusionCertificate("empty")),
+    "seven-empty-target": lambda: (Holds(EmptyTarget("t0")), BIG, SEVEN),
+    "seven-undecided-exact-interval": lambda: (
+        Undecided(ExactInterval(Interval.of(1, 128)), enclosure(BIG)),
+        SEVEN,
+        BIG,
+    ),
 }
+
+
+@pytest.fixture
+def forbid_samples(monkeypatch):
+    """Call it to make building a SampleStream fail the test from then on."""
+    module = importlib.import_module("enclosures.enclosure")
+
+    class Forbidden(module.SampleStream):
+        def __init__(self, *args):
+            raise AssertionError("a SampleStream was built")
+
+    return lambda: monkeypatch.setattr(module, "SampleStream", Forbidden)
+
+
+def _any_pairs():
+    """The seeded `gen_any` pairs of the genuine-verdict audits."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        boxes = token_boxes(rng, 3)
+        yield gen_any(rng, boxes, rng.randint(1, 9)), gen_any(rng, boxes, rng.randint(1, 9))
 
 
 class TestAuditTamperTable:
@@ -487,8 +521,8 @@ class TestAuditTamperTable:
     @pytest.mark.parametrize("name", sorted(FORGERIES))
     def test_forgery_is_rejected_with_warm_folds(self, affine_folds, monkeypatch, name):
         # The trees were classified first, so every operator node's fold is
-        # memoized; a forged claim reads the same memo and still fails, at a
-        # cost of at most one sampled enclosure.
+        # memoized; a forged claim reads the same memo and still fails, and
+        # draws no sample.
         forged, src, tgt = FORGERIES[name]()
         classify(src, tgt)
         classify(tgt, src)
@@ -504,7 +538,7 @@ class TestAuditTamperTable:
         del affine_folds[:]
         assert not audit_verdict(forged, src, tgt)
         assert all(isinstance(e, (Meas, Exact)) for e in affine_folds)
-        assert len(streams) <= 1
+        assert len(streams) == 0
 
     def test_genuine_evidence_kinds(self):
         over = _genuine(WIDE, PRODUCT, IntervalContainment).evidence
@@ -536,11 +570,7 @@ class TestAuditTamperTable:
     @pytest.mark.parametrize("grid, budget", [(3, 2000), (3, 5), (2, 0)])
     def test_genuine_undecided_verdicts_audit_clean(self, grid, budget):
         seen = truncated = 0
-        for seed in range(60):
-            rng = random.Random(seed)
-            boxes = token_boxes(rng, 3)
-            src = gen_any(rng, boxes, rng.randint(1, 9))
-            tgt = gen_any(rng, boxes, rng.randint(1, 9))
+        for src, tgt in _any_pairs():
             cls = classify(src, tgt, grid, budget)
             assert audit_classification(cls, src, tgt)
             for verdict in (cls.forward, cls.backward):
@@ -563,6 +593,24 @@ class TestAuditTamperTable:
         assert audit_classification(cls, src, tgt)
         assert audit_verdict(cls.forward, src, tgt)
         assert audit_verdict(cls.backward, tgt, src)
+
+
+class TestAuditDrawsNoSample:
+    """The audit re-derives an exact or empty claim from the side's affine
+    fold, never from its grid, so no audit builds a SampleStream."""
+
+    @pytest.mark.parametrize("name", sorted(FORGERIES))
+    def test_forgery_is_rejected(self, forbid_samples, name):
+        forged, src, tgt = FORGERIES[name]()
+        forbid_samples()
+        assert not audit_verdict(forged, src, tgt)
+
+    @pytest.mark.parametrize("grid, budget", [(3, 2000), (3, 5), (2, 0)])
+    def test_genuine_verdicts_audit_clean(self, forbid_samples, grid, budget):
+        verdicts = [(classify(src, tgt, grid, budget), src, tgt) for src, tgt in _any_pairs()]
+        forbid_samples()
+        for cls, src, tgt in verdicts:
+            assert audit_classification(cls, src, tgt)
 
 
 class TestEnclosureGridArguments:
