@@ -198,7 +198,8 @@ class _Op:
     record's repr would.  They read only the fields, so the memos that
     `semantics.compile_expr` (a program) and `enclosure.to_affine` (the
     fold it reads off that program) store on any node, leaf or operator,
-    are invisible to them, and a deep copy or an unpickled tree carries neither.
+    and the post-order `parser.parse` stores on a root, are invisible to
+    them, and a deep copy or an unpickled tree carries none of them.
     """
 
     def __eq__(self, other: object) -> bool:
@@ -265,12 +266,17 @@ T = TypeVar("T")
 
 
 def postorder(e: Expr) -> list[Expr]:
-    """Every node of e, children before parents and left before right.
+    """Every node of e, children before parents and left before right, in
+    a fresh list.
 
-    The one place that knows each node's children.  An explicit stack
-    keeps deep trees off the interpreter's recursion limit; reversing a
-    node-right-left preorder gives the left-right-node post-order.
+    The one place that knows each node's children, bar a root that
+    `parser.parse` built, which keeps this order of the nodes below it.  An
+    explicit stack keeps deep trees off the interpreter's recursion limit;
+    reversing a node-right-left preorder gives the left-right-node post-order.
     """
+    memo = getattr(e, "_postorder", None)
+    if memo is not None:
+        return [*memo, e]
     order = []
     stack = [e]
     while stack:

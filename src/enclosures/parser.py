@@ -20,6 +20,9 @@ checks it against the grammar and builds its node once per distinct leaf
 text, so equal leaves in one expression are one object.  Any other leaf
 is read lexeme by lexeme, which is also how every error is found; an
 error's character offset is worked out only then.
+
+Nodes are completed in post-order, and a root that is not a leaf keeps that
+order, less itself (so no cycle), as the `_postorder` `expr.postorder` reads.
 """
 
 from __future__ import annotations
@@ -194,6 +197,7 @@ def _expression(lexemes: list[str]) -> Expr:
     operands: list[Expr] = []  # left operands of pending binary operators
     pending: list[tuple[int, type | None]] = []  # (precedence, node class)
     built: dict[str, Expr] = {}  # leaf lexeme -> its node
+    order: list[Expr] = []  # each leaf occurrence and node as it is completed: post-order
     while True:
         while (lexeme := lexemes[i]) in _PREFIX:  # unary minus and "(" before a leaf
             pending.append(_PREFIX[lexeme])
@@ -212,6 +216,7 @@ def _expression(lexemes: list[str]) -> Expr:
             shape, build = leaf
             values, i = _fields(lexemes, i + 1, shape)
             node = build(*values)
+        order.append(node)
         while True:  # after an operand: ")" repeats, an infix operator ends
             infix = _INFIX.get(lexeme := lexemes[i])
             # Left associativity: apply pending operators of equal or
@@ -221,6 +226,7 @@ def _expression(lexemes: list[str]) -> Expr:
             while pending and pending[-1][0] >= floor:
                 cls = pending.pop()[1]
                 node = Neg(node) if cls is Neg else cls(operands.pop(), node)
+                order.append(node)
             if infix:
                 operands.append(node)
                 pending.append(infix)
@@ -228,6 +234,9 @@ def _expression(lexemes: list[str]) -> Expr:
                 break
             if not pending:
                 _expect(lexemes, i, "EOF")
+                if len(order) > 1:  # the nodes below the root, so the root holds no cycle
+                    order.pop()
+                    object.__setattr__(node, "_postorder", order)
                 return node
             _expect(lexemes, i, ")")
             pending.pop()

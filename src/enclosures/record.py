@@ -44,15 +44,16 @@ def record(cls):
     has one; `__eq__` and `__hash__` over the tuple of the fields, and the
     `Name(field=value, ...)` repr, each unless cls or a base already defines
     it; `__match_args__`; and a `__setattr__` and `__delattr__` that raise
-    FrozenInstanceError.  `__init__` sets the fields with
-    `object.__setattr__`, as a `__post_init__` that converts them must too.
+    FrozenInstanceError.  `__init__` writes the fields into the instance's
+    `__dict__`, in order, past the frozen `__setattr__`; a `__post_init__`
+    that converts them goes past it with `object.__setattr__`.
     Only `__init__` is compiled for cls, as it needs the fields' names and
     defaults; `__eq__` and `__hash__` share one `operator.attrgetter`.
     """
     names = tuple(cls.__annotations__)
-    scope = {"_set": object.__setattr__}
+    scope = {}
     params = []
-    body = []
+    body = ["    _fields = self.__dict__"]
     for name in names:
         value = name
         if name in cls.__dict__:
@@ -62,10 +63,10 @@ def record(cls):
                 value = f"_d_{name}.make() if {name} is _d_{name} else {name}"
         else:
             params.append(name)
-        body.append(f"    _set(self, {name!r}, {value})")
+        body.append(f"    _fields[{name!r}] = {value}")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
-    lines = [f"def __init__({', '.join(['self', *params])}):", *(body or ["    pass"])]
+    lines = [f"def __init__({', '.join(['self', *params])}):", *body]
     exec("\n".join(lines), scope)
     # attrgetter takes at least one name, and gives a bare value for one.
     get = operator.attrgetter(*names) if names else lambda r: ()

@@ -180,7 +180,7 @@ def compile_expr(e: Expr) -> Compiled:
     program in a private attribute, and the program is built once per
     tree: evaluation, consistency checks, sampling and the affine fold
     `enclosure.to_affine` keeps beside it all read this one.  Equality,
-    hashing, repr, pickle and copy ignore both memos, so `copy.deepcopy(e)`
+    hashing, repr, pickle and copy ignore the memos, so `copy.deepcopy(e)`
     is a cold tree.
     """
     program = getattr(e, "_program", None)

@@ -1,8 +1,8 @@
 """The package's modules import each other without a cycle.
 
 Each module may import only modules below it, so the package reads
-bottom-up: `expr`, `semantics` and `parser`, then `enclosure`, `rewrite`,
-and `families`, `blind` and `cli` on top.  This guard parses each module
+bottom-up: `record`, then `expr`, `semantics` and `parser`, then
+`enclosure`, `rewrite`, and `families`, `blind` and `cli` on top.  This guard parses each module
 and collects every import of a sibling module, wherever it is written:
 at the top of the module, inside a function, or under `TYPE_CHECKING`.
 It fails on any cycle among them, and on any sibling import that is not

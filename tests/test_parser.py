@@ -9,14 +9,19 @@ and equal leaf texts in one expression must give one shared node that
 behaves as distinct equal nodes would.  Every reader must agree with the
 parent's parser, kept in `parser_reference.py`, on every corpus here and
 on perfbench's inputs, and a parse does its checks once per distinct leaf
-text and works out no character offset unless it fails.
+text and works out no character offset unless it fails.  The post-order a
+parsed root keeps must be the one a fresh walk gives, and a parsed tree
+must be freed by reference counting alone.
 """
 
 import copy
+import gc
+import operator
 import pickle
 import random
 import re
 import sys
+import weakref
 
 import pytest
 
@@ -38,9 +43,19 @@ from enclosures import (
     parse_rational,
     parser,
 )
-from enclosures.expr import fold, postorder
+from enclosures.enclosure import to_affine
+from enclosures.expr import _rebuild, _shape, fold, postorder
+from enclosures.semantics import compile_expr
 import parser_reference as reference
-from exprgen import gen_affine, gen_any, rand_interval, rand_rational, token_boxes
+from exprgen import (
+    CHAIN_WRAPS,
+    gen_affine,
+    gen_any,
+    long_affine_text,
+    rand_interval,
+    rand_rational,
+    token_boxes,
+)
 
 READERS = {"parse": parse, "parse_interval": parse_interval, "parse_rational": parse_rational}
 LEAF = "expected a leaf ('exact' or 'meas')"
@@ -285,6 +300,64 @@ def test_equal_leaf_texts_share_one_node_per_parse():
     meas = [n for n in postorder(first) if isinstance(n, Meas)]
     assert len(meas) == 6 and all(n is meas[0] for n in meas)
     assert not {id(n) for n in postorder(first)} & {id(n) for n in postorder(second)}
+
+
+def order_corpus() -> list[str]:
+    """Texts of every shape whose parse order the tests below check: the
+    scattered corpus, affine trees, long sums and deep chains of each wrap,
+    shared leaves, a long run of unary minus and a lone leaf."""
+    rng = random.Random(2501)
+    texts = [text for _, text in scattered_corpus()]
+    texts += [format_expr(gen_affine(rng, token_boxes(rng), rng.randint(1, 30))) for _ in range(100)]
+    texts.append(long_affine_text(rng, 300, 40))
+    texts += [long_affine_text(rng, 300, 40, True, wrap) for wrap in CHAIN_WRAPS.values()]
+    texts.append(" * ".join(["(meas(t,[1,2],d) - -meas(t,[1,2],d))"] * 20))
+    texts += ["-" * 3000 + "meas(t,[1,2],d)", "meas(t,[1,2],d)", "(((exact(3/4,d))))"]
+    return texts
+
+
+def test_parse_order_is_a_fresh_walk():
+    for text in order_corpus():
+        e = parse(text)
+        postorder(e).clear()  # each call returns a list of its own
+        kept = postorder(e)
+        if "_postorder" not in vars(e):  # only a leaf root keeps no order
+            assert kept == [e] and type(e) not in (Add, Sub, Mul, Div, Neg), text
+            continue
+        assert kept[-1] is e and len(vars(e)["_postorder"]) == len(kept) - 1
+        object.__delattr__(e, "_postorder")
+        walked = postorder(e)
+        assert len(walked) == len(kept) and all(map(operator.is_, walked, kept)), text
+
+
+def test_a_parsed_tree_reads_as_its_rebuilt_shape():
+    for text in order_corpus():
+        e = parse(text)
+        rebuilt = _rebuild(_shape(e))  # a tree of constructors, on the same leaves
+        assert pickle.dumps(e) == pickle.dumps(rebuilt), text
+        assert hash(e) == hash(rebuilt) and repr(e) == repr(rebuilt), text
+        copied = copy.deepcopy(e)
+        assert copied == rebuilt and pickle.dumps(copied) == pickle.dumps(copy.deepcopy(rebuilt))
+        for cold in copied, pickle.loads(pickle.dumps(e)), *vars(e).get("_postorder", ()):
+            assert "_postorder" not in vars(cold), text
+
+
+def test_a_parsed_tree_is_freed_by_reference_counting():
+    rng = random.Random(2502)
+    texts = [long_affine_text(rng, 300, 40), long_affine_text(rng, 300, 40, right=True)]
+    texts.append("-" * 3000 + "meas(t,[1,2],d)")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text in texts:
+            e = parse(text)
+            postorder(e), compile_expr(e), to_affine(e)  # the memos a walk leaves
+            root = weakref.ref(e)
+            del e
+            assert root() is None, text[:40]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize(

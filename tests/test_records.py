@@ -4,6 +4,7 @@ For one instance of every record class this pins the repr text, `==`
 and `hash` agreeing, `__match_args__`, `copy.copy` and `copy.deepcopy`,
 and the `pickle.dumps` bytes, checked in as constants, so that how the
 records are built can change while what they do stays byte for byte.
+An instance's `__dict__` holds its fields, in order, and nothing else.
 """
 
 import copy
@@ -32,6 +33,7 @@ from enclosures import (
     ExclusionCertificate,
     Fails,
     FamilySpec,
+    FrozenInstanceError,
     Holds,
     Inconclusive,
     Interval,
@@ -49,6 +51,7 @@ from enclosures import (
     TokenEnv,
     Undecided,
     Unknown,
+    fields,
 )
 
 
@@ -183,6 +186,23 @@ def test_fields_stay_frozen(name):
         with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
             delattr(record, field)
     assert repr(record) == REPRS[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_instances_hold_their_fields_only(name):
+    record = records()[name]
+    assert list(vars(record)) == list(fields(record)) == list(MATCH_ARGS[name])
+    for field in (*fields(record), "not_a_field"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, field)
+    assert list(vars(record)) == list(MATCH_ARGS[name])
+
+
+def test_converting_post_init_keeps_the_field_order():
+    assert list(vars(Interval(1, F(3)))) == ["lo", "hi"]
+    assert list(vars(Exact(1, Dim("m")))) == ["value", "dim"]
 
 
 def test_records_of_other_classes_with_equal_fields_differ():
