@@ -22,12 +22,12 @@ from .blind import ComparisonReport, blind_compare, format_blind
 from .enclosure import (
     DEFAULT_ENV_BUDGET,
     DEFAULT_GRID_POINTS,
+    GRID_TOO_SMALL,
     BudgetExceededError,
     EmptySet,
     EnclosureOutcome,
     ExactInterval,
     Unknown,
-    _boxes,
     enclosure,
     under_approx_samples,
 )
@@ -40,6 +40,7 @@ from .expr import (
     IntervalOrderError,
     Unbounded,
     dims_of,
+    effective_intervals,
     format_expr,
 )
 from .families import (
@@ -65,7 +66,7 @@ from .rewrite import (
     audit_classification,
     classify,
 )
-from .semantics import EMPTY_ENV, TokenEnv, compile_expr, evaluate, token_consistent
+from .semantics import EMPTY_ENV, TokenEnv, evaluate, token_consistent
 
 PRETTY_SAMPLE_LIMIT = 20
 
@@ -315,8 +316,8 @@ def _cmd_eval(args) -> int:
         "value": str(evaluate(env, expr)),
         "consistent": token_consistent(env, expr),
     }
-    try:  # the boxes of the program `evaluate` has just built, with no second walk
-        effective = _boxes(compile_expr(expr))
+    try:
+        effective = effective_intervals(expr)
         payload["effective_intervals"] = {
             t.name: _interval_json(iv)
             for t, iv in sorted(effective.items(), key=lambda kv: kv[0].name)
@@ -427,7 +428,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _grid_arg(text: str) -> int:
-    return _int_arg(text, 2, "grid needs at least 2 points per token")
+    return _int_arg(text, 2, GRID_TOO_SMALL)
 
 
 def _budget_arg(text: str) -> int:

@@ -30,11 +30,11 @@ from .expr import (
     Sub,
     Token,
     _fraction,
+    effective_intervals,
     fold,
-    narrow_box,
 )
 from .record import record
-from .semantics import Compiled, TokenEnv, _Pair, compile_expr, evaluate, token_consistent
+from .semantics import TokenEnv, _Pair, compile_expr, evaluate, token_consistent
 from .semantics import _add, _ends, _less, _mul, _negate, _over_itself, _quotient, _sub
 
 _ZERO = Fraction(0)
@@ -43,6 +43,7 @@ _UNIT, _MINUS_UNIT = (1, 1), (-1, 1)  # as pairs; `_adjoints` knows 1 by identit
 
 DEFAULT_GRID_POINTS = 5
 DEFAULT_ENV_BUDGET = 100_000
+GRID_TOO_SMALL = "grid needs at least 2 points per token"
 
 
 class NotAffineError(Exception):
@@ -138,30 +139,41 @@ def to_affine(e: Expr) -> AffineForm:
     identically 0; this keeps provably-constant self-divisions decidable.
     Raises InfeasibleTokenError when some token has no possible value.
 
-    The fold is read off e's program (`compile_expr`), so a cold call
-    walks the tree once, to compile it, or not at all when e's program
-    exists.  Trees are immutable, so every node, leaf or operator, keeps
-    the outcome of its first fold in a private attribute, beside its
-    program, and a later call on the same node folds nothing: it returns a
-    fresh form with copied coeffs and boxes and its `interval` already
-    computed, or raises a fresh error with the same message or token.
-    Equality, hashing, repr, pickle and copy ignore both memos, so
-    `copy.deepcopy(e)` is a cold tree whose fold starts from scratch.
+    Each call copies e's kept fold outcome (`_fold_outcome`) into a fresh
+    form, its `interval` already computed, or a fresh error with the same
+    message or token, so changing a form changes no later call or verdict.
     """
-    memo = getattr(e, "_affine", None)
-    if memo is None:
-        memo = _fold_affine(e)
-        object.__setattr__(e, "_affine", memo)
-    if type(memo) is tuple:
-        error, arg = memo
-        raise error(arg)
-    form = AffineForm(memo.constant, dict(memo.coeffs), dict(memo.boxes))
-    vars(form)["interval"] = memo.interval  # where cached_property keeps it
+    out = _fold_outcome(e)
+    if type(out) is str:
+        raise NotAffineError(out)
+    if type(out) is EmptySet:
+        raise InfeasibleTokenError(out.token)
+    form = AffineForm(out.constant, dict(out.coeffs), dict(out.boxes))
+    vars(form)["interval"] = out.interval  # where cached_property keeps it
     return form
 
 
-def _fold_affine(e: Expr) -> AffineForm | tuple[type[Exception], object]:
-    """e's affine form, or the error class and argument `to_affine` raises.
+def _fold_outcome(e: Expr) -> AffineForm | EmptySet | str:
+    """What e's affine fold decides: its form, its EmptySet when some token
+    has no possible value, or the message saying why e leaves the fragment.
+
+    Trees are immutable, so every node, leaf or operator, keeps this outcome
+    in a private attribute beside its program, and only the first read
+    folds (`_fold_affine`).  Every read, by the ladder (`lazy_enclosure`)
+    or the audit, gets that same object, neither copied nor raised, so no
+    reader may change it; `to_affine` is the one that copies.  Equality,
+    hashing, repr, pickle and copy ignore the memo, so `copy.deepcopy(e)`
+    is a cold tree whose fold starts afresh.
+    """
+    out = getattr(e, "_affine", None)
+    if out is None:
+        out = _fold_affine(e)
+        object.__setattr__(e, "_affine", out)
+    return out
+
+
+def _fold_affine(e: Expr) -> AffineForm | EmptySet | str:
+    """e's fold outcome, as `_fold_outcome` keeps it.
 
     Read off e's program (`compile_expr`), on the final boxes.  One forward
     pass gives each register its exact value (a pair), its constant part (a
@@ -173,9 +185,9 @@ def _fold_affine(e: Expr) -> AffineForm | tuple[type[Exception], object]:
     """
     program = compile_expr(e)
     try:
-        boxes = _boxes(program)
+        boxes = effective_intervals(e)  # read off the program's leaves
     except InfeasibleTokenError as ex:
-        return InfeasibleTokenError, ex.token
+        return EmptySet(ex.token)
     token_of = dict(program._loads)
     values: list = program._registers.copy()
     measured = [False] * len(values)
@@ -218,7 +230,7 @@ def _fold_affine(e: Expr) -> AffineForm | tuple[type[Exception], object]:
         values[k], measured[k], end[k] = c, mi or mj, len(back)
     constant = values[program._root]
     if type(constant) is str:
-        return NotAffineError, constant
+        return constant
     adjoint = _adjoints(back, program._root)
     coeffs = {}
     for k, t in program._loads:
@@ -237,15 +249,6 @@ def _adjoints(back: list[tuple[int, int, _Pair]], root: int) -> dict[int, _Pair]
             term = a if f is _UNIT else f if a is _UNIT else _mul(a, f)
             adjoint[r] = _add(adjoint[r], term) if r in adjoint else term
     return adjoint
-
-
-def _boxes(program: Compiled) -> dict[Token, Interval]:
-    """Each token's box: the intersection of its leaves' intervals, as
-    `effective_intervals` gives it, from the program's distinct leaves."""
-    boxes: dict[Token, Interval] = {}
-    for leaf in program.leaves:
-        narrow_box(boxes, leaf)
-    return boxes
 
 
 def _linear_bounds(
@@ -404,19 +407,25 @@ _Axis = tuple[Interval, _Pair, int]  # a token's grid: see `_grid_axis`
 def grid_values(box: Interval, n: int) -> list[Fraction]:
     """Both endpoints plus n-2 evenly spaced interior rationals, each made
     as one Fraction from integer pairs."""
+    _check_grid(n)
     axis = _grid_axis(box, n)
     return [_grid_value(axis, k) for k in range(axis[2])]
 
 
 def _grid_axis(box: Interval, n: int) -> _Axis:
-    """(box, step, size) of a token's grid, the step a reduced integer
-    (numerator, denominator) pair: value k is box.lo + k * step."""
-    if n < 2:
-        raise ValueError("grid needs at least 2 points per token")
+    """(box, step, size) of a token's grid of n >= 2 points, the step a
+    reduced integer (numerator, denominator) pair: value k is box.lo + k * step."""
     if box.lo == box.hi:
         return box, (0, 1), 1
     lo, hi = _ends(box)
     return box, _quotient(_sub(hi, lo), (n - 1, 1)), n
+
+
+def _check_grid(n: int) -> None:
+    """Refuse fewer than 2 grid points per token, whatever the grid is for:
+    every entry that takes `grid_points` checks it before anything else."""
+    if n < 2:
+        raise ValueError(GRID_TOO_SMALL)
 
 
 def _grid_value(axis: _Axis, k: int) -> Fraction:
@@ -467,8 +476,9 @@ class SampleStream:
     """
 
     def __init__(self, e: Expr, grid_points: int, budget: int):
+        _check_grid(grid_points)
         program = compile_expr(e)
-        boxes = _boxes(program)
+        boxes = effective_intervals(e)  # read off the program's leaves
         tokens = sorted(boxes, key=lambda t: t.name)
         axes = [_grid_axis(boxes[t], grid_points) for t in tokens]
         required = 1
@@ -553,26 +563,16 @@ def under_approx_samples(
 LazyOutcome = Union[EmptySet, AffineForm, SampleStream]
 
 
-def _fold_outcome(e: Expr) -> EmptySet | AffineForm | None:
-    """What e's affine fold (`to_affine`) decides: its form, its EmptySet when
-    some token has no possible value, or None when e leaves the fragment."""
-    try:
-        return to_affine(e)
-    except InfeasibleTokenError as ex:
-        return EmptySet(ex.token)
-    except NotAffineError:
-        return None
-
-
 def lazy_enclosure(
     e: Expr,
     grid_points: int = DEFAULT_GRID_POINTS,
     budget: int = DEFAULT_ENV_BUDGET,
 ) -> LazyOutcome:
-    """`enclosure` with an affine e left as its form and the samples of any
-    other e left undrawn."""
+    """`enclosure`, lazily: e's kept fold outcome itself when it is a form or
+    an EmptySet, else a stream of e's samples, none drawn yet."""
+    _check_grid(grid_points)
     out = _fold_outcome(e)
-    return SampleStream(e, grid_points, budget) if out is None else out
+    return SampleStream(e, grid_points, budget) if type(out) is str else out
 
 
 def settle(out: LazyOutcome) -> EnclosureOutcome:

@@ -12,6 +12,7 @@ consulted during evaluation.
 from __future__ import annotations
 
 import numbers
+import re
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, TypeVar, Union
 
@@ -196,10 +197,10 @@ class _Op:
     the first difference; hashing and pickling use the post-order.  Unlike
     a record's own methods, none of these recurse; repr prints the text a
     record's repr would.  They read only the fields, so the memos that
-    `semantics.compile_expr` (a program) and `enclosure.to_affine` (the
-    fold it reads off that program) store on any node, leaf or operator,
-    and the post-order `parser.parse` stores on a root, are invisible to
-    them, and a deep copy or an unpickled tree carries none of them.
+    `semantics.compile_expr` (a program) and `enclosure._fold_outcome` (the
+    fold outcome read off that program) store on any node, leaf or
+    operator, and the post-order `parser.parse` stores on a root, are
+    invisible to them, and a deep copy or an unpickled tree carries none.
     """
 
     def __eq__(self, other: object) -> bool:
@@ -377,10 +378,13 @@ def effective_intervals(e: Expr) -> dict[Token, Interval]:
     so its feasible values form the intersection.  Raises
     InfeasibleTokenError when some token's intersection is empty, which is
     exactly the case where the whole expression has an empty enclosure.
-    Exact leaves and dimension tags play no part.
+    Exact leaves and dimension tags play no part.  A tree that
+    `semantics.compile_expr` has compiled is not walked: its program lists
+    its distinct measured leaves, in the order a walk meets them.
     """
+    program = getattr(e, "_program", None)
     out: dict[Token, Interval] = {}
-    for leaf in meas_leaves(e):
+    for leaf in meas_leaves(e) if program is None else program.leaves:
         narrow_box(out, leaf)
     return out
 
@@ -399,6 +403,8 @@ def narrow_box(boxes: dict[Token, Interval], leaf: Meas) -> None:
 
 
 # --- canonical printing -----------------------------------------------------
+
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"  # the grammar's token names and dim tags
 
 _PREC_ADD = 1
 _PREC_MUL = 2
@@ -421,10 +427,19 @@ def format_expr(e: Expr) -> str:
 
 def _leaf_text(e: Expr) -> str:
     if isinstance(e, Exact):
-        return f"exact({e.value},{e.dim})"
+        return f"exact({e.value},{_name('dim tag', e.dim)})"
     if isinstance(e, Meas):
-        return f"meas({e.token},{e.interval},{e.dim})"
+        return f"meas({_name('token name', e.token)},{e.interval},{_name('dim tag', e.dim)})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _name(kind: str, name: object) -> str:
+    """A token's or dim's text, checked against the grammar's names, so the
+    printed leaf parses back; any other name raises ValueError."""
+    text = str(name)
+    if re.fullmatch(_NAME, text) is None:
+        raise ValueError(f"{kind} {text!r} is not a name the grammar reads ({_NAME})")
+    return text
 
 
 def format_tree(e: Expr, leaf_text: Callable[[Expr], str]) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import Add, Dim, Div, Exact, Expr, Interval, Meas, Sub, Token
+from .expr import Add, Dim, Div, Exact, Expr, Interval, Meas, Sub, Token, _name
 from .record import record
 from .rewrite import RewriteClass
 
@@ -46,6 +46,10 @@ class FamilySpec:
             raise FamilySpecError(f"unknown family: {self.family!r}")
         if self.mode not in MODES:
             raise FamilySpecError(f"unknown mode: {self.mode!r}")
+        try:  # the pair's text must parse back
+            _name("dim tag", self.dim)
+        except ValueError as ex:
+            raise FamilySpecError(str(ex)) from None
         if self.family in ("cancellation", "division"):
             if self.interval is None:
                 raise FamilySpecError(f"{self.family} needs an interval")

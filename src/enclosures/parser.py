@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, TypeVar
 
-from .expr import Add, Div, Dim, Exact, Expr, Interval, Meas, Mul, Neg, Sub, Token
+from .expr import _NAME, Add, Div, Dim, Exact, Expr, Interval, Meas, Mul, Neg, Sub, Token
 from .semantics import TokenEnv
 
 _T = TypeVar("_T")
@@ -55,7 +55,6 @@ class _Misread(Exception):
 _PREFIX = {"(": (0, None), "-": (3, Neg)}
 _INFIX = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
 
-_NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _RAT = r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?"  # a numerator, then a nonzero denominator if any
 
 # One match per lexeme, blanks and comments before it included; its group is

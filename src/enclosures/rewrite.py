@@ -26,6 +26,7 @@ from .enclosure import (
     Member,
     Unknown,
     _attains,
+    _check_grid,
     _fold_outcome,
     _form_witness,
     certificate_of,
@@ -140,6 +141,7 @@ def licensed(
     budget: int = DEFAULT_ENV_BUDGET,
 ) -> Verdict:
     """Decide whether every value warranted for tgt is warranted for src."""
+    _check_grid(grid_points)
     if src == tgt:
         return Holds(SameExpression())
     enc_tgt = lazy_enclosure(tgt, grid_points, budget)
@@ -209,6 +211,7 @@ def classify(
     directions, drawn only as far as a decision needs them; the verdicts
     equal those of `licensed` in each direction.
     """
+    _check_grid(grid_points)
     if src == tgt:
         forward = backward = Holds(SameExpression())
     else:
@@ -288,10 +291,10 @@ def audit_verdict(verdict: Verdict, src: Expr, tgt: Expr) -> bool:
 def _outcome_claim(e: Expr, out: EnclosureOutcome) -> bool:
     """Re-derive an outcome of e: an Unknown's `over` and each of its
     samples (the grid it came from is not part of the claim); any other
-    outcome must be the one e's affine fold settles to (none off the fragment)."""
+    outcome must be the one e's fold outcome settles to (none off the fragment)."""
     if not isinstance(out, Unknown):
         folded = _fold_outcome(e)
-        return folded is not None and out == settle(folded)
+        return type(folded) is not str and out == settle(folded)
     return out.over == over_approx(e) and all(_attains(env, e, v) for env, v in out.under)
 
 
@@ -315,12 +318,10 @@ def _bounds_claim(e: Expr, kind: str, bounds: Interval | None) -> bool:
 def audit_classification(cls: Classification, src: Expr, tgt: Expr) -> bool:
     """Check both directional verdicts; the backward one swaps the roles.
 
-    Every claim is re-derived through each side's affine fold
-    (`to_affine`), `over_approx` and evaluation, never through the ladder.
-    A side that `classify` enclosed is a node whose fold `to_affine`
-    memoized, so the audit reads that memo, the same deterministic fold of
-    the same frozen tree; nothing a verdict carries reaches it.  No claim
-    is re-derived by sampling: only the fold can certify an exact or empty
-    enclosure, so a forged one is rejected without drawing a sample.
+    Every claim is re-derived through each side's fold outcome
+    (`_fold_outcome`, read as it is), `over_approx` and evaluation, never
+    through the ladder, and nothing a verdict carries reaches them.  No
+    claim is re-derived by sampling: only the fold can certify an exact or
+    empty enclosure, so a forged one is rejected without drawing a sample.
     """
     return audit_verdict(cls.forward, src, tgt) and audit_verdict(cls.backward, tgt, src)

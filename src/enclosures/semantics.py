@@ -178,10 +178,10 @@ def compile_expr(e: Expr) -> Compiled:
 
     Trees are immutable, so every node, leaf or operator, keeps its
     program in a private attribute, and the program is built once per
-    tree: evaluation, consistency checks, sampling and the affine fold
-    `enclosure.to_affine` keeps beside it all read this one.  Equality,
-    hashing, repr, pickle and copy ignore the memos, so `copy.deepcopy(e)`
-    is a cold tree.
+    tree: evaluation, consistency checks, sampling, `effective_intervals`
+    and the affine fold `enclosure._fold_outcome` keeps beside it all read
+    this one.  Equality, hashing, repr, pickle and copy ignore the memos,
+    so `copy.deepcopy(e)` is a cold tree.
     """
     program = getattr(e, "_program", None)
     if program is None:

@@ -4,7 +4,7 @@ Each case pins one rendering branch that the other CLI tests reach only
 loosely or not at all: every enclosure outcome shape, each verdict line
 form, the empty environment, blind comparison against each other, two
 demos, the help text of the top level and of every subcommand, and the
-usage errors that argparse reports on stderr with exit code 2.
+usage errors reported on stderr with exit code 2.
 """
 
 import pytest
@@ -371,7 +371,8 @@ options:
 
 TOP_USAGE = "usage: enclosures [-h] {eval,enclosure,classify,blind,demo,oracle} ...\n"
 
-# (id, argv, stderr) of a call that argparse rejects with exit code 2
+# (id, argv, stderr) of a call rejected with exit code 2, by argparse or by
+# the command's own check
 USAGE_ERRORS = [
     (
         "unrecognized-after-command",
@@ -421,6 +422,11 @@ usage: enclosures demo [-h] [--grid N] [--budget N] [--json | --pretty]
                        [--background-interval [LO,HI]] [--dim TAG]
 enclosures demo: error: the following arguments are required: --family
 """,
+    ),
+    (
+        "demo-dim-not-a-name",
+        ["demo", "--family", "cancellation", "--mode", "same", "--interval", "[1,2]", "--dim", "m/s"],
+        "error: dim tag 'm/s' is not a name the grammar reads ([A-Za-z][A-Za-z0-9_]*)\n",
     ),
 ]
 

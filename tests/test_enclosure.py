@@ -40,10 +40,13 @@ from enclosures import (
     Unknown,
     affine_enclosure,
     affine_witness,
+    blind_compare,
+    classify,
     effective_intervals,
     enclosure,
     evaluate,
     grid_values,
+    licensed,
     meas_leaves,
     membership,
     over_approx,
@@ -52,7 +55,8 @@ from enclosures import (
     token_consistent,
     under_approx_samples,
 )
-from enclosures.enclosure import _ONE, _ZERO, _linear_bounds
+from enclosures.cli import main
+from enclosures.enclosure import _ONE, _ZERO, GRID_TOO_SMALL, _linear_bounds, lazy_enclosure
 from enclosures.expr import Expr, narrow_box, postorder
 from enclosures.semantics import compile_expr
 from exprgen import (
@@ -779,6 +783,47 @@ class TestGridValues:
             current = set(grid_values(box, n))
             assert previous <= current
             previous = current
+
+
+ONE = parse("exact(1,d)")
+TOKEN = parse("meas(t,[1,2],d)")
+
+# Every entry that takes grid_points, on sides with and without tokens.
+GRID_CALLS = {
+    "classify-token-vs-exact": lambda n: classify(TOKEN, ONE, grid_points=n),
+    "classify-same-side": lambda n: classify(SAME_DIFF, SAME_DIFF, grid_points=n),
+    "licensed-exact-sides": lambda n: licensed(ONE, parse("exact(2,d)"), grid_points=n),
+    "licensed-same-side": lambda n: licensed(ONE, ONE, grid_points=n),
+    "enclosure-affine": lambda n: enclosure(TOKEN, n),
+    "enclosure-product": lambda n: enclosure(parse("meas(t,[1,2],d) * meas(t,[1,2],d)"), n),
+    "enclosure-infeasible": lambda n: enclosure(INFEASIBLE, n),
+    "lazy-enclosure-exact": lambda n: lazy_enclosure(ONE, n),
+    "membership-exact": lambda n: membership(ONE, 1, grid_points=n),
+    "blind-compare": lambda n: blind_compare(SAME_DIFF, DIST_DIFF, ONE, grid_points=n),
+    "under-approx-exact": lambda n: under_approx_samples(ONE, n),
+    "under-approx-infeasible": lambda n: under_approx_samples(INFEASIBLE, n),
+    "grid-values": lambda n: grid_values(Interval.of(0, 1), n),
+}
+
+
+class TestGridPointsChecked:
+    """Fewer than 2 grid points per token is refused at every entry, whatever
+    its sides are, with the one message the CLI's --grid gives too."""
+
+    @pytest.mark.parametrize("name", list(GRID_CALLS))
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_too_few_points_are_refused(self, name, n):
+        with pytest.raises(ValueError) as err:
+            GRID_CALLS[name](n)
+        assert str(err.value) == GRID_TOO_SMALL == "grid needs at least 2 points per token"
+
+    @pytest.mark.parametrize("name", list(GRID_CALLS))
+    def test_two_points_are_enough(self, name):
+        GRID_CALLS[name](2)
+
+    def test_the_cli_gives_the_same_message(self, capsys):
+        assert main(["demo", "--family", "division", "--mode", "same", "--grid", "1"]) == 2
+        assert capsys.readouterr().err.endswith(f"argument --grid: {GRID_TOO_SMALL}\n")
 
 
 class TestUnderApproxSamples:

@@ -273,6 +273,31 @@ class TestFormat:
         e = gen_any(rng, token_boxes(rng), rng.randint(1, 14))
         assert parse(format_expr(e)) == e
 
+    # format_expr prints a name only when the grammar reads it back.
+    @pytest.mark.parametrize("name", ["t", "T9", "x_1", "a_", "meas", "exact", "d" * 300])
+    def test_a_grammar_name_prints_and_parses_back(self, name):
+        for e in (Meas(Token(name), Interval.of(0, 1), Dim(name)), Exact(F(-1, 2), Dim(name))):
+            assert parse(format_expr(e)) == e
+
+    @pytest.mark.parametrize("name", ["a b", "m/s", "", "1t", "_t", "t-u", "t\n", "é", "t)"])
+    def test_a_name_outside_the_grammar_is_refused(self, name):
+        token_leaf = Meas(Token(name), Interval.of(0, 1), D)
+        dim_leaf = Meas(Token("t"), Interval.of(0, 1), Dim(name))
+        exact_leaf = Exact(F(1), Dim(name))
+        cases = [  # (kind, leaf, the text it would print unchecked, a tree holding it)
+            ("token name", token_leaf, f"meas({name},[0,1],d)", Add(Exact(F(1), D), token_leaf)),
+            ("dim tag", dim_leaf, f"meas(t,[0,1],{name})", Neg(dim_leaf)),
+            ("dim tag", exact_leaf, f"exact(1,{name})", exact_leaf),
+        ]
+        for kind, leaf, unchecked, e in cases:
+            with pytest.raises(ValueError) as err:
+                format_expr(e)
+            assert str(err.value) == f"{kind} {name!r} is not a name the grammar reads ([A-Za-z][A-Za-z0-9_]*)"
+            try:  # the unchecked text is refused, or reads back as another leaf
+                assert parse(unchecked) != leaf
+            except ParseError:
+                pass
+
 
 class TestStructuralQueries:
     def test_is_exact(self):

@@ -58,6 +58,20 @@ class TestValidation:
         with pytest.raises(FamilySpecError, match="unknown mode"):
             FamilySpec("cancellation", "both", interval=Interval.of(1, 2))
 
+    @pytest.mark.parametrize("tag", ["m/s", "", "m s", "1d"])
+    def test_a_dim_tag_outside_the_grammar_is_refused(self, tag):
+        # The pair's text must parse back, so its dim tag must be a name.
+        with pytest.raises(FamilySpecError, match=f"dim tag {tag!r} is not a name"):
+            FamilySpec("cancellation", "same", interval=Interval.of(1, 2), dim=Dim(tag))
+
+    @pytest.mark.parametrize("tag", ["d", "m_per_s", "K2"])
+    def test_a_grammar_dim_tag_parses_back(self, tag):
+        spec = FamilySpec(
+            "background", "distinct", signal=Interval.of(10, 11), background=Interval.of(1, 2), dim=Dim(tag)
+        )
+        for e in build_variants(spec):
+            assert parse(format_expr(e)) == e
+
     def test_degenerate_signal_is_allowed(self):
         spec = FamilySpec(
             "background",

@@ -22,6 +22,7 @@ from enclosures import (
     FAMILIES,
     Fails,
     Holds,
+    InfeasibleTokenError,
     Interval,
     IntervalContainment,
     MODES,
@@ -56,6 +57,7 @@ from enclosures.enclosure import (
     Member,
     NonMember,
     SampleStream,
+    _fold_outcome,
     _form_witness,
     certificate_of,
     lazy_enclosure,
@@ -884,6 +886,51 @@ class TestAffineFoldsOnce:
         except NotAffineError:
             pass
         assert 1 <= len(affine_folds) <= most
+
+
+class TestWarmReadsBuildNothing:
+    """A side's fold outcome is read as the memo keeps it: once a pair is
+    classified and audited, doing so again builds no form and no error, and
+    `lazy_enclosure` hands back the memo itself."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(26)
+        specs = [rand_family_spec(rng, f, m) for f, m in itertools.product(FAMILIES, MODES)]
+        return [build_pair(spec) for spec in specs] + [
+            (parse("meas(t,[1,2],d) * meas(u,[1,2],d)"), ONE),  # off the fragment
+            (parse("meas(t,[0,1],d) + meas(t,[2,3],d)"), ONE),  # infeasible
+        ]
+
+    def test_warm_classify_and_audit_build_no_form_and_raise_nothing(self, monkeypatch):
+        pairs = self.pairs()
+        verdicts = [classify(src, tgt) for src, tgt in pairs]
+        assert all(audit_classification(c, s, t) for c, (s, t) in zip(verdicts, pairs))
+        built = collections.Counter()
+        for cls in (AffineForm, NotAffineError, InfeasibleTokenError):
+
+            def counted(self, *args, init=cls.__init__, name=cls.__name__):
+                built[name] += 1
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        for (src, tgt), before in zip(pairs, verdicts):
+            cls = classify(src, tgt)
+            assert cls == before and audit_classification(cls, src, tgt)
+        assert not built, built
+
+    def test_lazy_enclosure_returns_the_memo(self):
+        kinds = collections.Counter()
+        for e in itertools.chain.from_iterable(self.pairs()):
+            out = _fold_outcome(e)
+            kinds[type(out).__name__] += 1
+            if isinstance(out, str):  # the message to_affine raises, kept as it is
+                with pytest.raises(NotAffineError, match=out):
+                    to_affine(e)
+                assert isinstance(lazy_enclosure(e), SampleStream)
+            else:
+                assert lazy_enclosure(e) is out and lazy_enclosure(e) is _fold_outcome(e)
+        assert set(kinds) == {"AffineForm", "EmptySet", "str"}, kinds
 
 
 def _checked(src, tgt):
