@@ -296,17 +296,21 @@ def _form_witness(f: AffineForm, e: Expr, q: Fraction) -> TokenEnv | None:
     """`affine_witness` for e given its affine form f = to_affine(e).
 
     Each token moves from the end of its box that minimises f towards the
-    end that maximises it, by the same fraction lam of the way.
+    end that maximises it, by the same fraction lam of the way.  At an end
+    of f's interval, lam is 0 or 1: each token is the corner of its box
+    that its coefficient's sign picks, taken with no arithmetic.
     """
     if not f.interval.contains(q):
         return None
     lo, hi = f.interval.lo, f.interval.hi
-    lam = (q - lo) / (hi - lo) if lo != hi else _ZERO
+    lam = _ZERO if q == lo else _ONE if q == hi else (q - lo) / (hi - lo)
     values = {}
     for t, box in f.boxes.items():
-        c = f.coeffs.get(t, _ZERO)
-        start, end = (box.hi, box.lo) if c.numerator < 0 else (box.lo, box.hi)
-        values[t] = start + lam * (end - start) if c and lam else start
+        n = f.coeffs.get(t, _ZERO).numerator
+        start, end = (box.hi, box.lo) if n < 0 else (box.lo, box.hi)
+        if n and lam is not _ZERO:
+            start = end if lam is _ONE else start + lam * (end - start)
+        values[t] = start
     env = TokenEnv(values)
     return env if _attains(env, e, q) else None
 

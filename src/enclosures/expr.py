@@ -11,6 +11,7 @@ consulted during evaluation.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import re
 from fractions import Fraction
@@ -365,6 +366,27 @@ def is_exact(e: Expr) -> bool:
 
 def tokens_of(e: Expr) -> set[Token]:
     return {leaf.token for leaf in meas_leaves(e)}
+
+
+def split_token(e: Expr, t: Token) -> Expr:
+    """e with each occurrence of t after the first, left to right, measured by
+    a fresh token of its own, with the same interval and dim.  A fresh name
+    is a grammar name not in `tokens_of(e)`.  The fresh tokens vary on their
+    own, so the split only adds environments: `licensed(split_token(e, t), e)`
+    is never `Fails`."""
+    taken = {token.name for token in tokens_of(e)}
+    base = t.name if re.fullmatch(_NAME, t.name) else "t"
+    fresh = (Token(name) for k in itertools.count(1) if (name := f"{base}_{k}") not in taken)
+    occurrences = 0
+
+    def leaf(node: Expr) -> Expr:
+        nonlocal occurrences
+        if type(node) is not Meas or node.token != t:
+            return node
+        occurrences += 1
+        return node if occurrences == 1 else Meas(next(fresh), node.interval, node.dim)
+
+    return fold(e, leaf, {cls: cls for cls in (Add, Sub, Mul, Div, Neg)})
 
 
 def dims_of(e: Expr) -> set[Dim]:

@@ -17,7 +17,8 @@ environment file holds one "ident = rat" binding per line.
 Each input is lexed by one `findall` into plain strings.  A leaf with no
 blank, comment or parenthesis inside its own is one lexeme, and `parse`
 checks it against the grammar and builds its node once per distinct leaf
-text, so equal leaves in one expression are one object.  Any other leaf
+text, so equal leaves in one expression are one object; their intervals,
+rationals, token names and dim tags are shared the same way.  Any other leaf
 is read lexeme by lexeme, which is also how every error is found; an
 error's character offset is worked out only then.
 
@@ -61,8 +62,10 @@ _RAT = r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?"  # a numerator, then a nonzero denomin
 # the lexeme, "" at the end.  A leaf with no blank, comment or parenthesis
 # inside its own is one lexeme, and other text one per name, number and
 # symbol.  `_read` checks first that no character is left between matches.
+# The alternatives start with disjoint characters, so their order changes no
+# lexeme; symbols, the most common, are tried first.
 _LEXEME = re.compile(
-    rf"(?:\s+|#[^\n]*)*((?:meas|exact)\([^\s#()]*\)|{_NAME}|[0-9]+|[-+*/()\[\],]|\Z)"
+    rf"\s*(?:#[^\n]*\s*)*([-+*/()\[\],]|(?:meas|exact)\([^\s#()]*\)|{_NAME}|[0-9]+|\Z)"
 )
 # A leaf lexeme that the grammar accepts, with its parts as groups.
 _LEAF = re.compile(rf"meas\(({_NAME}),\[{_RAT},{_RAT}\],({_NAME})\)|exact\({_RAT},({_NAME})\)")
@@ -130,16 +133,32 @@ _LEAVES = {
 }
 
 
-def _rational(numerator: str, denominator: str | None) -> Fraction:
-    return Fraction(int(numerator), int(denominator)) if denominator else Fraction(int(numerator))
+def _rational(numerator: str, denominator: str | None, parts: dict) -> Fraction:
+    """The rational the texts spell, built once per `parts` (see `_leaf`)."""
+    q = parts.get(key := (numerator, denominator))
+    if q is None:
+        n = int(numerator)
+        q = parts[key] = Fraction(n, int(denominator)) if denominator else Fraction(n)
+    return q
 
 
-def _leaf(m: re.Match) -> Expr:
-    """The node a `_LEAF` match spells."""
-    token, lo, lo_den, hi, hi_den, dim, value, den, edim = m.groups()
+def _leaf(m: re.Match, parts: dict) -> Expr:
+    """The node a `_LEAF` match spells.  `parts` keeps each part this parse
+    builds, so each distinct dim tag, token name, rational and interval text
+    in one input is one object: a 300-term sum over a few boxes builds a few
+    of each.  The keys cannot clash: a tag, a name in a 1-tuple, and the
+    text groups of a rational (2) or of an interval (4)."""
+    token, lo, lo_den, hi, hi_den, meas_tag, value, den, exact_tag = m.groups()
+    tag = meas_tag or exact_tag
+    if (dim := parts.get(tag)) is None:
+        dim = parts[tag] = Dim(tag)
     if token is None:
-        return Exact(_rational(value, den), Dim(edim))
-    return Meas(Token(token), Interval(_rational(lo, lo_den), _rational(hi, hi_den)), Dim(dim))
+        return Exact(_rational(value, den, parts), dim)
+    if (box := parts.get(key := (lo, lo_den, hi, hi_den))) is None:
+        box = parts[key] = Interval(_rational(lo, lo_den, parts), _rational(hi, hi_den, parts))
+    if (name := parts.get(key := (token,))) is None:
+        name = parts[key] = Token(token)
+    return Meas(name, box, dim)
 
 
 def _fields(lexemes: list[str], i: int, shape: str) -> tuple[list, int]:
@@ -196,6 +215,7 @@ def _expression(lexemes: list[str]) -> Expr:
     operands: list[Expr] = []  # left operands of pending binary operators
     pending: list[tuple[int, type | None]] = []  # (precedence, node class)
     built: dict[str, Expr] = {}  # leaf lexeme -> its node
+    parts: dict = {}  # the parts of the nodes in `built`, keyed as `_leaf` says
     order: list[Expr] = []  # each leaf occurrence and node as it is completed: post-order
     while True:
         while (lexeme := lexemes[i]) in _PREFIX:  # unary minus and "(" before a leaf
@@ -203,7 +223,7 @@ def _expression(lexemes: list[str]) -> Expr:
             i += 1
         node = built.get(lexeme)
         if node is None and len(lexeme) < _FAST_LEAF and (m := _LEAF.fullmatch(lexeme)):
-            node = built[lexeme] = _leaf(m)
+            node = built[lexeme] = _leaf(m, parts)
         if node is not None:
             i += 1
         else:

@@ -120,16 +120,22 @@ PERFBENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 
 @pytest.fixture(scope="session")
-def perfbench_texts():
-    """texts(seeds): every input text perfbench's `gen.py` builds for the
-    seeds, in order: both sides of each `suite`, `products` and `wide`
-    operation, probes included, then each file of its `cli` calls.  gen.py
-    is loaded from the checkout as it is, never changed."""
+def perfbench_gen():
+    """perfbench's `gen.py`, loaded from the checkout as it is, never changed."""
     gen = sys.modules.get("perfbench_gen")
     if gen is None:  # registered first, as its dataclasses look their module up
         spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
         gen = sys.modules["perfbench_gen"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.fixture(scope="session")
+def perfbench_texts(perfbench_gen):
+    """texts(seeds): every input text perfbench's `gen.py` builds for the
+    seeds, in order: both sides of each `suite`, `products` and `wide`
+    operation, probes included, then each file of its `cli` calls."""
+    gen = perfbench_gen
 
     def texts(seeds):
         for seed in seeds:

@@ -734,6 +734,22 @@ class TestAffineWitness:
         with pytest.raises(TypeError, match=r"got float 0\.5$"):
             affine_witness(DIST_DIFF, 0.5)
 
+    def test_end_witnesses_are_box_corners(self, perfbench_gen, fraction_ops):
+        """The refute rung offers an end of an affine target's interval, which
+        a corner of the token boxes attains: its witness is read off the boxes
+        with no Fraction arithmetic.  perfbench's `wide` sum300-shift pair is
+        refuted both ways, each time with a 75-token witness."""
+        (op,) = [op for op in perfbench_gen.wide(1) if op.label == "sum300-shift"]
+        src, tgt = parse(op.src), parse(op.tgt)
+        fraction_ops.clear()
+        cls = classify(src, tgt)
+        assert not fraction_ops, fraction_ops
+        for verdict, target in (cls.forward, tgt), (cls.backward, src):
+            boxes = effective_intervals(target)
+            assert len(verdict.env.bindings) == len(boxes) == 75
+            for t, value in verdict.env.bindings.items():
+                assert value in (boxes[t].lo, boxes[t].hi), t
+
 
 class TestOverApprox:
     def test_dependency_problem_visible(self):

@@ -7,6 +7,9 @@ implementation (metamorphic testing):
 
 - preorder: if a ⇝ b and b ⇝ c both hold, a ⇝ c is never Fails;
 - renaming: renaming tokens one-to-one leaves every class unchanged;
+- token split: giving each later occurrence of a token a fresh token with
+  the same interval and dim only adds environments, so
+  split_token(e, t) ⇝ e is never Fails;
 - token-disjoint congruence: if a ⇝ b holds and the context C shares no
   token with a or b, C[a] ⇝ C[b] is never Fails.
 
@@ -14,9 +17,11 @@ Not a law, and the paper's point: a context that shares a token with the
 hole can turn a direction that holds inside into one that fails.
 
 The universe is every tree of at most 3 nodes over the leaves t:[0,1],
-u:[-1,1], exact 0 and exact 1: 76 trees, so 5776 ordered pairs.
+u:[-1,1], exact 0 and exact 1: 76 trees, so 5776 ordered pairs.  The
+token split runs on the trees of at most 5 nodes that repeat a token.
 """
 
+import collections
 import functools
 import random
 from fractions import Fraction as F
@@ -41,7 +46,10 @@ from enclosures import (
     classify,
     format_expr,
     licensed,
+    meas_leaves,
     parse,
+    split_token,
+    tokens_of,
 )
 
 D = Dim("d")
@@ -134,6 +142,36 @@ def test_renaming_keeps_every_class(name):
     _, after = classified(renamed)
     changed = [_text(trees[i], trees[j]) for i, j in before if before[i, j].kind is not after[i, j].kind]
     assert not changed, (len(changed), changed[:5])
+
+
+def test_split_token_renames_each_later_occurrence():
+    e = parse("meas(t,[0,1],d) * meas(t,[0,1],d) - meas(t,[0,2],m) + meas(t_1,[0,1],d) / meas(u,[1,2],d)")
+    split = split_token(e, Token("t"))
+    assert format_expr(split) == (
+        "meas(t,[0,1],d) * meas(t_2,[0,1],d) - meas(t_3,[0,2],m) + meas(t_1,[0,1],d) / meas(u,[1,2],d)"
+    )
+    assert parse(format_expr(split)) == split and split_token(e, Token("v")) == e
+    odd = Meas(Token("a b"), Interval.of(0, 1), D)  # not a grammar name: fresh names still are
+    assert format_expr(split_token(Add(odd, odd), odd.token).rhs) == "meas(t_1,[0,1],d)"
+
+
+def test_token_split():
+    pairs = [
+        (e, t)
+        for e in universe(5)
+        for t, n in collections.Counter(leaf.token for leaf in meas_leaves(e)).items()
+        if n > 1
+    ]
+    violations, undecided = [], 0
+    for e, t in pairs:
+        split = split_token(e, t)
+        assert len(tokens_of(split)) == len(tokens_of(e)) + sum(leaf.token == t for leaf in meas_leaves(e)) - 1
+        verdict = licensed(split, e)
+        undecided += type(verdict) is Undecided
+        if type(verdict) is Fails:
+            violations.append(_text(split, e))
+    assert not violations, (len(violations), violations[:5])
+    assert len(pairs) == 720 and undecided < len(pairs)  # 444 undecided today
 
 
 FRESH = Meas(Token("v"), Interval.of(-1, 2), D)  # shares no token with the universe

@@ -8,10 +8,12 @@ leaf read in one match must parse exactly as it does lexeme by lexeme,
 and equal leaf texts in one expression must give one shared node that
 behaves as distinct equal nodes would.  Every reader must agree with the
 parent's parser, kept in `parser_reference.py`, on every corpus here and
-on perfbench's inputs, and a parse does its checks once per distinct leaf
-text and works out no character offset unless it fails.  The post-order a
-parsed root keeps must be the one a fresh walk gives, and a parsed tree
-must be freed by reference counting alone.
+on perfbench's inputs and on random texts over the lexer's alphabet.  A
+parse does its checks once per distinct leaf text, builds each distinct
+interval, rational, token name and dim tag once, and works out no
+character offset unless it fails.  The post-order a parsed root keeps
+must be the one a fresh walk gives, and a parsed tree must be freed by
+reference counting alone.
 """
 
 import copy
@@ -22,12 +24,15 @@ import random
 import re
 import sys
 import weakref
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enclosures import (
     Add,
     Div,
+    Exact,
     IntervalOrderError,
     Meas,
     Mul,
@@ -417,6 +422,42 @@ def test_every_corpus_parses_as_the_reference_parser(perfbench_texts):
     assert len(corpora["perfbench"]) > 3000
 
 
+# Texts over the lexer's alphabet: leaves of each kind with a filler in
+# every gap (mostly none; ASCII and Unicode blanks, comments with and
+# without a line break after them, a name or a number), joined by the
+# symbols, and in some a character no lexeme starts with, "_" among them.
+GAPS = ["", "", "", "", "", "", " ", "\t\n", "\r\x0b\x0c", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000",
+        "# c\n", "#(", "#", "x", "0"]
+LEAF_SHAPES = [
+    "meas{}({}t{},{}[{}-1{},{}2/3{}]{},{}d{}){}",
+    "exact{}({}1/2{},{}d{}){}",
+    "exact{}({}-0{},{}meas{}){}",
+    "meas{}({}exact{},{}[{}1{},{}1{}]{},{}u_1{}){}",
+]
+PREFIXES = ["", "", "-", "(", "-(", "((", "- "]
+INFIXES = [" + ", "-", "*", " / ", ")", ") + ", "", "--", "(", ","]
+STRAYS = "_$é.\x00"
+
+
+@st.composite
+def lexer_texts(draw) -> str:
+    text = ""
+    for _ in range(draw(st.integers(1, 4))):
+        gaps = draw(st.lists(st.sampled_from(GAPS), min_size=12, max_size=12))
+        text += draw(st.sampled_from(PREFIXES)) + draw(st.sampled_from(LEAF_SHAPES)).format(*gaps)
+        text += draw(st.sampled_from(INFIXES))
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(STRAYS)) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(lexer_texts())
+def test_lexer_matches_the_reference_parser_on_its_alphabet(text):
+    assert outcome(text) == outcome(text, reference.parse)
+
+
 def test_literal_readers_match_the_reference_parser():
     readers = {
         "interval": (parse_interval, reference.parse_interval),
@@ -460,6 +501,50 @@ def test_leaf_grammar_is_checked_once_per_distinct_leaf_text(monkeypatch, perfbe
         assert counted.calls == [("fullmatch", leaf) for leaf in dict.fromkeys(leaves)], text
         repeated += len(leaves) - len(counted.calls)
     assert repeated > 10_000  # `wide` repeats most of its leaf texts
+
+
+# A compact leaf's parts: token, interval ends and dim of a `meas`, or
+# value and dim of an `exact`.
+LEAF_PARTS = re.compile(r"meas\((\w+),\[([^,]+),([^\]]+)\],(\w+)\)|exact\(([^,]+),(\w+)\)")
+
+
+def test_equal_part_texts_share_one_object_per_parse(monkeypatch, perfbench_texts):
+    """One parse builds each distinct interval, rational, token name and dim
+    tag in its input once, so a long sum over a few boxes holds a few parts."""
+    fractions = []  # the arguments of each Fraction built
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        fractions.append(args)
+        return new(cls, *args, **kwargs)
+
+    shared = 0
+    for text in perfbench_texts([1]):
+        leaves = LEAF_PARTS.findall(text)
+        texts = {
+            "interval": {(lo, hi) for _, lo, hi, _, _, _ in leaves if lo},
+            "rational": {r for leaf in leaves for r in leaf[1:3] + leaf[4:5] if r},
+            "token": {token for token, *_ in leaves if token},
+            "dim": {leaf[3] or leaf[5] for leaf in leaves},
+        }
+        fractions.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counted)
+            e = parse(text)
+        nodes = [n for n in postorder(e) if isinstance(n, (Meas, Exact))]
+        meas = [n for n in nodes if isinstance(n, Meas)]
+        objects = {
+            "interval": {id(n.interval) for n in meas},
+            "rational": {id(q) for n in meas for q in (n.interval.lo, n.interval.hi)}
+            | {id(n.value) for n in nodes if isinstance(n, Exact)},
+            "token": {id(n.token) for n in meas},
+            "dim": {id(n.dim) for n in nodes},
+        }
+        for kind in texts:
+            assert len(objects[kind]) == len(texts[kind]), (kind, text[:60])
+        assert len(fractions) <= len(texts["rational"]), text[:60]
+        shared += len(meas) - len(objects["interval"])
+    assert shared > 7000  # `wide`'s long sums repeat a few boxes: 7928 leaf occurrences reuse one
 
 
 def test_a_successful_parse_works_out_no_offset(monkeypatch, perfbench_texts):
