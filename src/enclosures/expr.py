@@ -198,9 +198,9 @@ class _Op:
     the first difference; hashing and pickling use the post-order.  Unlike
     a record's own methods, none of these recurse; repr prints the text a
     record's repr would.  They read only the fields, so the memos that
-    `semantics.compile_expr` (a program) and `enclosure._fold_outcome` (the
-    fold outcome read off that program) store on any node, leaf or
-    operator, and the post-order `parser.parse` stores on a root, are
+    `semantics.compile_expr` (a program, which `parser.parse` stores on a
+    root as it builds it) and `enclosure._fold_outcome` (the fold outcome
+    read off that program) store on any node, leaf or operator, are
     invisible to them, and a deep copy or an unpickled tree carries none.
     """
 
@@ -271,14 +271,11 @@ def postorder(e: Expr) -> list[Expr]:
     """Every node of e, children before parents and left before right, in
     a fresh list.
 
-    The one place that knows each node's children, bar a root that
-    `parser.parse` built, which keeps this order of the nodes below it.  An
-    explicit stack keeps deep trees off the interpreter's recursion limit;
-    reversing a node-right-left preorder gives the left-right-node post-order.
+    The one place that knows each node's children; it walks every tree, a
+    parsed one too.  An explicit stack keeps deep trees off the
+    interpreter's recursion limit; reversing a node-right-left preorder
+    gives the left-right-node post-order.
     """
-    memo = getattr(e, "_postorder", None)
-    if memo is not None:
-        return [*memo, e]
     order = []
     stack = [e]
     while stack:

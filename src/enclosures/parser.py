@@ -22,8 +22,8 @@ rationals, token names and dim tags are shared the same way.  Any other leaf
 is read lexeme by lexeme, which is also how every error is found; an
 error's character offset is worked out only then.
 
-Nodes are completed in post-order, and a root that is not a leaf keeps that
-order, less itself (so no cycle), as the `_postorder` `expr.postorder` reads.
+Each node joins the tree's program (`semantics.Compiled`) as it is completed,
+so a parsed root carries its program from `parse` on, and is not walked for it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, TypeVar
 
 from .expr import _NAME, Add, Div, Dim, Exact, Expr, Interval, Meas, Mul, Neg, Sub, Token
-from .semantics import TokenEnv
+from .semantics import Compiled, TokenEnv
 
 _T = TypeVar("_T")
 
@@ -212,19 +212,22 @@ def parse(text: str) -> Expr:
 
 def _expression(lexemes: list[str]) -> Expr:
     i = 0
-    operands: list[Expr] = []  # left operands of pending binary operators
+    operands: list[tuple[Expr, int]] = []  # left operands of pending binary operators, registers too
     pending: list[tuple[int, type | None]] = []  # (precedence, node class)
-    built: dict[str, Expr] = {}  # leaf lexeme -> its node
+    built: dict[str, tuple[Expr, int]] = {}  # leaf lexeme -> its node and register
     parts: dict = {}  # the parts of the nodes in `built`, keyed as `_leaf` says
-    order: list[Expr] = []  # each leaf occurrence and node as it is completed: post-order
+    program = Compiled()  # each node is added as it is completed: in post-order
+    step = program.step
     while True:
         while (lexeme := lexemes[i]) in _PREFIX:  # unary minus and "(" before a leaf
             pending.append(_PREFIX[lexeme])
             i += 1
-        node = built.get(lexeme)
-        if node is None and len(lexeme) < _FAST_LEAF and (m := _LEAF.fullmatch(lexeme)):
-            node = built[lexeme] = _leaf(m, parts)
-        if node is not None:
+        known = built.get(lexeme)
+        if known is None and len(lexeme) < _FAST_LEAF and (m := _LEAF.fullmatch(lexeme)):
+            node = _leaf(m, parts)
+            known = built[lexeme] = node, program.leaf(node)
+        if known is not None:
+            node, k = known
             i += 1
         else:
             if "(" in lexeme[1:]:  # a leaf lexeme the grammar rejects: read it slot by slot
@@ -235,27 +238,27 @@ def _expression(lexemes: list[str]) -> Expr:
             shape, build = leaf
             values, i = _fields(lexemes, i + 1, shape)
             node = build(*values)
-        order.append(node)
+            k = program.leaf(node)
         while True:  # after an operand: ")" repeats, an infix operator ends
             infix = _INFIX.get(lexeme := lexemes[i])
             # Left associativity: apply pending operators of equal or
             # higher precedence; ")" and the end apply all down to "(",
             # so what is left pending then is a "(" or nothing.
             floor = infix[0] if infix else 1
+            # A Neg's one operand fills both of the program step's places.
             while pending and pending[-1][0] >= floor:
                 cls = pending.pop()[1]
-                node = Neg(node) if cls is Neg else cls(operands.pop(), node)
-                order.append(node)
+                lhs, j = (node, k) if cls is Neg else operands.pop()
+                k = step(cls, lhs, node, j, k)
+                node = Neg(node) if cls is Neg else cls(lhs, node)
             if infix:
-                operands.append(node)
+                operands.append((node, k))
                 pending.append(infix)
                 i += 1
                 break
             if not pending:
                 _expect(lexemes, i, "EOF")
-                if len(order) > 1:  # the nodes below the root, so the root holds no cycle
-                    order.pop()
-                    object.__setattr__(node, "_postorder", order)
+                program.finish(node)
                 return node
             _expect(lexemes, i, ")")
             pending.pop()

@@ -120,47 +120,70 @@ _STEP = {Add: _add, Sub: _sub, Mul: _mul, Div: _quotient, Neg: _negate}
 class Compiled:
     """A tree flattened once into a straight-line program over registers.
 
+    It is built children first: `leaf` for each distinct leaf node, `step`
+    for each operator, and `finish`, which keeps it on the root; `parse`
+    calls these as it completes each node, `Compiled(e)` over `postorder(e)`.
     Constants are filled in here, each distinct token gets one register
-    that the token lookup loads, and each operator is one step over
-    earlier registers, in post-order.  A quotient of two equal subtrees is
-    an `_over_itself` step, so `enclosure.to_affine`, which reads its fold
-    off this program, knows a self-quotient by its step.  Registers hold
-    reduced integer pairs, so a run makes one Fraction, at the end.
-    `leaves` lists the tree's distinct measured leaves, by node identity,
-    for each token's box, and `_checks` each one's token and box ends as
-    pairs, for `token_consistent`.
+    that the token lookup loads, and each operator is one step over earlier
+    registers.  A quotient of two equal subtrees is an `_over_itself` step,
+    so `enclosure.to_affine`, which reads its fold off this program, knows a
+    self-quotient by its step.  Registers hold reduced integer pairs, so a
+    run makes one Fraction, at the end.  `leaves` lists the tree's distinct
+    measured leaves, by node identity, for each token's box, and `_checks`
+    each one's token and box ends as pairs, for `token_consistent`.
     """
 
-    def __init__(self, e: Expr):
-        registers: list[_Pair | None] = []
-        loads: list[tuple[int, Token]] = []
-        steps: list[tuple[int, Callable[[_Pair, _Pair], _Pair], int, int]] = []
-        leaves: dict[int, Meas] = {}
-        token_registers: dict[str, int] = {}  # by token name, which hashes in C
+    def __init__(self, e: Expr | None = None):
+        self._registers: list[_Pair | None] = []
+        self._loads: list[tuple[int, Token]] = []
+        self._steps: list[tuple[int, Callable[[_Pair, _Pair], _Pair], int, int]] = []
+        self.leaves: list[Meas] = []
+        self._token_registers: dict[str, int] = {}  # by token name, which hashes in C
+        if e is None:
+            return
         pending: list[int] = []  # registers of subtrees whose parent is still to come
+        seen: dict[int, int] = {}  # a leaf node's register, by its id, as a parse shares them
         for node in postorder(e):
             cls = type(node)
-            if cls is Meas:
-                leaves[id(node)] = node
-                k = token_registers.get(node.token.name)
-                if k is None:  # the token's first leaf
-                    k = token_registers[node.token.name] = len(registers)
-                    loads.append((k, node.token))
-                    registers.append(None)
-            elif cls is Exact:
-                k = len(registers)
-                registers.append(node.value.as_integer_ratio())
-            elif cls in _STEP:  # a Neg's one operand fills both places
-                k, rhs = len(registers), pending.pop()
-                step = _over_itself if cls is Div and node.lhs == node.rhs else _STEP[cls]
-                steps.append((k, step, rhs if cls is Neg else pending.pop(), rhs))
-                registers.append(None)
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
+            if cls is Neg:
+                k = pending.pop()
+                k = self.step(Neg, node.operand, node.operand, k, k)
+            elif cls in _STEP:
+                j, i = pending.pop(), pending.pop()
+                k = self.step(cls, node.lhs, node.rhs, i, j)
+            elif (k := seen.get(id(node))) is None:
+                k = seen[id(node)] = self.leaf(node)
             pending.append(k)
-        self.leaves = list(leaves.values())
+        self.finish(e)
+
+    def leaf(self, node: Expr) -> int:
+        """The register of a leaf node not met before: its constant's, or its token's."""
+        k = len(self._registers)
+        if type(node) is Exact:
+            self._registers.append(node.value.as_integer_ratio())
+        elif type(node) is not Meas:
+            raise TypeError(f"not an expression node: {node!r}")
+        else:
+            self.leaves.append(node)
+            k = self._token_registers.setdefault(node.token.name, k)
+            if k == len(self._registers):  # the token's first leaf
+                self._loads.append((k, node.token))
+                self._registers.append(None)
+        return k
+
+    def step(self, cls: type, lhs: Expr, rhs: Expr, i: int, j: int) -> int:
+        """The register of the cls node over lhs and rhs, whose registers are
+        i and j; a Neg's one operand fills both places."""
+        k = len(self._registers)
+        self._steps.append((k, _over_itself if cls is Div and lhs == rhs else _STEP[cls], i, j))
+        self._registers.append(None)
+        return k
+
+    def finish(self, root: Expr) -> None:
+        """Keep the program on root, the last node built, whose register is the last."""
         self._checks = [(leaf.token, *_ends(leaf.interval)) for leaf in self.leaves]
-        self._registers, self._loads, self._steps, self._root = registers, loads, steps, k
+        self._root = len(self._registers) - 1
+        object.__setattr__(root, "_program", self)
 
     def __call__(self, value_of: Callable[[Token], Fraction]) -> Fraction:
         """The tree's value, where value_of(t) is token t's value; division
@@ -178,16 +201,14 @@ def compile_expr(e: Expr) -> Compiled:
 
     Trees are immutable, so every node, leaf or operator, keeps its
     program in a private attribute, and the program is built once per
-    tree: evaluation, consistency checks, sampling, `effective_intervals`
-    and the affine fold `enclosure._fold_outcome` keeps beside it all read
-    this one.  Equality, hashing, repr, pickle and copy ignore the memos,
-    so `copy.deepcopy(e)` is a cold tree.
+    tree: by `parser.parse` for a parsed root, and here, on the first read,
+    for any other tree.  Evaluation, consistency checks, sampling,
+    `effective_intervals` and the affine fold `enclosure._fold_outcome`
+    keeps beside it all read this one.  Equality, hashing, repr, pickle and
+    copy ignore the memos, so `copy.deepcopy(e)` is a cold tree.
     """
     program = getattr(e, "_program", None)
-    if program is None:
-        program = Compiled(e)
-        object.__setattr__(e, "_program", program)
-    return program
+    return Compiled(e) if program is None else program  # which it keeps on e
 
 
 def evaluate(env: TokenEnv, e: Expr) -> Fraction:

@@ -43,17 +43,18 @@ def affine_folds(monkeypatch):
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """The expressions `compile_expr` builds a program for while the test
-    runs, in order."""
+    """The trees a program is built for while the test runs, in order: the
+    root of each `Compiled.finish`, which `parse` calls for a parsed root
+    and `compile_expr` for any other tree, on its first read."""
     module = importlib.import_module("enclosures.semantics")
-    build = module.Compiled
+    finish = module.Compiled.finish
     built = []
 
-    def counted(e):
-        built.append(e)
-        return build(e)
+    def counted(program, root):
+        built.append(root)
+        return finish(program, root)
 
-    monkeypatch.setattr(module, "Compiled", counted)
+    monkeypatch.setattr(module.Compiled, "finish", counted)
     return built
 
 

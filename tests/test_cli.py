@@ -128,16 +128,17 @@ class TestEval:
         ]
 
     @pytest.mark.parametrize("command", ["eval", "enclosure"])
-    def test_one_walk(self, files, capsys, monkeypatch, command):
-        # eval's boxes come from the program `evaluate` builds, as
-        # enclosure's do, so neither walks the tree a second time.
+    def test_one_walk(self, files, capsys, monkeypatch, compiles, command):
+        # The one walk is the parse, which builds the one program; eval's
+        # boxes come from that program, as enclosure's do, so neither walks
+        # the tree again.
         walked = []
         for name in ("enclosures.expr", "enclosures.semantics"):
             module = importlib.import_module(name)
             monkeypatch.setattr(module, "postorder", lambda e: walked.append(e) or postorder(e))
         text = " + ".join(f"meas(t{k % 7},[{k % 7},{k % 7 + 1}],d)" for k in range(50))
         code, out, _ = run(capsys, command, files("e.expr", text))
-        assert code == 0 and len(walked) == 1
+        assert code == 0 and walked == [] and len(compiles) == 1
         if command == "eval":
             boxes = json_lines(out)[0]["effective_intervals"]
             assert boxes == {f"t{k}": [str(k), str(k + 1)] for k in range(7)}

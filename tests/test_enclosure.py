@@ -312,18 +312,22 @@ class TestDeferredSelfQuotient:
 
 class TestOneWalk:
     def test_to_affine_walks_the_tree_once(self, monkeypatch):
-        # The one walk is the one inside compile_expr; the fold and its
-        # boxes read the program, and a tree whose program exists walks
-        # nothing.
+        # The one walk of a parsed tree is its parse, which builds the
+        # program; the fold and its boxes read the program, so to_affine
+        # walks nothing.  Any other tree is walked once, by compile_expr,
+        # and a tree whose program exists walks nothing.
+        e = parse(long_affine_text(random.Random(0), 100, 25))
+        cold = copy.deepcopy(e)  # copying walks, so before the count starts
+        compiled = copy.deepcopy(parse(long_affine_text(random.Random(1), 100, 25)))
         walked = []
         for name in ("enclosures.expr", "enclosures.semantics"):
             module = importlib.import_module(name)
             monkeypatch.setattr(module, "postorder", lambda e: walked.append(e) or postorder(e))
         assert not hasattr(importlib.import_module("enclosures.enclosure"), "postorder")
-        e = parse(long_affine_text(random.Random(0), 100, 25))
         to_affine(e)
-        assert walked == [e]
-        compiled = parse(long_affine_text(random.Random(1), 100, 25))
+        assert walked == []
+        to_affine(cold)
+        assert walked == [cold]
         compile_expr(compiled)
         del walked[:]
         to_affine(compiled)

@@ -18,7 +18,6 @@ reference counting alone.
 
 import copy
 import gc
-import operator
 import pickle
 import random
 import re
@@ -50,7 +49,7 @@ from enclosures import (
 )
 from enclosures.enclosure import to_affine
 from enclosures.expr import _rebuild, _shape, fold, postorder
-from enclosures.semantics import compile_expr
+from enclosures.semantics import _STEP, Compiled, _over_itself, compile_expr
 import parser_reference as reference
 from exprgen import (
     CHAIN_WRAPS,
@@ -62,6 +61,7 @@ from exprgen import (
     token_boxes,
 )
 
+OPS = (Add, Sub, Mul, Div, Neg)
 READERS = {"parse": parse, "parse_interval": parse_interval, "parse_rational": parse_rational}
 LEAF = "expected a leaf ('exact' or 'meas')"
 NONZERO = "rational denominator must be nonzero"
@@ -322,17 +322,20 @@ def order_corpus() -> list[str]:
 
 
 def test_parse_order_is_a_fresh_walk():
+    # A parsed root keeps its program, not the order its nodes were
+    # completed in, so `postorder` walks it as it walks any other tree.  The
+    # walk meets the nodes the parse built the program from: one step per
+    # operator, and the distinct measured leaves in the order they come first.
     for text in order_corpus():
         e = parse(text)
+        assert "_postorder" not in vars(e), text
         postorder(e).clear()  # each call returns a list of its own
-        kept = postorder(e)
-        if "_postorder" not in vars(e):  # only a leaf root keeps no order
-            assert kept == [e] and type(e) not in (Add, Sub, Mul, Div, Neg), text
-            continue
-        assert kept[-1] is e and len(vars(e)["_postorder"]) == len(kept) - 1
-        object.__delattr__(e, "_postorder")
         walked = postorder(e)
-        assert len(walked) == len(kept) and all(map(operator.is_, walked, kept)), text
+        program = vars(e)["_program"]
+        assert walked[-1] is e, text
+        assert sum(isinstance(node, OPS) for node in walked) == len(program._steps), text
+        first = {id(node): node for node in walked if type(node) is Meas}
+        assert list(map(id, program.leaves)) == list(first), text
 
 
 def test_a_parsed_tree_reads_as_its_rebuilt_shape():
@@ -343,8 +346,46 @@ def test_a_parsed_tree_reads_as_its_rebuilt_shape():
         assert hash(e) == hash(rebuilt) and repr(e) == repr(rebuilt), text
         copied = copy.deepcopy(e)
         assert copied == rebuilt and pickle.dumps(copied) == pickle.dumps(copy.deepcopy(rebuilt))
-        for cold in copied, pickle.loads(pickle.dumps(e)), *vars(e).get("_postorder", ()):
-            assert "_postorder" not in vars(cold), text
+        assert "_program" in vars(e), text
+        for cold in copied, pickle.loads(pickle.dumps(e)), *postorder(e)[:-1]:
+            assert "_program" not in vars(cold), text
+
+
+def program_matches_the_walk(e) -> int:
+    """Check that the program `parse` left on e is, field for field, the one
+    `Compiled` builds walking a cold copy of e, and that it keeps two rules
+    read off the tree alone: one register per token, loaded in the order the
+    tokens first occur, and one step per operator, in post-order, that is
+    `_over_itself` exactly where a quotient's operands are equal.  Return the
+    number of those self-quotients."""
+    parsed = vars(e)["_program"]
+    cold = copy.deepcopy(e)
+    assert "_program" not in vars(cold)
+    walked = Compiled(cold)
+    assert vars(cold)["_program"] is walked
+    # A step function equals only itself, and the leaves compare by position.
+    assert parsed._registers == walked._registers and parsed._loads == walked._loads
+    assert parsed._steps == walked._steps and parsed._root == walked._root
+    assert parsed._checks == walked._checks and parsed.leaves == walked.leaves
+    nodes = postorder(e)
+    tokens = {node.token.name: node.token for node in nodes if type(node) is Meas}
+    assert [token for _, token in parsed._loads] == list(tokens.values())
+    ops = [node for node in nodes if isinstance(node, OPS)]
+    rules = [_over_itself if type(op) is Div and op.lhs == op.rhs else _STEP[type(op)] for op in ops]
+    assert rules == [step for _, step, _, _ in parsed._steps]
+    return rules.count(_over_itself)
+
+
+def test_parsed_program_matches_the_walk(perfbench_texts):
+    # order_corpus holds the scattered corpus too.
+    self_quotients = 0
+    for text in order_corpus() + list(perfbench_texts((1, 2))):
+        try:
+            e = parse(text)
+        except (ParseError, IntervalOrderError):  # perfbench's `cli` calls read bad files too
+            continue
+        self_quotients += program_matches_the_walk(e)
+    assert self_quotients
 
 
 def test_a_parsed_tree_is_freed_by_reference_counting():
@@ -456,6 +497,16 @@ def lexer_texts(draw) -> str:
 @given(lexer_texts())
 def test_lexer_matches_the_reference_parser_on_its_alphabet(text):
     assert outcome(text) == outcome(text, reference.parse)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lexer_texts())
+def test_parsed_program_matches_the_walk_on_the_lexer_alphabet(text):
+    try:
+        e = parse(text)
+    except (ParseError, IntervalOrderError):
+        return
+    program_matches_the_walk(e)
 
 
 def test_literal_readers_match_the_reference_parser():

@@ -734,9 +734,10 @@ class TestSamplesDrawnOnDemand:
 
 
 class TestOneProgramPerSide:
-    """A side that `classify` or its audit evaluates builds its program once:
-    the witness `classify` checks and the audit's check of it share the
-    program memoized on the side's node."""
+    """A side that `classify` or its audit evaluates has one program: the one
+    `parse` built for a parsed side, or the one built on the first read of a
+    cold side.  The witness `classify` checks and the audit's check of it
+    share the program memoized on the side's node."""
 
     SUM = (
         "meas(t,[1,3],d) + meas(u,[0,2],d) - exact(2,d) * meas(v,[0,1],d)"
@@ -757,19 +758,21 @@ class TestOneProgramPerSide:
     def test_one_build_per_side_for_classify_and_audit(self, compiles, name):
         src_text, tgt_text, kind = self.PAIRS[name]
         src, tgt = parse(src_text), parse(tgt_text)
-        cls = classify(src, tgt)
-        assert cls.kind is kind
-        assert audit_classification(cls, src, tgt)
-        built = [e for e in compiles if not isinstance(e, (Exact, Meas))]  # leaf sides: below
-        assert built and all(e is src or e is tgt for e in built)
-        assert len(built) == len({id(e) for e in built}), built
+        assert compiles == [src, tgt]
+        for a, b in (src, tgt), (copy.deepcopy(src), copy.deepcopy(tgt)):
+            del compiles[:]
+            cls = classify(a, b)
+            assert cls.kind is kind
+            assert audit_classification(cls, a, b)
+            assert compiles == ([] if a is src else [a, b]), compiles
 
 
 class TestLeafSides:
-    """A leaf keeps its program and its fold as an operator node does, so
-    `classify` and its audit together build and fold each side once, a leaf
-    side too.  The first pair is a `products` pair: a product of tokens,
-    one repeated, against an exact point."""
+    """A leaf keeps its program and its fold as an operator node does, so a
+    parsed side, a leaf too, has the program `parse` built, and `classify`
+    and its audit together fold each side once.  The first pair is a
+    `products` pair: a product of tokens, one repeated, against an exact
+    point."""
 
     PAIRS = {
         "products": (
@@ -789,10 +792,11 @@ class TestLeafSides:
     def test_one_program_and_one_fold_per_side(self, compiles, affine_folds, name):
         src_text, tgt_text, kind = self.PAIRS[name]
         src, tgt = parse(src_text), parse(tgt_text)
+        assert compiles == [src, tgt]
         cls = classify(src, tgt)
         assert cls.kind is kind and audit_classification(cls, src, tgt)
-        for built in (compiles, affine_folds):
-            assert sorted(map(id, built)) == sorted([id(src), id(tgt)]), built
+        assert compiles == [src, tgt]
+        assert sorted(map(id, affine_folds)) == sorted([id(src), id(tgt)]), affine_folds
 
 
 class TestBoundsCompareIntegerPairs:

@@ -33,6 +33,7 @@ from enclosures import (
     effective_intervals,
     evaluate,
     exact_value,
+    fields,
     format_expr,
     meas_leaves,
     parse,
@@ -578,36 +579,41 @@ MEMO_ENV = TokenEnv({Token("t"): F(3, 2), Token("u"): F(1, 2)})
 
 
 class TestProgramMemo:
-    """Every node keeps its program: `evaluate`, `token_consistent` and
-    `exact_value` build it once per tree, and no result, copy, pickle or
+    """Every node keeps its program, built once per tree: by `parse` for a
+    parsed root, and by the first `evaluate`, `token_consistent` or
+    `exact_value` for any other tree.  No result, copy, pickle or
     comparison can tell."""
 
     @pytest.mark.parametrize("name", list(MEMO_TREES))
     def test_built_once_per_tree(self, compiles, name):
         e = parse(MEMO_TREES[name])
+        assert compiles == [e]
         first = evaluate(MEMO_ENV, e), token_consistent(MEMO_ENV, e)
         for _ in range(3):
             assert (evaluate(MEMO_ENV, e), token_consistent(MEMO_ENV, e)) == first
         if name == "exact":
             assert exact_value(e) == first[0]
         assert compile_expr(e) is compile_expr(e)
-        assert len(compiles) == 1 and compiles[0] is e
+        assert compiles == [e]
 
     def test_a_leaf_keeps_its_memos(self, compiles, affine_folds):
-        # A leaf builds its program and its fold once, as an operator node
-        # does; its fields, its pickle and its copies do not show them.
+        # A leaf keeps its program and its fold as an operator node does:
+        # `parse` builds a leaf root's program, and its fold is made once;
+        # its fields, its pickle and its copies do not show them.
         for text in ("meas(t,[1,2],d)", "exact(3/2,d)"):
-            leaf = parse(text)
-            fields, cold = dict(vars(leaf)), pickle.dumps(leaf)
             del compiles[:], affine_folds[:]
+            leaf = parse(text)
+            assert compiles == [leaf]
+            kept = {name: vars(leaf)[name] for name in fields(leaf)}
+            cold = pickle.dumps(leaf)
             assert evaluate(MEMO_ENV, leaf) == evaluate(MEMO_ENV, leaf) == F(3, 2)
             assert to_affine(leaf) == to_affine(leaf)
             assert compiles == affine_folds == [leaf]
-            assert {name: vars(leaf)[name] for name in fields} == fields
+            assert {name: vars(leaf)[name] for name in kept} == kept
             assert pickle.dumps(leaf) == cold
             copies = copy.copy(leaf), copy.deepcopy(leaf), replace(leaf)
             for copied in (*copies, pickle.loads(cold)):
-                assert copied == leaf and vars(copied) == fields
+                assert copied == leaf and vars(copied) == kept
                 del compiles[:]
                 assert evaluate(MEMO_ENV, copied) == F(3, 2) and compiles == [copied]
 
