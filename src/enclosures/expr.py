@@ -399,26 +399,31 @@ def effective_intervals(e: Expr) -> dict[Token, Interval]:
     exactly the case where the whole expression has an empty enclosure.
     Exact leaves and dimension tags play no part.  A tree that
     `semantics.compile_expr` has compiled is not walked: its program lists
-    its distinct measured leaves, in the order a walk meets them.
+    the (token, interval) of its distinct measured leaves, in the order a
+    walk meets them.
     """
     program = getattr(e, "_program", None)
     out: dict[Token, Interval] = {}
-    for leaf in meas_leaves(e) if program is None else program.leaves:
-        narrow_box(out, leaf)
+    if program is None:
+        for leaf in meas_leaves(e):
+            narrow_box(out, leaf.token, leaf.interval)
+    else:
+        for token, interval in program.leaves:
+            narrow_box(out, token, interval)
     return out
 
 
-def narrow_box(boxes: dict[Token, Interval], leaf: Meas) -> None:
-    """Intersect leaf's interval into its token's box, adding the box when
+def narrow_box(boxes: dict[Token, Interval], token: Token, interval: Interval) -> None:
+    """Intersect a leaf's interval into its token's box, adding the box when
     the token is new; raise InfeasibleTokenError when the box empties."""
-    seen = boxes.get(leaf.token)
+    seen = boxes.get(token)
     if seen is None:
-        boxes[leaf.token] = leaf.interval
-    elif seen is not leaf.interval and seen != leaf.interval:  # equal: box unchanged
-        merged = seen.intersect(leaf.interval)
+        boxes[token] = interval
+    elif seen is not interval and seen != interval:  # equal: box unchanged
+        merged = seen.intersect(interval)
         if merged is None:
-            raise InfeasibleTokenError(leaf.token)
-        boxes[leaf.token] = merged
+            raise InfeasibleTokenError(token)
+        boxes[token] = merged
 
 
 # --- canonical printing -----------------------------------------------------

@@ -260,7 +260,8 @@ def _expression(lexemes: list[str]) -> Expr:
                 _expect(lexemes, i, "EOF")
                 program.finish(node)
                 return node
-            _expect(lexemes, i, ")")
+            if lexeme != ")":
+                raise _mismatch("')'", lexemes, i)
             pending.pop()
             i += 1
 

@@ -128,16 +128,19 @@ class Compiled:
     registers.  A quotient of two equal subtrees is an `_over_itself` step,
     so `enclosure.to_affine`, which reads its fold off this program, knows a
     self-quotient by its step.  Registers hold reduced integer pairs, so a
-    run makes one Fraction, at the end.  `leaves` lists the tree's distinct
-    measured leaves, by node identity, for each token's box, and `_checks`
-    each one's token and box ends as pairs, for `token_consistent`.
+    run makes one Fraction, at the end.  `leaves` lists the (token, interval)
+    of each distinct measured leaf node, in the order they are first met,
+    for each token's box, and `_checks` each one's token and box ends as
+    pairs, for `token_consistent`.  The program keeps no node, so a tree
+    holds no reference cycle through it, not even a lone leaf, which keeps
+    its own program.
     """
 
     def __init__(self, e: Expr | None = None):
         self._registers: list[_Pair | None] = []
         self._loads: list[tuple[int, Token]] = []
         self._steps: list[tuple[int, Callable[[_Pair, _Pair], _Pair], int, int]] = []
-        self.leaves: list[Meas] = []
+        self.leaves: list[tuple[Token, Interval]] = []
         self._token_registers: dict[str, int] = {}  # by token name, which hashes in C
         if e is None:
             return
@@ -164,7 +167,7 @@ class Compiled:
         elif type(node) is not Meas:
             raise TypeError(f"not an expression node: {node!r}")
         else:
-            self.leaves.append(node)
+            self.leaves.append((node.token, node.interval))
             k = self._token_registers.setdefault(node.token.name, k)
             if k == len(self._registers):  # the token's first leaf
                 self._loads.append((k, node.token))
@@ -181,7 +184,7 @@ class Compiled:
 
     def finish(self, root: Expr) -> None:
         """Keep the program on root, the last node built, whose register is the last."""
-        self._checks = [(leaf.token, *_ends(leaf.interval)) for leaf in self.leaves]
+        self._checks = [(token, *_ends(box)) for token, box in self.leaves]
         self._root = len(self._registers) - 1
         object.__setattr__(root, "_program", self)
 

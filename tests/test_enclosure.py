@@ -449,7 +449,7 @@ def _reference_affine_parts(
     for node in postorder(e):
         cls, factor = type(node), None
         if cls is Meas:
-            narrow_box(boxes, node)
+            narrow_box(boxes, node.token, node.interval)
             c, k = _ZERO, {node.token: _ONE}
         elif cls is Exact:
             c, k = node.value, {}

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enclosures import (
+    EMPTY_ENV,
     Add,
     Div,
     Exact,
@@ -40,6 +41,7 @@ from enclosures import (
     Sub,
     audit_classification,
     classify,
+    evaluate,
     format_expr,
     parse,
     parse_env,
@@ -325,7 +327,8 @@ def test_parse_order_is_a_fresh_walk():
     # A parsed root keeps its program, not the order its nodes were
     # completed in, so `postorder` walks it as it walks any other tree.  The
     # walk meets the nodes the parse built the program from: one step per
-    # operator, and the distinct measured leaves in the order they come first.
+    # operator, and the distinct measured leaves in the order they come first,
+    # whose tokens and interval objects the program lists.
     for text in order_corpus():
         e = parse(text)
         assert "_postorder" not in vars(e), text
@@ -334,8 +337,9 @@ def test_parse_order_is_a_fresh_walk():
         program = vars(e)["_program"]
         assert walked[-1] is e, text
         assert sum(isinstance(node, OPS) for node in walked) == len(program._steps), text
-        first = {id(node): node for node in walked if type(node) is Meas}
-        assert list(map(id, program.leaves)) == list(first), text
+        first = {id(node): node for node in walked if type(node) is Meas}.values()
+        assert program.leaves == [(leaf.token, leaf.interval) for leaf in first], text
+        assert all(box is leaf.interval for (_, box), leaf in zip(program.leaves, first)), text
 
 
 def test_a_parsed_tree_reads_as_its_rebuilt_shape():
@@ -363,7 +367,7 @@ def program_matches_the_walk(e) -> int:
     assert "_program" not in vars(cold)
     walked = Compiled(cold)
     assert vars(cold)["_program"] is walked
-    # A step function equals only itself, and the leaves compare by position.
+    # A step function equals only itself; the leaves are (token, interval) pairs.
     assert parsed._registers == walked._registers and parsed._loads == walked._loads
     assert parsed._steps == walked._steps and parsed._root == walked._root
     assert parsed._checks == walked._checks and parsed.leaves == walked.leaves
@@ -389,18 +393,51 @@ def test_parsed_program_matches_the_walk(perfbench_texts):
 
 
 def test_a_parsed_tree_is_freed_by_reference_counting():
+    # A program lists each measured leaf's token and interval, not the leaf,
+    # so no memo makes a cycle: not on an operator root, not on a lone leaf
+    # root, which keeps its own program, nor on a leaf subtree compiled alone.
     rng = random.Random(2502)
     texts = [long_affine_text(rng, 300, 40), long_affine_text(rng, 300, 40, right=True)]
-    texts.append("-" * 3000 + "meas(t,[1,2],d)")
+    texts += ["-" * 3000 + "meas(t,[1,2],d)", "meas(t,[1,2],d)", "meas(t,[1,2],d) + exact(1,d)"]
     enabled = gc.isenabled()
     gc.disable()
     try:
         for text in texts:
             e = parse(text)
-            postorder(e), compile_expr(e), to_affine(e)  # the memos a walk leaves
-            root = weakref.ref(e)
-            del e
-            assert root() is None, text[:40]
+            # the memos a walk leaves, on the root or on a leaf subtree of a sum
+            node = e.lhs if text.endswith("exact(1,d)") else e
+            postorder(node), compile_expr(node), evaluate(EMPTY_ENV, node), to_affine(node)
+            refs = weakref.ref(e), weakref.ref(node)
+            del e, node
+            assert [ref() for ref in refs] == [None, None], text[:40]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_checking_perfbench_ops_leaves_no_cyclic_garbage(perfbench_gen):
+    # Parsing, classifying and auditing leave nothing that only the cycle
+    # collector can free: each tree goes when its last reference is dropped.
+    gen = perfbench_gen
+    workloads = {
+        name: [op for op in getattr(gen, name)(1) if not op.probe]
+        for name in ("suite", "products", "wide")
+    }
+    leaf = "meas(t,[1,2],d)"
+    workloads["lone leaves"] = [
+        gen.Op("leaf", leaf, tgt, expect="", nodes=1) for tgt in (leaf, "exact(3/2,d)")
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        garbage = {}
+        for name, ops in workloads.items():
+            for op in ops:
+                src, tgt = parse(op.src), parse(op.tgt)
+                assert audit_classification(classify(src, tgt, op.grid, op.budget), src, tgt)
+            garbage[name] = gc.collect()
+        assert garbage == dict.fromkeys(workloads, 0)
     finally:
         if enabled:
             gc.enable()
