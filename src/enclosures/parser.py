@@ -19,8 +19,9 @@ blank, comment or parenthesis inside its own is one lexeme, and `parse`
 checks it against the grammar and builds its node once per distinct leaf
 text, so equal leaves in one expression are one object; their intervals,
 rationals, token names and dim tags are shared the same way.  Any other leaf
-is read lexeme by lexeme, which is also how every error is found; an
-error's character offset is worked out only then.
+is read lexeme by lexeme.  Input that this reading refuses is read again on
+plain lexemes, one per name, number and symbol; only that second reading
+raises, so it finds and places every error at its character offset.
 
 Each node joins the tree's program (`semantics.Compiled`) as it is completed,
 so a parsed root carries its program from `parse` on, and is not walked for it.
@@ -63,67 +64,50 @@ _RAT = r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?"  # a numerator, then a nonzero denomin
 # inside its own is one lexeme, and other text one per name, number and
 # symbol.  `_read` checks first that no character is left between matches.
 # The alternatives start with disjoint characters, so their order changes no
-# lexeme; symbols, the most common, are tried first.
+# lexeme; symbols, the most common, are tried first.  `_FINE` is the same
+# without leaf lexemes: the plain lexemes that refused input is read again on.
 _LEXEME = re.compile(
     rf"\s*(?:#[^\n]*\s*)*([-+*/()\[\],]|(?:meas|exact)\([^\s#()]*\)|{_NAME}|[0-9]+|\Z)"
 )
+_FINE = re.compile(rf"\s*(?:#[^\n]*\s*)*([-+*/()\[\],]|{_NAME}|[0-9]+|\Z)")
 # A leaf lexeme that the grammar accepts, with its parts as groups.
 _LEAF = re.compile(rf"meas\(({_NAME}),\[{_RAT},{_RAT}\],({_NAME})\)|exact\({_RAT},({_NAME})\)")
 # Text of characters that each start a lexeme; in any other text, lexemes
 # back to back from the start stop short of the end at one that starts none.
 _PLAIN = re.compile(r"[\sA-Za-z0-9()\[\],+*/-]*")
 _LEXABLE = re.compile(rf"(?:\s+|#[^\n]*|{_NAME}|[0-9]+|[-+*/()\[\],])*")
-# The interpreter's int-to-string limit is 0 (none) or at least 640 digits, so
-# a shorter leaf lexeme converts in one match; a longer one is read slot by
-# slot, where a number over the limit is an error at its offset.
-_FAST_LEAF = 640
 
 
 def _read(text: str, reader: Callable[[list[str]], _T]) -> _T:
-    """reader's result on text's lexemes, with a misread lexeme located in text."""
+    """reader's result on text's lexemes or, if it refuses them (a `_Misread`,
+    or a `ValueError` from an interval out of order or a number over the
+    int-to-string limit), on its plain lexemes, a misread one located in text."""
     if not _PLAIN.fullmatch(text) and (at := _LEXABLE.match(text).end()) < len(text):
         raise ParseError(f"unexpected character {text[at]!r}", at)
-    lexemes = _LEXEME.findall(text)
     try:
-        return reader(lexemes)
+        return reader(_LEXEME.findall(text))
+    except (_Misread, ValueError):
+        pass
+    try:
+        return reader(_FINE.findall(text))
     except _Misread as err:
         message, index = err.args
-        raise ParseError(message, _offset(text, lexemes, index)) from None
-
-
-def _split(lexemes: list[str], i: int) -> None:
-    """Put the lexemes a leaf lexeme spans in its place: its keyword, then one
-    per symbol, number and name, none of them a leaf, as it holds no other "("."""
-    keyword = lexemes[i][: lexemes[i].index("(")]
-    lexemes[i : i + 1] = [keyword, *_LEXEME.findall(lexemes[i], len(keyword))[:-1]]
-
-
-def _offset(text: str, lexemes: list[str], index: int) -> int:
-    """Where lexemes[index] starts in text: they are text's lexemes, but for
-    leaf lexemes that `_split` has replaced."""
-    starts: list[int] = []
-    for m in _LEXEME.finditer(text):
-        at = m.start(1)
-        if m[1] == lexemes[len(starts)]:
-            starts.append(at)
-        else:  # a split leaf: where its keyword starts, then where each lexeme after it does
-            rest = _LEXEME.finditer(text, at + len(lexemes[len(starts)]), m.end())
-            starts += [at, *(n.start(1) for n in rest)][:-1]
-    return starts[index]
+        raise ParseError(message, [m.start(1) for m in _FINE.finditer(text)][index]) from None
 
 
 def _mismatch(wanted: str, lexemes: list[str], i: int) -> _Misread:
-    found = lexemes[i].partition("(")[0] or lexemes[i]  # a leaf lexeme shows its keyword
-    return _Misread(f"expected {wanted}, found {_quote(found or 'end of input')}", i)
+    return _Misread(f"expected {wanted}, found {_quote(lexemes[i] or 'end of input')}", i)
 
 
 def _expect(lexemes: list[str], i: int, kind: str) -> str:
-    """lexemes[i] if it is of `kind`: IDENT (as a leaf lexeme is, by its
-    keyword), NUMBER, EOF or the symbol itself."""
-    head = lexemes[i][:1]
-    if ("IDENT" if head.isalpha() else "NUMBER" if head.isdigit() else lexemes[i] or "EOF") != kind:
+    """lexemes[i] if it is of `kind`: IDENT, NUMBER, EOF or the symbol itself.
+    A leaf lexeme (a "(" after its first character) is of no kind."""
+    lexeme = lexemes[i]
+    head = lexeme[:1]
+    found = "IDENT" if head.isalpha() else "NUMBER" if head.isdigit() else lexeme or "EOF"
+    if found != kind or "(" in lexeme[1:]:
         raise _mismatch(repr(kind), lexemes, i)
-    return lexemes[i]
+    return lexeme
 
 
 # The shape of each leaf after its keyword, and its builder.
@@ -180,8 +164,6 @@ def _fields(lexemes: list[str], i: int, shape: str) -> tuple[list, int]:
                     raise _Misread("rational denominator must be nonzero", i)
             values.append(Fraction(-numerator if negative else numerator, denominator))
         elif slot == "I":
-            if "(" in lexemes[i][1:]:  # a leaf lexeme where a name goes: its keyword is that name
-                _split(lexemes, i)
             values.append(_expect(lexemes, i, "IDENT"))
         else:
             _expect(lexemes, i, "EOF" if slot == "$" else slot)
@@ -223,16 +205,14 @@ def _expression(lexemes: list[str]) -> Expr:
             pending.append(_PREFIX[lexeme])
             i += 1
         known = built.get(lexeme)
-        if known is None and len(lexeme) < _FAST_LEAF and (m := _LEAF.fullmatch(lexeme)):
+        if known is None and (m := _LEAF.fullmatch(lexeme)):
             node = _leaf(m, parts)
             known = built[lexeme] = node, program.leaf(node)
         if known is not None:
             node, k = known
             i += 1
         else:
-            if "(" in lexeme[1:]:  # a leaf lexeme the grammar rejects: read it slot by slot
-                _split(lexemes, i)
-            leaf = _LEAVES.get(lexemes[i])
+            leaf = _LEAVES.get(lexeme)
             if leaf is None:
                 raise _mismatch("a leaf ('exact' or 'meas')", lexemes, i)
             shape, build = leaf
@@ -309,10 +289,8 @@ def parse_env(text: str) -> TokenEnv:
         name_at = start + len(name) - len(name.lstrip())
         value_at = start + len(line) - len(value.lstrip())
         name, value = name.strip(), value.strip()
-        try:
-            _read(name, lambda lexemes: _fields(lexemes, 0, "I$"))
-        except ParseError:
-            raise error(f"bad token name {_quote(name)}", name_at) from None
+        if re.fullmatch(_NAME, name) is None:
+            raise error(f"bad token name {_quote(name)}", name_at)
         try:
             bindings[Token(name)] = parse_rational(value)
         except ParseError:

@@ -10,10 +10,11 @@ behaves as distinct equal nodes would.  Every reader must agree with the
 parent's parser, kept in `parser_reference.py`, on every corpus here and
 on perfbench's inputs and on random texts over the lexer's alphabet.  A
 parse does its checks once per distinct leaf text, builds each distinct
-interval, rational, token name and dim tag once, and works out no
-character offset unless it fails.  The post-order a parsed root keeps
-must be the one a fresh walk gives, and a parsed tree must be freed by
-reference counting alone.
+interval, rational, token name and dim tag once, and reads its input
+again on plain lexemes, working out a character offset, only when it
+fails; a valid compact leaf is one lexeme however long it is.  The
+post-order a parsed root keeps must be the one a fresh walk gives, and a
+parsed tree must be freed by reference counting alone.
 """
 
 import copy
@@ -641,10 +642,33 @@ def test_a_successful_parse_works_out_no_offset(monkeypatch, perfbench_texts):
     for text in texts:
         with monkeypatch.context() as m:
             m.setattr(parser, "_LEXEME", counted := Counted(parser._LEXEME))
+            m.setattr(parser, "_FINE", fine := Counted(parser._FINE))
             parse(text)
-        assert counted.calls == [("findall", text)], text
+        assert counted.calls == [("findall", text)] and fine.calls == [], text
+    refused = "exact(1,d) + meas(t,[1,2],3)"
     with monkeypatch.context() as m:
         m.setattr(parser, "_LEXEME", counted := Counted(parser._LEXEME))
+        m.setattr(parser, "_FINE", fine := Counted(parser._FINE))
         with pytest.raises(ParseError):
-            parse("exact(1,d) + meas(t,[1,2],3)")
-    assert ("finditer", "exact(1,d) + meas(t,[1,2],3)") in counted.calls
+            parse(refused)
+    assert counted.calls == [("findall", refused)]
+    assert fine.calls == [("findall", refused), ("finditer", refused)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"exact({'9' * 1000}/7,d)",
+        f"exact(1,d) + meas(t,[1,{'8' * 700}],d) + meas(t,[1,{'8' * 700}],d)",
+    ],
+    ids=["exact", "meas-in-a-sum"],
+)
+def test_long_compact_leaves_are_read_once(monkeypatch, text):
+    """A compact leaf longer than 640 characters, each number under the
+    int-to-string limit, is one lexeme that the first reading accepts."""
+    assert max(map(len, parser._LEXEME.findall(text))) > 640
+    with monkeypatch.context() as m:
+        m.setattr(parser, "_FINE", fine := Counted(parser._FINE))
+        got = outcome(text)
+    assert got[0] == "ok" and fine.calls == []
+    assert got == outcome(text, reference.parse)
