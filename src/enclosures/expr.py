@@ -202,7 +202,11 @@ class _Op:
     root as it builds it) and `enclosure._fold_outcome` (the fold outcome
     read off that program) store on any node, leaf or operator, are
     invisible to them, and a deep copy or an unpickled tree carries none.
+    The memos live in slots, as do each operator's fields, so a node is one
+    object for the cycle collector to track, not two: it has no `__dict__`.
     """
+
+    __slots__ = ("_program", "_affine", "__weakref__")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -235,30 +239,35 @@ class _Op:
 
 @record
 class Add(_Op):
+    __slots__ = ("lhs", "rhs")
     lhs: "Expr"
     rhs: "Expr"
 
 
 @record
 class Sub(_Op):
+    __slots__ = ("lhs", "rhs")
     lhs: "Expr"
     rhs: "Expr"
 
 
 @record
 class Mul(_Op):
+    __slots__ = ("lhs", "rhs")
     lhs: "Expr"
     rhs: "Expr"
 
 
 @record
 class Div(_Op):
+    __slots__ = ("lhs", "rhs")
     lhs: "Expr"
     rhs: "Expr"
 
 
 @record
 class Neg(_Op):
+    __slots__ = ("operand",)
     operand: "Expr"
 
 

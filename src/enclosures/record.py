@@ -45,17 +45,27 @@ def record(cls):
     `Name(field=value, ...)` repr, each unless cls or a base already defines
     it; `__match_args__`; and a `__setattr__` and `__delattr__` that raise
     FrozenInstanceError.  `__init__` writes the fields into the instance's
-    `__dict__`, in order, past the frozen `__setattr__`; a `__post_init__`
-    that converts them goes past it with `object.__setattr__`.
+    `__dict__`, in order, past the frozen `__setattr__`; a field that cls's
+    own `__slots__` lists is written through its slot's descriptor instead,
+    so a class that lists all its fields there gives instances no
+    `__dict__`, and such a field takes no default.  A `__post_init__` that
+    converts the fields goes past the frozen `__setattr__` with
+    `object.__setattr__`.
     Only `__init__` is compiled for cls, as it needs the fields' names and
     defaults; `__eq__` and `__hash__` share one `operator.attrgetter`.
     """
     names = tuple(cls.__annotations__)
+    slots = cls.__dict__.get("__slots__", ())
     scope = {}
     params = []
-    body = ["    _fields = self.__dict__"]
+    body = ["    _fields = self.__dict__" if set(names) - set(slots) else "    pass"]
     for name in names:
         value = name
+        if name in slots:  # its class attribute is the slot's descriptor, not a default
+            params.append(name)
+            scope[f"_s_{name}"] = cls.__dict__[name].__set__
+            body.append(f"    _s_{name}(self, {name})")
+            continue
         if name in cls.__dict__:
             default = scope[f"_d_{name}"] = cls.__dict__[name]
             params.append(f"{name}=_d_{name}")

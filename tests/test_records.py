@@ -4,7 +4,9 @@ For one instance of every record class this pins the repr text, `==`
 and `hash` agreeing, `__match_args__`, `copy.copy` and `copy.deepcopy`,
 and the `pickle.dumps` bytes, checked in as constants, so that how the
 records are built can change while what they do stays byte for byte.
-An instance's `__dict__` holds its fields, in order, and nothing else.
+An instance's `__dict__` holds its fields, in order, and nothing else;
+an operator node has no `__dict__`, and holds its fields and the memos
+left on it in slots.
 """
 
 import copy
@@ -53,6 +55,7 @@ from enclosures import (
     Unknown,
     fields,
 )
+from enclosures.record import record, replace
 
 
 def records() -> dict:
@@ -188,16 +191,34 @@ def test_fields_stay_frozen(name):
     assert repr(record) == REPRS[name]
 
 
+# Operator nodes hold their fields, and the memos left on them, in slots.
+SLOTTED = {"Add", "Sub", "Mul", "Div", "Neg"}
+MEMO_SLOTS = ["_program", "_affine", "__weakref__"]
+
+
+def held(record) -> list:
+    """The names an instance holds: the keys of its `__dict__`, or, for an
+    operator node, which has none, the slots of its class and its bases."""
+    if type(record).__name__ not in SLOTTED:
+        return list(vars(record))
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(TypeError):
+        vars(record)
+    return [slot for cls in type(record).__mro__ for slot in cls.__dict__.get("__slots__", ())]
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_instances_hold_their_fields_only(name):
     record = records()[name]
-    assert list(vars(record)) == list(fields(record)) == list(MATCH_ARGS[name])
+    memos = MEMO_SLOTS if name in SLOTTED else []
+    assert held(record) == [*fields(record), *memos] == [*MATCH_ARGS[name], *memos]
     for field in (*fields(record), "not_a_field"):
         with pytest.raises(FrozenInstanceError):
             setattr(record, field, None)
         with pytest.raises(FrozenInstanceError):
             delattr(record, field)
-    assert list(vars(record)) == list(MATCH_ARGS[name])
+    assert held(record) == [*MATCH_ARGS[name], *memos]
+    assert not any(hasattr(record, memo) for memo in ("_program", "_affine"))
 
 
 def test_converting_post_init_keeps_the_field_order():
@@ -228,6 +249,41 @@ def test_defaults_and_keywords():
         Token()
     with pytest.raises(TypeError):
         Dim(tag="d", name="d")
+
+
+@record
+class Slotted:
+    """A record whose fields all live in slots.  Each field's class
+    attribute is its slot's descriptor, which is not a default."""
+
+    __slots__ = ("base", "scale")
+    base: int
+    scale: int
+
+
+def test_a_slotted_record_behaves_as_a_dict_record():
+    first, second = Slotted(2, 3), Slotted(scale=3, base=2)
+    assert not hasattr(first, "__dict__") and (first.base, first.scale) == (2, 3)
+    assert first == second and not first != second and hash(first) == hash(second) == hash((2, 3))
+    assert first != Slotted(2, 4) and first.__eq__((2, 3)) is NotImplemented
+    assert repr(first) == "Slotted(base=2, scale=3)"
+    assert fields(first) == fields(Slotted) == Slotted.__match_args__ == ("base", "scale")
+    match first:
+        case Slotted(base, scale=scale):
+            assert (base, scale) == (2, 3)
+        case _:
+            pytest.fail("no match")
+    changed = replace(first, scale=5)
+    assert type(changed) is Slotted and (changed.base, changed.scale) == (2, 5)
+    assert (first.base, first.scale) == (2, 3)
+    with pytest.raises(TypeError):
+        Slotted(2)  # a slotted field takes no default
+    for name in ("base", "scale", "other"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(first, name, 0)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(first, name)
+    assert (first.base, first.scale) == (2, 3) and not hasattr(first, "other")
 
 
 def test_positional_patterns_bind_fields_in_order():
