@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Mapping, Union
@@ -39,7 +41,7 @@ from .semantics import _add, _ends, _less, _mul, _negate, _over_itself, _quotien
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_UNIT, _MINUS_UNIT = (1, 1), (-1, 1)  # as pairs; `_adjoints` knows 1 by identity
+_UNIT = (1, 1)  # as a pair; `_adjoints` knows the root's 1 by identity
 
 DEFAULT_GRID_POINTS = 5
 DEFAULT_ENV_BUDGET = 100_000
@@ -178,10 +180,8 @@ def _fold_affine(e: Expr) -> AffineForm | EmptySet | str:
     Read off e's program (`compile_expr`), on the final boxes.  One forward
     pass gives each register its exact value (a pair), its constant part (a
     pair, when it is measured) or the message saying why it is off the
-    fragment, and records the factor each step passes back to each measured
-    operand.  The coeffs of an affine root are then its adjoints at the
-    token registers (`_adjoints`).  Off the fragment only dividing by an
-    exact zero leads back to the fragment, and that passes back nothing.
+    fragment, and whether it is measured.  The coeffs of an affine root are
+    its adjoints at the token registers (`_adjoints`).
     """
     program = compile_expr(e)
     try:
@@ -189,31 +189,28 @@ def _fold_affine(e: Expr) -> AffineForm | EmptySet | str:
     except InfeasibleTokenError as ex:
         return EmptySet(ex.token)
     token_of = dict(program._loads)
+    steps = program._steps
     values: list = program._registers.copy()
     measured = [False] * len(values)
     for k in token_of:
         values[k], measured[k] = (0, 1), True
-    back: list[tuple[int, int, _Pair]] = []  # (register, operand, factor)
-    end = [0] * len(values)  # where each step's records end in `back`
-    for k, step, i, j in program._steps:
+    for k, step, i, j in steps:
         a, b, mi, mj = values[i], values[j], measured[i], measured[j]
-        fi = fj = None
         if step is _add or step is _sub:  # a message wins, left first
             c = a if type(a) is str or not b[0] else b if type(b) is str else step(a, b)
-            fi, fj = mi and _UNIT, mj and (_UNIT if step is _add else _MINUS_UNIT)
         elif step is _negate:
-            c, fi = a if type(a) is str else (-a[0], a[1]), mi and _MINUS_UNIT
+            c = a if type(a) is str else (-a[0], a[1])
         elif step is _mul and not (mi and mj):  # a measurement-free factor scales the other
             c = a if type(a) is str else b if type(b) is str else _mul(a, b)
-            fi, fj = mi and b, mj and a
         elif not mj:  # total division: x / 0 = 0 for every x, affine or not
             c = (0, 1) if not b[0] else a if type(a) is str else _quotient(a, b)
-            fi = mi and b[0] and _quotient(_UNIT, b)
         elif step is _over_itself and type(a) is not str:
             # Same subtree above and below: 1 where it is nonzero, 0 where zero.
-            # The right copy's records follow the left copy's; a leaf has none.
-            adjoint = _adjoints([] if j in token_of else back[end[i] :], j)
-            coeffs = {token_of[r]: Fraction(*x) for r, x in adjoint.items() if r in token_of}
+            # The right copy's steps (a leaf has none) follow the one writing i,
+            start = bisect_left(steps, (i + 1,))  # as registers grow along them
+            right = [] if j in token_of else steps[start : bisect_left(steps, (k,), start)]
+            adjoint = _adjoints(right, values, measured, defaultdict(type(None), {j: _UNIT}))
+            coeffs = {token_of[r]: Fraction(*x) for r, x in adjoint.items() if x and r in token_of}
             lo, hi = _linear_bounds(Fraction(*a), coeffs, boxes)
             if lo.numerator > 0 or hi.numerator < 0 or lo.numerator == hi.numerator == 0:
                 c = (1, 1) if hi else (0, 1)
@@ -223,31 +220,44 @@ def _fold_affine(e: Expr) -> AffineForm | EmptySet | str:
             c = a
         else:  # measured on both sides, so off the fragment
             c = "product of two measured subexpressions" if step is _mul else "measured denominator"
-        if fi:
-            back.append((k, i, fi))
-        if fj:
-            back.append((k, j, fj))
-        values[k], measured[k], end[k] = c, mi or mj, len(back)
+        values[k], measured[k] = c, mi or mj
     constant = values[program._root]
     if type(constant) is str:
         return constant
-    adjoint = _adjoints(back, program._root)
+    adjoint = _adjoints(steps, values, measured, [None] * program._root + [_UNIT])  # root is last
     coeffs = {}
     for k, t in program._loads:
-        p, q = adjoint.get(k, (0, 1))
+        p, q = adjoint[k] or (0, 1)
         coeffs[t] = _ONE if p == q else Fraction(p, q)
     return AffineForm(Fraction(*constant), coeffs, boxes)
 
 
-def _adjoints(back: list[tuple[int, int, _Pair]], root: int) -> dict[int, _Pair]:
-    """d root / d r for the registers r that root depends on, from one
-    reverse sweep over the forward pass's records of root's steps."""
-    adjoint = {root: _UNIT}
-    for k, r, f in reversed(back):
-        a = adjoint.get(k)
-        if a is not None and a[0]:
-            term = a if f is _UNIT else f if a is _UNIT else _mul(a, f)
-            adjoint[r] = _add(adjoint[r], term) if r in adjoint else term
+def _adjoints(steps: list, values: list, measured: list, adjoint: list | dict) -> list | dict:
+    """d root / d r at each measured register r that root reaches, None at the
+    rest, where adjoint comes in as root's 1 and None elsewhere.  One reverse
+    sweep over root's steps reads each factor off the forward values; no
+    register off the fragment is reached, as the two steps that lead back
+    onto it, dividing by exact 0 and a self-quotient, pass back nothing."""
+    for k, step, i, j in reversed(steps):
+        a = adjoint[k]
+        if a is None or not a[0]:
+            continue
+        if step is _add or step is _sub:
+            if measured[j]:
+                f = a if step is _add else (-a[0], a[1])
+                adjoint[j] = f if adjoint[j] is None else _add(adjoint[j], f)
+            f = a
+        elif step is _negate:
+            f = -a[0], a[1]
+        elif step is _mul:  # the measured side, scaled by the other's value
+            i, j = (i, j) if measured[i] else (j, i)
+            f = values[j] if a is _UNIT else _mul(a, values[j])
+        elif step is _quotient and values[j][0]:  # by a nonzero constant
+            f = _quotient(a, values[j])
+        else:
+            continue
+        if measured[i]:
+            adjoint[i] = f if adjoint[i] is None else _add(adjoint[i], f)
     return adjoint
 
 

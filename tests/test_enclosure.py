@@ -567,6 +567,15 @@ class TestFoldMatchesReference:
                 seen[got[1]] += 1
         assert min(seen.values()) > 30, seen
 
+    def test_perfbench_sides(self, perfbench_gen):
+        # Every side perfbench times for two seeds, its 300-term sums included.
+        gen = perfbench_gen
+        for seed, workload in itertools.product((1, 2), (gen.suite, gen.products, gen.wide)):
+            for op in workload(seed):
+                for text in () if op.probe else (op.src, op.tgt):
+                    e = parse(text)
+                    assert _fold_outcome(e)[1:] == _reference_outcome(e), text
+
 
 class TestLinearFold:
     """`to_affine` does O(1) work per node on every shape, so a right-nested
@@ -582,7 +591,7 @@ class TestLinearFold:
 
     @pytest.mark.parametrize("wrap", list(CHAIN_WRAPS.values()), ids=list(CHAIN_WRAPS))
     def test_right_chain_doubling(self, sweeps, wrap):
-        # With no self-quotient the fold makes one sweep, over the records of
+        # With no self-quotient the fold makes one sweep, over the steps of
         # the whole program and the registers it reaches: doubling the depth
         # at most doubles them, give or take 10%.
         visited = []
@@ -644,6 +653,24 @@ def _profiler_events(run) -> int:
     return events[0]
 
 
+def _line_events(run) -> int:
+    """Lines run in `enclosures.enclosure` while run() runs: a work count
+    that does not depend on the machine, loops without calls included."""
+    events = [0]
+    path = sys.modules["enclosures.enclosure"].__file__
+
+    def line(frame, event, arg):
+        events[0] += 1
+        return line
+
+    sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename == path else None)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return events[0]
+
+
 class TestFlattenWork:
     """The work of flattening a tree into its linear form: the fold sums
     integer pairs and makes one Fraction per token, it is linear in the
@@ -684,6 +711,27 @@ class TestFlattenWork:
             assert to_affine(e).constant == terms
             visited.append(sum(steps + tokens for steps, tokens in sweeps))
         assert all(b <= 2.2 * a for a, b in zip(visited, visited[1:])), visited
+
+    SHARED = {
+        "leaf": "meas(t,[1,2],d) / meas(t,[1,2],d)",
+        "sum": "(meas(t,[1,2],d) + meas(u,[1,2],d)) / (meas(t,[1,2],d) + meas(u,[1,2],d))",
+    }
+
+    @pytest.mark.parametrize("quotient", list(SHARED.values()), ids=list(SHARED))
+    def test_shared_token_self_quotients_doubling(self, sweeps, quotient):
+        # Every quotient reads the same token registers, so a fold that scans
+        # back over register numbers for its operand's steps is quadratic: one
+        # took 2.6 s at 4000 leaf quotients.  Lines run in the module count
+        # such a scan, which no sweep is handed.
+        visited, lines = [], []
+        for terms in (500, 1000, 2000, 4000):
+            e = parse(" + ".join([quotient] * terms))
+            sweeps.clear()
+            lines.append(_line_events(lambda: to_affine(e)))
+            assert to_affine(e).constant == terms
+            visited.append(sum(steps + reached for steps, reached in sweeps))
+        assert all(b <= 2.2 * a for a, b in zip(visited, visited[1:])), visited
+        assert all(b <= 2.2 * a for a, b in zip(lines, lines[1:])), lines
 
     # the 3000-level chain: no step of either fold recurses
     CHAINS = [(seed, (5, 40, 300)[seed % 3]) for seed in range(40)] + [(0, 3000)]
