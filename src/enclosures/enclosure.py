@@ -16,6 +16,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Iterator, Mapping, Union
 
 from .expr import (
@@ -282,15 +283,6 @@ def _linear_bounds(
     return Fraction(*ends[0]), Fraction(*ends[1])
 
 
-def affine_enclosure(f: AffineForm) -> EnclosureOutcome:
-    """Exact interval image of a linear form on its boxes.
-
-    Every rational in the result is attained: pick the two extremal
-    environments and take the rational convex combination.
-    """
-    return ExactInterval(f.interval)
-
-
 def affine_witness(e: Expr, q: Fraction) -> TokenEnv | None:
     """Consistent environment making the affine expression e evaluate to q.
 
@@ -418,14 +410,6 @@ def _leaf_ends(leaf: object) -> _Ends:
 _Axis = tuple[Interval, _Pair, int]  # a token's grid: see `_grid_axis`
 
 
-def grid_values(box: Interval, n: int) -> list[Fraction]:
-    """Both endpoints plus n-2 evenly spaced interior rationals, each made
-    as one Fraction from integer pairs."""
-    _check_grid(n)
-    axis = _grid_axis(box, n)
-    return [_grid_value(axis, k) for k in range(axis[2])]
-
-
 def _grid_axis(box: Interval, n: int) -> _Axis:
     """(box, step, size) of a token's grid of n >= 2 points, the step a
     reduced integer (numerator, denominator) pair: value k is box.lo + k * step."""
@@ -436,9 +420,10 @@ def _grid_axis(box: Interval, n: int) -> _Axis:
 
 
 def _check_grid(n: int) -> None:
-    """Refuse fewer than 2 grid points per token, whatever the grid is for:
-    every entry that takes `grid_points` checks it before anything else."""
-    if n < 2:
+    """Refuse a non-integer (TypeError) or fewer than 2 (ValueError) grid
+    points per token, whatever the grid is for: every entry that takes
+    `grid_points` checks it before anything else."""
+    if index(n) < 2:
         raise ValueError(GRID_TOO_SMALL)
 
 
@@ -592,7 +577,7 @@ def lazy_enclosure(
 def settle(out: LazyOutcome) -> EnclosureOutcome:
     """The enclosure outcome `out` stands for, drawing any samples left."""
     if isinstance(out, AffineForm):
-        return affine_enclosure(out)
+        return ExactInterval(out.interval)
     return out.outcome() if isinstance(out, SampleStream) else out
 
 

@@ -16,13 +16,6 @@ class FrozenInstanceError(AttributeError):
     """An assignment to, or a deletion of, an attribute of a record."""
 
 
-class Factory:
-    """A field default made afresh for each record: `x: dict = Factory(dict)`."""
-
-    def __init__(self, make):
-        self.make = make
-
-
 def _frozen_setattr(self, name, value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -60,20 +53,17 @@ def record(cls):
     params = []
     body = ["    _fields = self.__dict__" if set(names) - set(slots) else "    pass"]
     for name in names:
-        value = name
         if name in slots:  # its class attribute is the slot's descriptor, not a default
             params.append(name)
             scope[f"_s_{name}"] = cls.__dict__[name].__set__
             body.append(f"    _s_{name}(self, {name})")
             continue
         if name in cls.__dict__:
-            default = scope[f"_d_{name}"] = cls.__dict__[name]
+            scope[f"_d_{name}"] = cls.__dict__[name]
             params.append(f"{name}=_d_{name}")
-            if isinstance(default, Factory):
-                value = f"_d_{name}.make() if {name} is _d_{name} else {name}"
         else:
             params.append(name)
-        body.append(f"    _fields[{name!r}] = {value}")
+        body.append(f"    _fields[{name!r}] = {name}")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     lines = [f"def __init__({', '.join(['self', *params])}):", *body]

@@ -35,13 +35,9 @@ from .enclosure import (
     over_approx,
     settle,
 )
-from .expr import Expr, Interval, is_exact
+from .expr import Expr, Interval
 from .record import record
-from .semantics import TokenEnv, _less, exact_value
-
-
-class PreconditionViolated(ValueError):
-    """An operation was called outside its stated precondition."""
+from .semantics import TokenEnv, _less
 
 
 # --- evidence carried by Holds -----------------------------------------------
@@ -231,23 +227,6 @@ def classify(
         case _:
             kind = RewriteClass.UNDETERMINED
     return Classification(kind, forward, backward)
-
-
-def check_conservativity(e: Expr, e2: Expr) -> bool:
-    """Self-test predicate for measurement-free pairs.
-
-    Two exact expressions must classify as Interchangeable exactly when
-    their values coincide and Incomparable otherwise; a one-way class
-    between them would be a soundness bug.
-    """
-    if not (is_exact(e) and is_exact(e2)):
-        raise PreconditionViolated("both expressions must be measurement-free")
-    expected = (
-        RewriteClass.INTERCHANGEABLE
-        if exact_value(e) == exact_value(e2)
-        else RewriteClass.INCOMPARABLE
-    )
-    return classify(e, e2).kind is expected
 
 
 # --- evidence re-validation --------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 from .expr import Add, Div, Exact, Expr, Interval, Meas, Mul, Neg, Sub, Token, postorder
 from .expr import _fraction
-from .record import Factory, record
+from .record import record
 
 _ZERO = Fraction(0)
 
@@ -30,16 +30,19 @@ class TokenEnv:
     """Finite map from tokens to rationals; unbound tokens read as default.
 
     Values are Fractions: an int or other rational is converted, and a
-    float or any other value raises TypeError.
+    float or any other value raises TypeError.  No bindings means a fresh
+    empty map.
 
     Only tokens occurring in an expression can influence its value, so the
     default for the rest is observationally irrelevant.
     """
 
-    bindings: Mapping[Token, Fraction] = Factory(dict)
+    bindings: Mapping[Token, Fraction] | None = None
     default: Fraction = _ZERO
 
     def __post_init__(self) -> None:
+        if self.bindings is None:
+            object.__setattr__(self, "bindings", {})
         if type(self.default) is not Fraction or any(
             type(v) is not Fraction for v in self.bindings.values()
         ):

@@ -2,10 +2,11 @@
 `Fraction` arithmetic, before it folded integer (numerator, denominator)
 pairs: the interval table with `_hull`, `_div_bounds` and `_on_bounds`, the
 leaf bounds of `over_approx` and of `blind_enclosure`, and the sampling
-grid with `_grid_axis`, `grid_values` and `_env_stream`.  Kept verbatim but
-for its imports, this docstring and the name of the blind leaf function,
-which shared its name with the token-level one, as the reference that the
-differential tests in `test_interval_kernel.py` compare the package with.
+grid with `_grid_axis`, `grid_values` (the grid the package's sampler lays
+on one token's box) and `_env_stream`.  Kept verbatim but for its imports,
+this docstring and the name of the blind leaf function, which shared its
+name with the token-level one, as the reference that the differential
+tests in `test_interval_kernel.py` compare the package with.
 """
 
 from __future__ import annotations

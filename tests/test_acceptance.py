@@ -25,7 +25,6 @@ from enclosures import (
     RewriteClass,
     Token,
     UNBOUNDED,
-    affine_enclosure,
     audit_classification,
     audit_verdict,
     blind_compare,
@@ -39,7 +38,6 @@ from enclosures import (
     forget_tokens,
     licensed,
     membership,
-    to_affine,
     token_consistent,
     under_approx_samples,
 )
@@ -113,9 +111,9 @@ def test_criterion_2_affine_enclosure_exactness():
         e = gen_affine(rng, token_boxes(rng), 12)
         assert count_nodes(e) <= 12
         lo, hi = corner_min_max(e)
-        computed = affine_enclosure(to_affine(e))
-        if computed.interval != Interval(lo, hi):
-            violations.append((i, computed.interval, (lo, hi)))
+        computed = enclosure(e)
+        if computed != ExactInterval(Interval(lo, hi)):
+            violations.append((i, computed, (lo, hi)))
     _report(2, "affine enclosure equals endpoint brute force", violations)
 
 
@@ -245,7 +243,7 @@ def test_criterion_7_point_target_criterion():
     violations = []
     for i in range(200):
         e = gen_affine(rng, token_boxes(rng), 10)
-        iv = affine_enclosure(to_affine(e)).interval
+        iv = enclosure(e).interval
         probes = [
             iv.lo,
             iv.hi,

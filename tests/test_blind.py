@@ -115,6 +115,12 @@ class TestForgetTokens:
         e = Neg(Meas(Token("t"), I12, D))
         assert forget_tokens(e) == Neg(BlindMeas(I12, D))
 
+    @pytest.mark.parametrize("leaf", [None, 3, Token("t"), BlindExact(F(1), D)], ids=repr)
+    def test_a_non_node_raises_type_error(self, leaf):
+        for tree in (leaf, Neg(leaf), Add(Exact(F(1), D), leaf)):
+            with pytest.raises(TypeError, match="^not an expression node: "):
+                forget_tokens(tree)
+
     def test_no_tokens_survive(self):
         e = parse("meas(alpha,[0,1],d) * (meas(beta,[0,1],d) + exact(2,d))")
         rendered = format_blind(forget_tokens(e))
@@ -313,6 +319,12 @@ class TestFormatBlind:
     def test_parenthesization(self):
         b = Mul(Add(BlindExact(F(1), D), BlindExact(F(2), D)), BlindMeas(I12, D))
         assert format_blind(b) == "(exact(1,d) + exact(2,d)) * meas([1,2],d)"
+
+    @pytest.mark.parametrize("leaf", [None, 3, Token("t"), Exact(F(1), D)], ids=repr)
+    def test_a_non_node_raises_type_error(self, leaf):
+        for tree in (leaf, Neg(leaf), Add(BlindExact(F(1), D), leaf)):
+            with pytest.raises(TypeError, match="^not a blind expression node: "):
+                format_blind(tree)
 
 
 class TestBlindCompare:

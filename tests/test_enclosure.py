@@ -38,14 +38,12 @@ from enclosures import (
     Token,
     UNBOUNDED,
     Unknown,
-    affine_enclosure,
     affine_witness,
     blind_compare,
     classify,
     effective_intervals,
     enclosure,
     evaluate,
-    grid_values,
     licensed,
     meas_leaves,
     membership,
@@ -744,15 +742,15 @@ class TestFlattenWork:
 
 class TestAffineEnclosure:
     def test_same_token_difference(self):
-        out = affine_enclosure(to_affine(SAME_DIFF))
+        out = enclosure(SAME_DIFF)
         assert out == ExactInterval(Interval.point(F(0)))
 
     def test_distinct_token_difference(self):
-        out = affine_enclosure(to_affine(DIST_DIFF))
+        out = enclosure(DIST_DIFF)
         assert out == ExactInterval(Interval.of(-3, 3))
 
     def test_shared_background(self):
-        out = affine_enclosure(to_affine(SHARED_BG))
+        out = enclosure(SHARED_BG)
         assert out == ExactInterval(Interval.of(10, 11))
 
     @settings(max_examples=60)
@@ -760,9 +758,8 @@ class TestAffineEnclosure:
     def test_matches_corner_oracle(self, seed):
         rng = random.Random(seed)
         e = gen_affine(rng, token_boxes(rng), rng.randint(1, 12))
-        out = affine_enclosure(to_affine(e))
         lo, hi = corner_min_max(e)
-        assert out.interval == Interval(lo, hi)
+        assert enclosure(e) == ExactInterval(Interval(lo, hi))
 
 
 class TestAffineWitness:
@@ -771,7 +768,7 @@ class TestAffineWitness:
     def test_interior_rationals_are_attained(self, seed, numerator):
         rng = random.Random(seed)
         e = gen_affine(rng, token_boxes(rng), rng.randint(1, 12))
-        iv = affine_enclosure(to_affine(e)).interval
+        iv = enclosure(e).interval
         q = iv.lo + (iv.hi - iv.lo) * F(numerator, 6)
         env = affine_witness(e, q)
         assert env is not None
@@ -825,30 +822,36 @@ class TestOverApprox:
             assert over.contains(value)
 
 
+def _sampled_grid(box: Interval, n: int) -> list[F]:
+    """The values token t takes in the samples of a lone `meas(t, box)` on a
+    grid of n points per token, in increasing order."""
+    return sorted(env.value(T) for env, _ in under_approx_samples(Meas(T, box, D), n))
+
+
 class TestGridValues:
     def test_endpoints_plus_interiors(self):
-        assert grid_values(Interval.of(0, 4), 5) == [F(0), F(1), F(2), F(3), F(4)]
-        assert grid_values(Interval.of(2, 5), 2) == [F(2), F(5)]
-        assert grid_values(Interval.of(0, 1), 3) == [F(0), F(1, 2), F(1)]
+        assert _sampled_grid(Interval.of(0, 4), 5) == [F(0), F(1), F(2), F(3), F(4)]
+        assert _sampled_grid(Interval.of(2, 5), 2) == [F(2), F(5)]
+        assert _sampled_grid(Interval.of(0, 1), 3) == [F(0), F(1, 2), F(1)]
 
     def test_degenerate_box(self):
-        assert grid_values(Interval.point(F(3)), 5) == [F(3)]
+        assert _sampled_grid(Interval.point(F(3)), 5) == [F(3)]
 
     def test_int_ends_give_fractions(self):
-        values = grid_values(Interval(1, 2), 3)
+        values = _sampled_grid(Interval(1, 2), 3)
         assert values == [F(1), F(3, 2), F(2)]
         assert all(type(v) is F for v in values)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            grid_values(Interval.of(0, 1), 1)
+            _sampled_grid(Interval.of(0, 1), 1)
 
     def test_refinement_chain_nests(self):
         # evenly spaced grids nest exactly when (m-1) divides (n-1)
         box = Interval(F(-1, 3), F(7, 2))
-        previous = set(grid_values(box, 2))
+        previous = set(_sampled_grid(box, 2))
         for n in (3, 5, 9):
-            current = set(grid_values(box, n))
+            current = set(_sampled_grid(box, n))
             assert previous <= current
             previous = current
 
@@ -870,7 +873,7 @@ GRID_CALLS = {
     "blind-compare": lambda n: blind_compare(SAME_DIFF, DIST_DIFF, ONE, grid_points=n),
     "under-approx-exact": lambda n: under_approx_samples(ONE, n),
     "under-approx-infeasible": lambda n: under_approx_samples(INFEASIBLE, n),
-    "grid-values": lambda n: grid_values(Interval.of(0, 1), n),
+    "grid-values": lambda n: _sampled_grid(Interval.of(0, 1), n),
 }
 
 
@@ -888,6 +891,12 @@ class TestGridPointsChecked:
     @pytest.mark.parametrize("name", list(GRID_CALLS))
     def test_two_points_are_enough(self, name):
         GRID_CALLS[name](2)
+
+    @pytest.mark.parametrize("name", list(GRID_CALLS))
+    @pytest.mark.parametrize("n", [3.0, "3"])
+    def test_non_integers_are_refused(self, name, n):
+        with pytest.raises(TypeError):
+            GRID_CALLS[name](n)
 
     def test_the_cli_gives_the_same_message(self, capsys):
         assert main(["demo", "--family", "division", "--mode", "same", "--grid", "1"]) == 2

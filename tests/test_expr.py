@@ -257,6 +257,12 @@ class TestFormat:
             == "meas(t1,[2,5],d) - meas(t2,[2,5],d)"
         )
 
+    @pytest.mark.parametrize("leaf", [None, 3, Token("t"), Interval.of(1, 2)], ids=repr)
+    def test_a_non_node_raises_type_error(self, leaf):
+        for tree in (leaf, Neg(leaf), Add(Exact(F(1), D), leaf)):
+            with pytest.raises(TypeError, match="^not an expression node: "):
+                format_expr(tree)
+
     def test_parenthesization(self):
         a, b, c = Exact(F(1), D), Exact(F(2), D), Exact(F(3), D)
         assert format_expr(Sub(a, Add(b, c))) == "exact(1,d) - (exact(2,d) + exact(3,d))"

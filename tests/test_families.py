@@ -19,6 +19,7 @@ from enclosures import (
     forget_tokens,
     format_expr,
     parse,
+    source_expr,
     tokens_of,
 )
 from exprgen import rand_family_spec
@@ -57,6 +58,9 @@ class TestValidation:
             FamilySpec("subtraction", "same", interval=Interval.of(1, 2))
         with pytest.raises(FamilySpecError, match="unknown mode"):
             FamilySpec("cancellation", "both", interval=Interval.of(1, 2))
+        spec = FamilySpec("cancellation", "same", interval=Interval.of(1, 2))
+        with pytest.raises(FamilySpecError, match="unknown mode: 'bogus'"):
+            source_expr(spec, "bogus")
 
     @pytest.mark.parametrize("tag", ["m/s", "", "m s", "1d"])
     def test_a_dim_tag_outside_the_grammar_is_refused(self, tag):

@@ -1,12 +1,13 @@
 """The interval kernel on integer pairs against its `Fraction` reference.
 
-`over_approx`, `blind_enclosure`, `grid_values` and the order in which
-`_env_stream` draws a grid are compared with `interval_reference.py`, the
-kernel as it was written in `Fraction` arithmetic: on seeded trees, on
-edge boxes, on total division and UNBOUNDED operands, on depth-800 right
-chains and on hand-built blind leaves.  Work counts then check that the
-bound and the grid set-up make no `Fraction` arithmetic call, and that a
-grid with no interior value is not walked again once its corners are out.
+`over_approx`, `blind_enclosure`, a token's grid (`_grid_axis` and
+`_grid_value`) and the order in which `_env_stream` draws a grid are
+compared with `interval_reference.py`, the kernel as it was written in
+`Fraction` arithmetic: on seeded trees, on edge boxes, on total division
+and UNBOUNDED operands, on depth-800 right chains and on hand-built blind
+leaves.  Work counts then check that the bound and the grid set-up make no
+`Fraction` arithmetic call, and that a grid with no interior value is not
+walked again once its corners are out.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ from enclosures import (
     blind_enclosure,
     effective_intervals,
     forget_tokens,
-    grid_values,
     over_approx,
     parse,
     under_approx_samples,
 )
-from enclosures.enclosure import SampleStream
+from enclosures.enclosure import SampleStream, _check_grid, _grid_axis, _grid_value
 from exprgen import CHAIN_WRAPS, D, gen_any, long_affine_text, redeclare, token_boxes
 
 EDGE_BOXES = [
@@ -79,6 +79,14 @@ def _assert_bounds_match(e):
     assert _outcome(blind_enclosure, blind) == _outcome(ref.blind_enclosure, blind) == got
 
 
+def _grid_values(box, n):
+    """The n-point grid the sampler lays on box, value by value, checked as
+    every `grid_points` entry checks n."""
+    _check_grid(n)
+    axis = _grid_axis(box, n)
+    return [_grid_value(axis, k) for k in range(axis[2])]
+
+
 def _reference_draws(e, grid_points):
     """The value tuples the reference `_env_stream` yields for e's grid."""
     boxes = effective_intervals(e)
@@ -92,7 +100,7 @@ def _assert_grid_matches(e, grid_points, env_draws):
     except InfeasibleTokenError:
         return
     for box in boxes.values():
-        assert repr(grid_values(box, grid_points)) == repr(ref.grid_values(box, grid_points))
+        assert repr(_grid_values(box, grid_points)) == repr(ref.grid_values(box, grid_points))
     del env_draws[:]
     samples = under_approx_samples(e, grid_points, 10**6)
     assert repr(env_draws) == repr(_reference_draws(e, grid_points))
@@ -119,7 +127,7 @@ class TestMatchesReference:
 
     def test_edge_grids(self, env_draws):
         for box, n in itertools.product(EDGE_BOXES, (2, 3, 4, 5, 7)):
-            assert repr(grid_values(box, n)) == repr(ref.grid_values(box, n))
+            assert repr(_grid_values(box, n)) == repr(ref.grid_values(box, n))
         for boxes in itertools.combinations(EDGE_BOXES, 3):
             a, b, c = (Meas(Token(f"t{i}"), box, D) for i, box in enumerate(boxes))
             e = Add(Mul(a, b), c)
@@ -128,7 +136,7 @@ class TestMatchesReference:
 
     def test_too_few_points(self):
         for box in (Interval.of(0, 1), Interval.point(F(3))):
-            assert _outcome(grid_values, box, 1) == _outcome(ref.grid_values, box, 1)
+            assert _outcome(_grid_values, box, 1) == _outcome(ref.grid_values, box, 1)
 
     @pytest.mark.parametrize("cls", BINARY)
     def test_total_division_and_unbounded_either_side(self, cls):

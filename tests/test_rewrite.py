@@ -30,7 +30,6 @@ from enclosures import (
     MembershipWitness,
     Mul,
     NotAffineError,
-    PreconditionViolated,
     RewriteClass,
     SameExpression,
     Token,
@@ -39,10 +38,10 @@ from enclosures import (
     audit_classification,
     audit_verdict,
     build_pair,
-    check_conservativity,
     classify,
     enclosure,
     evaluate,
+    exact_value,
     licensed,
     meas_leaves,
     parse,
@@ -286,27 +285,29 @@ class TestTransitivity:
         assert isinstance(licensed(e1, e3), Holds)
 
 
+def _conservative(e: Expr, e2: Expr) -> bool:
+    """Whether two measurement-free expressions classify as Interchangeable
+    exactly when their values coincide, and as Incomparable otherwise: a
+    one-way class between them would be a soundness bug."""
+    same = exact_value(e) == exact_value(e2)
+    return classify(e, e2).kind is (RewriteClass.INTERCHANGEABLE if same else RewriteClass.INCOMPARABLE)
+
+
 class TestConservativity:
     def test_equal_values_interchangeable(self):
-        assert check_conservativity(parse("exact(3,d) + exact(4,d)"), parse("exact(7,d)"))
+        assert _conservative(parse("exact(3,d) + exact(4,d)"), parse("exact(7,d)"))
 
     def test_unequal_values_incomparable(self):
-        assert check_conservativity(parse("exact(3,d)"), parse("exact(4,d)"))
+        assert _conservative(parse("exact(3,d)"), parse("exact(4,d)"))
 
     def test_total_division_constant(self):
-        assert check_conservativity(parse("exact(1,d) / exact(0,d)"), ZERO)
-
-    def test_rejects_measured_operands(self):
-        with pytest.raises(PreconditionViolated):
-            check_conservativity(SAME_DIFF, ZERO)
-        with pytest.raises(PreconditionViolated):
-            check_conservativity(ZERO, SAME_DIFF)
+        assert _conservative(parse("exact(1,d) / exact(0,d)"), ZERO)
 
     @settings(max_examples=60)
     @given(st.integers(0, 10**9))
     def test_random_exact_pairs(self, seed):
         rng = random.Random(seed)
-        assert check_conservativity(gen_exact(rng, 5), gen_exact(rng, 5))
+        assert _conservative(gen_exact(rng, 5), gen_exact(rng, 5))
 
 
 class TestAudit:
@@ -326,6 +327,10 @@ class TestAudit:
     def test_verdicts_audit_clean(self):
         for src, tgt in [(DIST_DIFF, ZERO), (ZERO, DIST_DIFF), (SAME_DIV, ONE)]:
             assert audit_verdict(licensed(src, tgt), src, tgt)
+
+    @pytest.mark.parametrize("thing", [None, "holds", SameExpression(), ZERO], ids=repr)
+    def test_what_is_not_a_verdict_audits_false(self, thing):
+        assert audit_verdict(thing, ZERO, ZERO) is False
 
     def test_same_expression_claim_on_different_trees(self):
         assert not audit_verdict(Holds(SameExpression()), SAME_DIFF, ZERO)

@@ -59,6 +59,13 @@ from exprgen import (
 )
 
 
+class TestTokenEnvText:
+    def test_bindings_print_sorted_by_token_name(self):
+        env = TokenEnv({Token("u"): 1, Token("t"): F(3)})
+        assert str(env) == "{t=3, u=1}"
+        assert str(TokenEnv(default=5)) == "{}"
+
+
 class TestEvaluate:
     def test_distinct_difference(self):
         e = parse("meas(t1,[2,5],d) - meas(t2,[2,5],d)")
