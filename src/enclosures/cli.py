@@ -23,6 +23,7 @@ from .enclosure import (
     DEFAULT_ENV_BUDGET,
     DEFAULT_GRID_POINTS,
     GRID_TOO_SMALL,
+    NEGATIVE_BUDGET,
     BudgetExceededError,
     EmptySet,
     EnclosureOutcome,
@@ -35,12 +36,10 @@ from .expr import (
     Bounds,
     Dim,
     Expr,
-    InfeasibleTokenError,
     Interval,
     IntervalOrderError,
     Unbounded,
     dims_of,
-    effective_intervals,
     format_expr,
 )
 from .families import (
@@ -66,7 +65,7 @@ from .rewrite import (
     audit_classification,
     classify,
 )
-from .semantics import EMPTY_ENV, TokenEnv, evaluate, token_consistent
+from .semantics import EMPTY_ENV, TokenEnv, compile_expr, evaluate, token_consistent
 
 PRETTY_SAMPLE_LIMIT = 20
 
@@ -316,15 +315,15 @@ def _cmd_eval(args) -> int:
         "value": str(evaluate(env, expr)),
         "consistent": token_consistent(env, expr),
     }
-    try:
-        effective = effective_intervals(expr)
+    program = compile_expr(expr)  # its boxes are the effective intervals
+    if program.infeasible is None:
         payload["effective_intervals"] = {
             t.name: _interval_json(iv)
-            for t, iv in sorted(effective.items(), key=lambda kv: kv[0].name)
+            for t, iv in sorted(program.boxes.items(), key=lambda kv: kv[0].name)
         }
-    except InfeasibleTokenError as ex:
+    else:
         payload["effective_intervals"] = None
-        payload["infeasible_token"] = ex.token.name
+        payload["infeasible_token"] = program.infeasible.name
     _emit(args, payload)
     return 0
 
@@ -432,7 +431,7 @@ def _grid_arg(text: str) -> int:
 
 
 def _budget_arg(text: str) -> int:
-    return _int_arg(text, 0, "budget must be nonnegative")
+    return _int_arg(text, 0, NEGATIVE_BUDGET)
 
 
 def _int_arg(text: str, least: int, too_small: str) -> int:

@@ -33,7 +33,6 @@ from .expr import (
     Sub,
     Token,
     _fraction,
-    effective_intervals,
     fold,
 )
 from .record import record
@@ -47,6 +46,7 @@ _UNIT = (1, 1)  # as a pair; `_adjoints` knows the root's 1 by identity
 DEFAULT_GRID_POINTS = 5
 DEFAULT_ENV_BUDGET = 100_000
 GRID_TOO_SMALL = "grid needs at least 2 points per token"
+NEGATIVE_BUDGET = "budget must be nonnegative"
 
 
 class NotAffineError(Exception):
@@ -160,35 +160,31 @@ def _fold_outcome(e: Expr) -> AffineForm | EmptySet | str:
     """What e's affine fold decides: its form, its EmptySet when some token
     has no possible value, or the message saying why e leaves the fragment.
 
-    Trees are immutable, so every node, leaf or operator, keeps this outcome
-    in a private attribute beside its program, and only the first read
-    folds (`_fold_affine`).  Every read, by the ladder (`lazy_enclosure`)
-    or the audit, gets that same object, neither copied nor raised, so no
-    reader may change it; `to_affine` is the one that copies.  Equality,
-    hashing, repr, pickle and copy ignore the memo, so `copy.deepcopy(e)`
-    is a cold tree whose fold starts afresh.
+    Trees are immutable, so e's program (`compile_expr`) keeps this
+    outcome, and only the first read folds (`_fold_affine`).  Every read,
+    by the ladder (`lazy_enclosure`) or the audit, gets that same object,
+    neither copied nor raised, so no reader may change it; `to_affine` is
+    the one that copies.  `copy.deepcopy(e)` is a cold tree, with no
+    program, whose fold starts afresh.
     """
-    out = getattr(e, "_affine", None)
-    if out is None:
-        out = _fold_affine(e)
-        object.__setattr__(e, "_affine", out)
-    return out
+    program = compile_expr(e)
+    if program._affine is None:
+        program._affine = _fold_affine(e)
+    return program._affine
 
 
 def _fold_affine(e: Expr) -> AffineForm | EmptySet | str:
     """e's fold outcome, as `_fold_outcome` keeps it.
 
-    Read off e's program (`compile_expr`), on the final boxes.  One forward
+    Read off e's program (`compile_expr`), on its boxes.  One forward
     pass gives each register its exact value (a pair), its constant part (a
     pair, when it is measured) or the message saying why it is off the
     fragment, and whether it is measured.  The coeffs of an affine root are
     its adjoints at the token registers (`_adjoints`).
     """
     program = compile_expr(e)
-    try:
-        boxes = effective_intervals(e)  # read off the program's leaves
-    except InfeasibleTokenError as ex:
-        return EmptySet(ex.token)
+    if program.infeasible is not None:
+        return EmptySet(program.infeasible)
     token_of = dict(program._loads)
     steps = program._steps
     values: list = program._registers.copy()
@@ -212,7 +208,7 @@ def _fold_affine(e: Expr) -> AffineForm | EmptySet | str:
             right = [] if j in token_of else steps[start : bisect_left(steps, (k,), start)]
             adjoint = _adjoints(right, values, measured, defaultdict(type(None), {j: _UNIT}))
             coeffs = {token_of[r]: Fraction(*x) for r, x in adjoint.items() if x and r in token_of}
-            lo, hi = _linear_bounds(Fraction(*a), coeffs, boxes)
+            lo, hi = _linear_bounds(Fraction(*a), coeffs, program.boxes)
             if lo.numerator > 0 or hi.numerator < 0 or lo.numerator == hi.numerator == 0:
                 c = (1, 1) if hi else (0, 1)
             else:
@@ -230,7 +226,7 @@ def _fold_affine(e: Expr) -> AffineForm | EmptySet | str:
     for k, t in program._loads:
         p, q = adjoint[k] or (0, 1)
         coeffs[t] = _ONE if p == q else Fraction(p, q)
-    return AffineForm(Fraction(*constant), coeffs, boxes)
+    return AffineForm(Fraction(*constant), coeffs, program.boxes)
 
 
 def _adjoints(steps: list, values: list, measured: list, adjoint: list | dict) -> list | dict:
@@ -419,12 +415,14 @@ def _grid_axis(box: Interval, n: int) -> _Axis:
     return box, _quotient(_sub(hi, lo), (n - 1, 1)), n
 
 
-def _check_grid(n: int) -> None:
+def _check_grid(n: int, budget: int = DEFAULT_ENV_BUDGET) -> None:
     """Refuse a non-integer (TypeError) or fewer than 2 (ValueError) grid
-    points per token, whatever the grid is for: every entry that takes
-    `grid_points` checks it before anything else."""
+    points per token, and a non-integer or negative budget, whatever the
+    grid is for: every entry that takes them checks them first."""
     if index(n) < 2:
         raise ValueError(GRID_TOO_SMALL)
+    if index(budget) < 0:
+        raise ValueError(NEGATIVE_BUDGET)
 
 
 def _grid_value(axis: _Axis, k: int) -> Fraction:
@@ -475,11 +473,12 @@ class SampleStream:
     """
 
     def __init__(self, e: Expr, grid_points: int, budget: int):
-        _check_grid(grid_points)
+        _check_grid(grid_points, budget)
         program = compile_expr(e)
-        boxes = effective_intervals(e)  # read off the program's leaves
-        tokens = sorted(boxes, key=lambda t: t.name)
-        axes = [_grid_axis(boxes[t], grid_points) for t in tokens]
+        if program.infeasible is not None:
+            raise InfeasibleTokenError(program.infeasible)
+        tokens = sorted(program.boxes, key=lambda t: t.name)
+        axes = [_grid_axis(program.boxes[t], grid_points) for t in tokens]
         required = 1
         for t, (box, step, size) in zip(tokens, axes):
             # Each box is the intersection of every interval declared for t,
@@ -569,7 +568,7 @@ def lazy_enclosure(
 ) -> LazyOutcome:
     """`enclosure`, lazily: e's kept fold outcome itself when it is a form or
     an EmptySet, else a stream of e's samples, none drawn yet."""
-    _check_grid(grid_points)
+    _check_grid(grid_points, budget)
     out = _fold_outcome(e)
     return SampleStream(e, grid_points, budget) if type(out) is str else out
 

@@ -160,7 +160,7 @@ Bounds = Union[Interval, Unbounded]
 
 class _Leaf:
     """Shared base of the leaves: pickle and copy take a leaf's fields only,
-    not the program and fold memos stored on it, so a copy is cold."""
+    not the program memo stored on it, so a copy is cold."""
 
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in fields(self)}
@@ -197,16 +197,15 @@ class _Op:
     and leaves by value.  Equality walks both trees in step and stops at
     the first difference; hashing and pickling use the post-order.  Unlike
     a record's own methods, none of these recurse; repr prints the text a
-    record's repr would.  They read only the fields, so the memos that
-    `semantics.compile_expr` (a program, which `parser.parse` stores on a
-    root as it builds it) and `enclosure._fold_outcome` (the fold outcome
-    read off that program) store on any node, leaf or operator, are
-    invisible to them, and a deep copy or an unpickled tree carries none.
-    The memos live in slots, as do each operator's fields, so a node is one
+    record's repr would.  They read only the fields, so a node's one memo,
+    the program `semantics.compile_expr` stores on any node (`parser.parse`
+    on a root as it builds it), which keeps the tree's boxes and affine
+    fold too, is invisible to them, and a copy or unpickled tree has none.
+    The memo lives in a slot, as do each operator's fields, so a node is one
     object for the cycle collector to track, not two: it has no `__dict__`.
     """
 
-    __slots__ = ("_program", "_affine", "__weakref__")
+    __slots__ = ("_program", "__weakref__")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -337,26 +336,27 @@ def _rebuild(shape: list) -> Expr:
 def _render(e: Expr, parts: Callable[[Expr], list]) -> str:
     """Text of e joined once from its pieces, so long trees print in linear time.
 
-    parts(node) lists the node's text in order: str pieces, and child
-    nodes whose own pieces go in their place.
+    parts(node) lists the node's text in order: str pieces, and each child
+    node in a 1-tuple, whose own pieces go in its place.  So a str in the
+    tree is a node too, which parts renders as it renders any leaf.
     """
     out: list[str] = []
-    stack: list = [e]
+    stack: list = [(e,)]
     while stack:
         item = stack.pop()
         if type(item) is str:
             out.append(item)
         else:
-            stack.extend(reversed(parts(item)))
+            stack.extend(reversed(parts(item[0])))
     return "".join(out)
 
 
 def _repr_parts(node: Expr) -> list:
     """The pieces of the record repr of node."""
     if type(node) is Neg:
-        return ["Neg(operand=", node.operand, ")"]
+        return ["Neg(operand=", (node.operand,), ")"]
     if isinstance(node, _Op):
-        return [type(node).__name__ + "(lhs=", node.lhs, ", rhs=", node.rhs, ")"]
+        return [type(node).__name__ + "(lhs=", (node.lhs,), ", rhs=", (node.rhs,), ")"]
     return [repr(node)]
 
 
@@ -406,19 +406,12 @@ def effective_intervals(e: Expr) -> dict[Token, Interval]:
     so its feasible values form the intersection.  Raises
     InfeasibleTokenError when some token's intersection is empty, which is
     exactly the case where the whole expression has an empty enclosure.
-    Exact leaves and dimension tags play no part.  A tree that
-    `semantics.compile_expr` has compiled is not walked: its program lists
-    the (token, interval) of its distinct measured leaves, in the order a
-    walk meets them.
+    Exact leaves and dimension tags play no part.  This always walks e;
+    the program `semantics.compile_expr` keeps on e holds the same boxes.
     """
-    program = getattr(e, "_program", None)
     out: dict[Token, Interval] = {}
-    if program is None:
-        for leaf in meas_leaves(e):
-            narrow_box(out, leaf.token, leaf.interval)
-    else:
-        for token, interval in program.leaves:
-            narrow_box(out, token, interval)
+    for leaf in meas_leaves(e):
+        narrow_box(out, leaf.token, leaf.interval)
     return out
 
 
@@ -506,4 +499,4 @@ def _precedence(node: Expr) -> int:
 
 
 def _operand(node: Expr, parenthesised: bool) -> list:
-    return ["(", node, ")"] if parenthesised else [node]
+    return ["(", (node,), ")"] if parenthesised else [(node,)]

@@ -137,7 +137,7 @@ def licensed(
     budget: int = DEFAULT_ENV_BUDGET,
 ) -> Verdict:
     """Decide whether every value warranted for tgt is warranted for src."""
-    _check_grid(grid_points)
+    _check_grid(grid_points, budget)
     if src == tgt:
         return Holds(SameExpression())
     enc_tgt = lazy_enclosure(tgt, grid_points, budget)
@@ -207,7 +207,7 @@ def classify(
     directions, drawn only as far as a decision needs them; the verdicts
     equal those of `licensed` in each direction.
     """
-    _check_grid(grid_points)
+    _check_grid(grid_points, budget)
     if src == tgt:
         forward = backward = Holds(SameExpression())
     else:

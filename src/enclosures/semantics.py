@@ -15,7 +15,7 @@ from math import gcd
 from typing import Callable, Mapping
 
 from .expr import Add, Div, Exact, Expr, Interval, Meas, Mul, Neg, Sub, Token, postorder
-from .expr import _fraction
+from .expr import InfeasibleTokenError, _fraction, narrow_box
 from .record import record
 
 _ZERO = Fraction(0)
@@ -131,19 +131,20 @@ class Compiled:
     registers.  A quotient of two equal subtrees is an `_over_itself` step,
     so `enclosure.to_affine`, which reads its fold off this program, knows a
     self-quotient by its step.  Registers hold reduced integer pairs, so a
-    run makes one Fraction, at the end.  `leaves` lists the (token, interval)
-    of each distinct measured leaf node, in the order they are first met,
-    for each token's box, and `_checks` each one's token and box ends as
-    pairs, for `token_consistent`.  The program keeps no node, so a tree
-    holds no reference cycle through it, not even a lone leaf, which keeps
-    its own program.
+    run makes one Fraction, at the end.  `boxes` is each token's
+    `effective_intervals` box, in first-met order, and `infeasible` the
+    first token whose box empties, or None; `_checks` holds each box's
+    ends as pairs.  The program keeps no node, so a tree holds no reference
+    cycle through it, not even a lone leaf, which keeps its own program.
     """
 
     def __init__(self, e: Expr | None = None):
         self._registers: list[_Pair | None] = []
         self._loads: list[tuple[int, Token]] = []
         self._steps: list[tuple[int, Callable[[_Pair, _Pair], _Pair], int, int]] = []
-        self.leaves: list[tuple[Token, Interval]] = []
+        self.boxes: dict[Token, Interval] = {}
+        self.infeasible: Token | None = None
+        self._affine = None  # the affine fold's outcome, kept by enclosure._fold_outcome
         self._token_registers: dict[str, int] = {}  # by token name, which hashes in C
         if e is None:
             return
@@ -170,7 +171,10 @@ class Compiled:
         elif type(node) is not Meas:
             raise TypeError(f"not an expression node: {node!r}")
         else:
-            self.leaves.append((node.token, node.interval))
+            try:
+                narrow_box(self.boxes, node.token, node.interval)
+            except InfeasibleTokenError as ex:  # the box keeps its last nonempty value
+                self.infeasible = self.infeasible or ex.token
             k = self._token_registers.setdefault(node.token.name, k)
             if k == len(self._registers):  # the token's first leaf
                 self._loads.append((k, node.token))
@@ -187,7 +191,7 @@ class Compiled:
 
     def finish(self, root: Expr) -> None:
         """Keep the program on root, the last node built, whose register is the last."""
-        self._checks = [(token, *_ends(box)) for token, box in self.leaves]
+        self._checks = [(token, *_ends(box)) for token, box in self.boxes.items()]
         self._root = len(self._registers) - 1
         object.__setattr__(root, "_program", self)
 
@@ -206,12 +210,12 @@ def compile_expr(e: Expr) -> Compiled:
     """e's program, which can then be run under many environments.
 
     Trees are immutable, so every node, leaf or operator, keeps its
-    program in a private attribute, and the program is built once per
-    tree: by `parser.parse` for a parsed root, and here, on the first read,
-    for any other tree.  Evaluation, consistency checks, sampling,
-    `effective_intervals` and the affine fold `enclosure._fold_outcome`
-    keeps beside it all read this one.  Equality, hashing, repr, pickle and
-    copy ignore the memos, so `copy.deepcopy(e)` is a cold tree.
+    program in a private attribute, its one memo, and the program is built
+    once per tree: by `parser.parse` for a parsed root, and here, on the
+    first read, for any other tree.  Evaluation, consistency checks,
+    sampling, each token's box and the affine fold, which it keeps too,
+    all read this one.  Equality, hashing, repr, pickle and copy ignore
+    the memo, so `copy.deepcopy(e)` is a cold tree.
     """
     program = getattr(e, "_program", None)
     return Compiled(e) if program is None else program  # which it keeps on e
@@ -226,14 +230,16 @@ def token_consistent(env: TokenEnv, e: Expr) -> bool:
     """True iff every measured leaf's interval contains its token's value.
 
     The condition is indexed by tokens, not leaf positions: two leaves
-    sharing a token are checked against the same assigned value, once per
-    declared interval.  The leaves are the ones e's program lists, which
-    `compile_expr` keeps on e.  So a leaf node shared within the tree, as
-    equal leaf texts are in one parse, is checked once, no check walks the
-    tree again, and each check cross-multiplies integer pairs.
+    sharing a token are checked against the same assigned value.  A value
+    lies in each of its token's intervals exactly when it lies in their
+    intersection, the token's box in e's program, so each token is checked
+    once, against its box, with integer pairs, and no check walks the tree.
     """
+    program = compile_expr(e)
+    if program.infeasible is not None:  # no value lies in an empty box
+        return False
     value = env.value
-    for token, (p, q), (r, s) in compile_expr(e)._checks:
+    for token, (p, q), (r, s) in program._checks:
         n, d = value(token).as_integer_ratio()
         if n * q < p * d or r * d < n * s:  # below lo or above hi
             return False
@@ -243,6 +249,6 @@ def token_consistent(env: TokenEnv, e: Expr) -> bool:
 def exact_value(e: Expr) -> Fraction:
     """Value of a measurement-free expression; independent of any world."""
     program = compile_expr(e)
-    if program.leaves:
+    if program._loads:
         raise NotExactError("expression contains a measured leaf")
     return program(EMPTY_ENV.value)

@@ -320,7 +320,7 @@ class TestFormatBlind:
         b = Mul(Add(BlindExact(F(1), D), BlindExact(F(2), D)), BlindMeas(I12, D))
         assert format_blind(b) == "(exact(1,d) + exact(2,d)) * meas([1,2],d)"
 
-    @pytest.mark.parametrize("leaf", [None, 3, Token("t"), Exact(F(1), D)], ids=repr)
+    @pytest.mark.parametrize("leaf", [None, 3, "x", Token("t"), Exact(F(1), D)], ids=repr)
     def test_a_non_node_raises_type_error(self, leaf):
         for tree in (leaf, Neg(leaf), Add(BlindExact(F(1), D), leaf)):
             with pytest.raises(TypeError, match="^not a blind expression node: "):

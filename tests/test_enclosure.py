@@ -54,7 +54,8 @@ from enclosures import (
     under_approx_samples,
 )
 from enclosures.cli import main
-from enclosures.enclosure import _ONE, _ZERO, GRID_TOO_SMALL, _linear_bounds, lazy_enclosure
+from enclosures.enclosure import _ONE, _ZERO, GRID_TOO_SMALL, NEGATIVE_BUDGET, _linear_bounds
+from enclosures.enclosure import lazy_enclosure
 from enclosures.expr import Expr, narrow_box, postorder
 from enclosures.semantics import compile_expr
 from exprgen import (
@@ -901,6 +902,57 @@ class TestGridPointsChecked:
     def test_the_cli_gives_the_same_message(self, capsys):
         assert main(["demo", "--family", "division", "--mode", "same", "--grid", "1"]) == 2
         assert capsys.readouterr().err.endswith(f"argument --grid: {GRID_TOO_SMALL}\n")
+
+
+# Every entry that takes a budget, on sides with and without tokens; each
+# call gets cold copies, so it has no program or fold to start from.
+cold = copy.deepcopy
+BUDGET_CALLS = {
+    "classify-token-vs-exact": lambda b: classify(cold(TOKEN), cold(ONE), budget=b),
+    "classify-same-side": lambda b: classify(cold(SAME_DIFF), cold(SAME_DIFF), budget=b),
+    "licensed-exact-sides": lambda b: licensed(cold(ONE), Exact(F(2), D), budget=b),
+    "licensed-same-side": lambda b: licensed(cold(ONE), cold(ONE), budget=b),
+    "enclosure-affine": lambda b: enclosure(cold(TOKEN), budget=b),
+    "enclosure-product": lambda b: enclosure(Mul(cold(TOKEN), cold(TOKEN)), budget=b),
+    "enclosure-infeasible": lambda b: enclosure(cold(INFEASIBLE), budget=b),
+    "lazy-enclosure-exact": lambda b: lazy_enclosure(cold(ONE), budget=b),
+    "membership-exact": lambda b: membership(cold(ONE), 1, budget=b),
+    "blind-compare": lambda b: blind_compare(*map(cold, (SAME_DIFF, DIST_DIFF, ONE)), budget=b),
+    "under-approx-exact": lambda b: under_approx_samples(cold(ONE), budget=b),
+    "under-approx-infeasible": lambda b: under_approx_samples(cold(INFEASIBLE), budget=b),
+}
+
+
+class TestBudgetChecked:
+    """A negative or non-integer budget is refused at every entry, whatever
+    its sides are, before any program is built or side folded, with the one
+    message the CLI's --budget gives too."""
+
+    @pytest.mark.parametrize("name", list(BUDGET_CALLS))
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_negative_budgets_are_refused(self, compiles, affine_folds, name, budget):
+        with pytest.raises(ValueError) as err:
+            BUDGET_CALLS[name](budget)
+        assert str(err.value) == NEGATIVE_BUDGET == "budget must be nonnegative"
+        assert compiles == affine_folds == []
+
+    @pytest.mark.parametrize("name", list(BUDGET_CALLS))
+    @pytest.mark.parametrize("budget", [2.5, "10", None])
+    def test_non_integers_are_refused(self, compiles, affine_folds, name, budget):
+        with pytest.raises(TypeError):
+            BUDGET_CALLS[name](budget)
+        assert compiles == affine_folds == []
+
+    @pytest.mark.parametrize("name", list(BUDGET_CALLS))
+    def test_zero_is_a_budget(self, name):
+        try:
+            BUDGET_CALLS[name](0)
+        except BudgetExceededError as err:  # a grid of one environment is past it
+            assert err.budget == 0
+
+    def test_the_cli_gives_the_same_message(self, capsys):
+        assert main(["demo", "--family", "division", "--mode", "same", "--budget", "-1"]) == 2
+        assert capsys.readouterr().err.endswith(f"argument --budget: {NEGATIVE_BUDGET}\n")
 
 
 class TestUnderApproxSamples:

@@ -257,11 +257,17 @@ class TestFormat:
             == "meas(t1,[2,5],d) - meas(t2,[2,5],d)"
         )
 
-    @pytest.mark.parametrize("leaf", [None, 3, Token("t"), Interval.of(1, 2)], ids=repr)
+    @pytest.mark.parametrize("leaf", [None, 3, "x", Token("t"), Interval.of(1, 2)], ids=repr)
     def test_a_non_node_raises_type_error(self, leaf):
         for tree in (leaf, Neg(leaf), Add(Exact(F(1), D), leaf)):
             with pytest.raises(TypeError, match="^not an expression node: "):
                 format_expr(tree)
+
+    def test_a_str_in_a_tree_reprs_as_a_record_would(self):
+        # A str is a node like any other non-node, never text of the tree's own.
+        one = Exact(F(1), D)
+        assert repr(Add(one, "x")) == f"Add(lhs={one!r}, rhs='x')"
+        assert repr(Neg("x")) == "Neg(operand='x')"
 
     def test_parenthesization(self):
         a, b, c = Exact(F(1), D), Exact(F(2), D), Exact(F(3), D)

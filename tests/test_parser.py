@@ -53,7 +53,7 @@ from enclosures import (
     parser,
 )
 from enclosures.enclosure import to_affine
-from enclosures.expr import _rebuild, _shape, fold, postorder
+from enclosures.expr import _rebuild, _shape, fold, narrow_box, postorder
 from enclosures.semantics import _STEP, Compiled, _over_itself, compile_expr
 import parser_reference as reference
 from exprgen import (
@@ -331,7 +331,8 @@ def test_parse_order_is_a_fresh_walk():
     # completed in, so `postorder` walks it as it walks any other tree.  The
     # walk meets the nodes the parse built the program from: one step per
     # operator, and the distinct measured leaves in the order they come first,
-    # whose tokens and interval objects the program lists.
+    # whose intervals the program narrows into its tokens' boxes in that
+    # order; a box no later leaf narrows is its first leaf's interval object.
     for text in order_corpus():
         e = parse(text)
         assert not hasattr(e, "_postorder"), text
@@ -341,8 +342,14 @@ def test_parse_order_is_a_fresh_walk():
         assert walked[-1] is e, text
         assert sum(isinstance(node, OPS) for node in walked) == len(program._steps), text
         first = {id(node): node for node in walked if type(node) is Meas}.values()
-        assert program.leaves == [(leaf.token, leaf.interval) for leaf in first], text
-        assert all(box is leaf.interval for (_, box), leaf in zip(program.leaves, first)), text
+        boxes, declared = {}, {}
+        for leaf in first:
+            narrow_box(boxes, leaf.token, leaf.interval)
+            declared.setdefault(leaf.token, leaf.interval)
+        assert list(program.boxes.items()) == list(boxes.items()), text
+        assert program.infeasible is None, text
+        kept = [(box, declared[t]) for t, box in program.boxes.items() if box == declared[t]]
+        assert all(box is first for box, first in kept), text
 
 
 def test_a_parsed_tree_reads_as_its_rebuilt_shape():
@@ -370,10 +377,11 @@ def program_matches_the_walk(e) -> int:
     assert not hasattr(cold, "_program")
     walked = Compiled(cold)
     assert cold._program is walked
-    # A step function equals only itself; the leaves are (token, interval) pairs.
+    # A step function equals only itself; the boxes keep their tokens' order.
     assert parsed._registers == walked._registers and parsed._loads == walked._loads
     assert parsed._steps == walked._steps and parsed._root == walked._root
-    assert parsed._checks == walked._checks and parsed.leaves == walked.leaves
+    assert list(parsed.boxes.items()) == list(walked.boxes.items())
+    assert parsed.infeasible == walked.infeasible and parsed._checks == walked._checks
     nodes = postorder(e)
     tokens = {node.token.name: node.token for node in nodes if type(node) is Meas}
     assert [token for _, token in parsed._loads] == list(tokens.values())

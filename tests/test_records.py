@@ -191,9 +191,10 @@ def test_fields_stay_frozen(name):
     assert repr(record) == REPRS[name]
 
 
-# Operator nodes hold their fields, and the memos left on them, in slots.
+# Operator nodes hold their fields, and the one memo left on them, their
+# program, in slots.
 SLOTTED = {"Add", "Sub", "Mul", "Div", "Neg"}
-MEMO_SLOTS = ["_program", "_affine", "__weakref__"]
+MEMO_SLOTS = ["_program", "__weakref__"]
 
 
 def held(record) -> list:

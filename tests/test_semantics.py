@@ -30,6 +30,8 @@ from enclosures import (
     Sub,
     Token,
     TokenEnv,
+    audit_classification,
+    classify,
     effective_intervals,
     evaluate,
     exact_value,
@@ -43,7 +45,7 @@ from enclosures import (
     token_consistent,
     tokens_of,
 )
-from enclosures.expr import postorder
+from enclosures.expr import _Op, fold, narrow_box, postorder
 from enclosures.semantics import _over_itself, compile_expr
 from exprgen import (
     CHAIN_WRAPS,
@@ -53,6 +55,7 @@ from exprgen import (
     long_affine_text,
     naive_consistent,
     naive_evaluate,
+    rand_interval,
     rand_rational,
     redeclare,
     token_boxes,
@@ -645,3 +648,160 @@ class TestProgramMemo:
             fraction_ops.clear()
             evaluate(env, e)
             assert sum(fraction_ops.values()) <= 2, fraction_ops
+
+
+# --- each token's box, kept by the program -------------------------------------
+
+
+def _walked(e: Expr) -> tuple[dict | None, Token | None]:
+    """The `effective_intervals` walk's answer: (boxes, None), or (None, the
+    token whose box empties first) when some box is empty."""
+    try:
+        return effective_intervals(e), None
+    except InfeasibleTokenError as ex:
+        return None, ex.token
+
+
+def _scattered(rng: random.Random, e: Expr) -> Expr:
+    """e with each measured leaf declared under an interval of its own,
+    drawn anywhere in [-10, 10], so some tokens' intervals are disjoint."""
+
+    def leaf(node: Expr) -> Expr:
+        return Meas(node.token, rand_interval(rng), node.dim) if type(node) is Meas else node
+
+    return fold(e, leaf, {cls: cls for cls in (Add, Sub, Mul, Div, Neg)})
+
+
+def _box_corpus(perfbench_texts) -> list[Expr]:
+    """Parsed trees, constructor-built ones and their cold copies: exprgen's
+    trees, some with tokens re-declared under overlapping intervals and some
+    under scattered ones, perfbench's seed-1 texts, and the hand-made trees
+    of `BOX_TEXTS`."""
+    built = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        gen = gen_affine if seed % 2 else gen_any
+        e = gen(rng, token_boxes(rng), rng.randint(1, 15))
+        built.append(redeclare(rng, e) if seed % 3 == 1 else _scattered(rng, e) if seed % 3 else e)
+    parsed = [parse(format_expr(e)) for e in built]
+    for text in [*BOX_TEXTS, *perfbench_texts((1,))]:
+        try:
+            parsed.append(parse(text))
+        except (ParseError, IntervalOrderError):  # perfbench's `cli` calls read bad files too
+            continue
+    return built + parsed + [copy.deepcopy(e) for e in parsed]
+
+
+BOX_TEXTS = {
+    # t is declared under three overlapping intervals: its box is [2,3]
+    "overlapping": "meas(t,[0,4],d) + meas(t,[1,5],d) * meas(u,[0,1],d) - meas(t,[2,3],d)",
+    # u is met first, but t's box empties first, at the third leaf
+    "two infeasible": "meas(u,[0,1],d) + meas(t,[0,1],d) * meas(t,[2,3],d) - meas(u,[2,3],d)",
+}
+
+
+class TestProgramBoxes:
+    """A program keeps each token's box, the intersection of its leaves'
+    intervals, and the first token whose box empties, as the
+    `effective_intervals` walk finds them; `token_consistent` checks each
+    token once, against its box."""
+
+    def test_hand_made_trees(self):
+        e = parse(BOX_TEXTS["overlapping"])
+        program = compile_expr(e)
+        assert program.boxes == {Token("t"): Interval.of(2, 3), Token("u"): Interval.of(0, 1)}
+        assert program.infeasible is None and len(program._checks) == 2
+        e = parse(BOX_TEXTS["two infeasible"])
+        assert compile_expr(e).infeasible == Token("t") == _walked(e)[1]
+        assert not token_consistent(TokenEnv({Token("t"): 0, Token("u"): 0}), e)
+        with pytest.raises(InfeasibleTokenError, match="^token 't' admits no consistent value$"):
+            to_affine(e)
+
+    def test_program_matches_the_walk(self, perfbench_texts):
+        infeasible = overlapping = 0
+        for e in _box_corpus(perfbench_texts):
+            program = compile_expr(e)
+            boxes, token = _walked(e)
+            assert program.infeasible == token, format_expr(e)
+            if boxes is not None:
+                assert list(program.boxes.items()) == list(boxes.items()), format_expr(e)
+                leaves = {id(leaf): leaf for leaf in meas_leaves(e)}.values()
+                overlapping += len({leaf.interval for leaf in leaves}) > len(boxes)
+            infeasible += token is not None
+        assert infeasible > 20 and overlapping > 50, (infeasible, overlapping)
+
+    def test_token_consistent_matches_the_reference(self, perfbench_texts):
+        verdicts: Counter = Counter()
+        rng = random.Random(34)
+        for e in _box_corpus(perfbench_texts)[::2]:
+            boxes, _ = _walked(e)
+            tokens = {leaf.token: leaf.interval for leaf in meas_leaves(e)}
+            for _ in range(3):
+                # A corner of the token's box (or of one of its intervals)
+                # half the time, so both verdicts occur; otherwise anywhere.
+                env = TokenEnv(
+                    {
+                        t: rng.choice((box.lo, box.hi))
+                        if rng.random() < 0.5
+                        else rand_rational(rng, -11, 11, 2)
+                        for t, box in (boxes or tokens).items()
+                    }
+                )
+                verdict = token_consistent(env, e)
+                assert verdict is _reference_token_consistent(env, e), format_expr(e)
+                if len(postorder(e)) < 600:  # the naive reference recurses: no long trees
+                    assert verdict is naive_consistent(env, e), format_expr(e)
+                verdicts[verdict, boxes is None] += 1
+        assert verdicts[True, False] > 100 and verdicts[False, False] > 100, verdicts
+        assert verdicts[False, True] > 50 and not verdicts[True, True], verdicts
+
+
+class TestOneMemoPerTree:
+    """A node keeps one memo, its program, and the program keeps the rest:
+    each token's box, worked out once as the tree is built, and the affine
+    fold's outcome."""
+
+    @staticmethod
+    def _ops(gen, workload):
+        return [op for op in getattr(gen, workload)(1) if not op.probe]
+
+    def test_nodes_keep_only_their_program(self, perfbench_gen, affine_folds):
+        assert _Op.__slots__ == ("_program", "__weakref__")
+        leaf, exact = parse("meas(t,[1,2],d)"), parse("exact(3/2,d)")
+        sides = [(leaf, exact), (exact, leaf)]
+        sides += [(parse(op.src), parse(op.tgt)) for op in self._ops(perfbench_gen, "suite")]
+        for src, tgt in sides:
+            assert audit_classification(classify(src, tgt), src, tgt)
+        for src, tgt in sides:
+            for node in (*postorder(src), *postorder(tgt)):
+                if not isinstance(node, _Op):
+                    assert set(vars(node)) <= {*fields(node), "_program"}
+        for e in leaf, exact:
+            assert list(vars(e)) == [*fields(e), "_program"]
+        del affine_folds[:]
+        for src, tgt in sides:
+            assert audit_classification(classify(src, tgt), src, tgt)
+        assert affine_folds == []
+
+    @pytest.mark.parametrize("workload", ["suite", "wide"])
+    def test_boxes_are_worked_out_once_per_tree(self, perfbench_gen, workload):
+        # A profile hook counts the calls, whatever name a caller binds.
+        codes = {effective_intervals.__code__, narrow_box.__code__}
+        calls: Counter = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                calls[frame.f_code.co_name] += 1
+
+        leaves = 0
+        for op in self._ops(perfbench_gen, workload):
+            sys.setprofile(profile)
+            try:
+                src, tgt = parse(op.src), parse(op.tgt)
+                assert audit_classification(classify(src, tgt, op.grid, op.budget), src, tgt)
+            finally:
+                sys.setprofile(None)
+            for e in src, tgt:
+                leaves += len({id(node) for node in postorder(e) if type(node) is Meas})
+        assert calls["effective_intervals"] == 0
+        assert 0 < calls["narrow_box"] <= leaves, (calls, leaves)
