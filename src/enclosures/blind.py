@@ -2,6 +2,7 @@
 
 Erasing tokens keeps intervals, dimension tags, and tree shape but drops
 observation identity, so repeated leaves are summarized independently.
+An exact leaf carries no token, so erasure keeps it as it is.
 The blind enclosure and `over_approx` are one interval fold
 (`enclosure._interval_image`) of the erased and of the token-level tree, so
 the two agree by construction (the dependency problem in its classic form).
@@ -11,7 +12,6 @@ summary cannot recover the token-sensitive rewrite class.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Union
 
 from .enclosure import DEFAULT_ENV_BUDGET, DEFAULT_GRID_POINTS, _interval_image
@@ -35,12 +35,6 @@ from .rewrite import Classification, classify
 
 
 @record
-class BlindExact:
-    value: Fraction
-    dim: Dim
-
-
-@record
 class BlindMeas:
     """A measured leaf with its token forgotten."""
 
@@ -48,19 +42,21 @@ class BlindMeas:
     dim: Dim
 
 
-# Arithmetic nodes are shared with the token-level syntax; only the leaf
-# constructors differ between the two trees.
-BlindExpr = Union[BlindExact, BlindMeas, Add, Sub, Mul, Div, Neg]
+# Exact leaves and arithmetic nodes are shared with the token-level syntax;
+# only the measured leaf differs between the two trees.
+BlindExpr = Union[Exact, BlindMeas, Add, Sub, Mul, Div, Neg]
 
 
 def forget_tokens(e: Expr) -> BlindExpr:
-    """Erase tokens from measured leaves; homomorphic everywhere else."""
+    """Erase tokens from measured leaves; homomorphic everywhere else, and
+    each `Exact` leaf of e is a leaf of the result, the same object."""
     return fold(e, _forget_leaf, _REBUILD)
 
 
 def _forget_leaf(e: Expr) -> BlindExpr:
+    """A measured leaf without its token; an exact leaf, which has none, itself."""
     if isinstance(e, Exact):
-        return BlindExact(e.value, e.dim)
+        return e
     if isinstance(e, Meas):
         return BlindMeas(e.interval, e.dim)
     raise TypeError(f"not an expression node: {e!r}")
@@ -86,7 +82,7 @@ def format_blind(b: BlindExpr) -> str:
 
 
 def _blind_leaf_text(b: BlindExpr) -> str:
-    if isinstance(b, BlindExact):
+    if isinstance(b, Exact):
         return f"exact({b.value},{b.dim})"
     if isinstance(b, BlindMeas):
         return f"meas({b.interval},{b.dim})"

@@ -28,6 +28,7 @@ from .enclosure import (
     EmptySet,
     EnclosureOutcome,
     ExactInterval,
+    Member,
     Unknown,
     enclosure,
     under_approx_samples,
@@ -53,11 +54,9 @@ from .families import (
 from .parser import ParseError, parse, parse_env, parse_interval
 from .rewrite import (
     Classification,
-    EmptyTarget,
     Fails,
     Holds,
     IntervalContainment,
-    MembershipWitness,
     RewriteClass,
     SameExpression,
     Undecided,
@@ -109,8 +108,8 @@ def _evidence_json(evidence) -> dict:
     match evidence:
         case SameExpression():
             return {"kind": "same-expression"}
-        case EmptyTarget(token_name):
-            return {"kind": "empty-target", "infeasible_token": token_name}
+        case EmptySet(token):
+            return {"kind": "empty-target", "infeasible_token": token.name}
         case IntervalContainment(source, target, target_kind, witness, value):
             return {
                 "kind": "interval-containment",
@@ -120,7 +119,7 @@ def _evidence_json(evidence) -> dict:
                 "witness": None if witness is None else _env_json(witness),
                 "witness_value": None if value is None else str(value),
             }
-        case MembershipWitness(env, value):
+        case Member(env, value):
             return {"kind": "membership-witness", "env": _env_json(env), "value": str(value)}
     raise TypeError(f"not holds evidence: {evidence!r}")
 

@@ -388,16 +388,13 @@ def over_approx(e: Expr) -> Bounds:
 
 
 def _leaf_ends(leaf: object) -> _Ends:
-    """A leaf's ends, token-level or token-erased: its `interval`, or its
-    `value` as a point.  An `Exact` value is a Fraction already; any other
-    value converts as `Interval.point` converts it."""
+    """A leaf's ends, token-level or token-erased: an `Exact` leaf's value
+    as a point, any other leaf's `interval`."""
     if isinstance(leaf, Exact):
         value = leaf.value.as_integer_ratio()
         return value, value
     if isinstance(getattr(leaf, "interval", None), Interval):
         return _ends(leaf.interval)
-    if hasattr(leaf, "value"):
-        return _ends(Interval.point(leaf.value))
     raise TypeError(f"not an expression node: {leaf!r}")
 
 

@@ -49,13 +49,6 @@ class SameExpression:
 
 
 @record
-class EmptyTarget:
-    """tgt's enclosure is empty, so it is contained in anything."""
-
-    token_name: str
-
-
-@record
 class IntervalContainment:
     """tgt's certified bound sits inside src's exact interval.
 
@@ -72,15 +65,8 @@ class IntervalContainment:
     witness_value: Fraction | None = None
 
 
-@record
-class MembershipWitness:
-    """tgt's enclosure is the single value; env makes src attain it."""
-
-    env: TokenEnv
-    value: Fraction
-
-
-HoldsEvidence = Union[SameExpression, EmptyTarget, IntervalContainment, MembershipWitness]
+# EmptySet: tgt's own empty outcome.  Member: src attains tgt's one value.
+HoldsEvidence = Union[SameExpression, EmptySet, IntervalContainment, Member]
 
 
 # --- three-valued verdicts ---------------------------------------------------
@@ -151,22 +137,23 @@ def _decide(
 
     Each side's bound is read through its certificate alone.  Samples are
     read from the lazy enclosures in order and drawn only until a rung is
-    decided; an Undecided verdict settles both outcomes in full.
+    decided; an Undecided verdict settles both outcomes in full.  A Holds
+    carries tgt's own `EmptySet` or the `Member` that `membership_in` gave.
     """
     if isinstance(enc_tgt, EmptySet):
-        return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
+        return Holds(enc_tgt)  # an empty tgt is contained in anything
     cert, tgt_cert = certificate_of(enc_src), certificate_of(enc_tgt)
     exact = cert is not None and cert.kind == "exact-interval"
 
     # Confirm: tgt's certified bound lies inside src's exact interval.  For a
     # point target q that is q's membership in src, decided with a witness.
     if tgt_cert is not None and tgt_cert.kind == "exact-interval" and tgt_cert.bounds.is_point:
-        match membership_in(src, tgt_cert.bounds.lo, enc_src):
+        match found := membership_in(src, tgt_cert.bounds.lo, enc_src):
             case Member(env, q) if exact:
                 evidence = IntervalContainment(cert.bounds, tgt_cert.bounds, tgt_cert.kind, env, q)
                 return Holds(evidence)
-            case Member(env, q):
-                return Holds(MembershipWitness(env, q))
+            case Member():
+                return Holds(found)
             case Inconclusive(outcome):
                 return Undecided(outcome, settle(enc_tgt))
     elif exact and tgt_cert is not None and cert.bounds.encloses(tgt_cert.bounds):
@@ -237,9 +224,8 @@ def audit_verdict(verdict: Verdict, src: Expr, tgt: Expr) -> bool:
     match verdict:
         case Holds(SameExpression()):
             return src == tgt
-        case Holds(EmptyTarget(token_name)):
-            enc = _fold_outcome(tgt)
-            return isinstance(enc, EmptySet) and enc.token.name == token_name
+        case Holds(EmptySet() as empty):
+            return _fold_outcome(tgt) == empty
         case Holds(IntervalContainment(source, target, target_kind, witness, value)):
             return (
                 _bounds_claim(src, "exact-interval", source)
@@ -251,7 +237,7 @@ def audit_verdict(verdict: Verdict, src: Expr, tgt: Expr) -> bool:
                     else _attains(witness, src, value) and target.contains(value)
                 )
             )
-        case Holds(MembershipWitness(env, value)):
+        case Holds(Member(env, value)):
             return (
                 _bounds_claim(tgt, "exact-interval", Interval.point(value))
                 and _attains(env, src, value)

@@ -4,9 +4,10 @@ pairs: the interval table with `_hull`, `_div_bounds` and `_on_bounds`, the
 leaf bounds of `over_approx` and of `blind_enclosure`, and the sampling
 grid with `_grid_axis`, `grid_values` (the grid the package's sampler lays
 on one token's box) and `_env_stream`.  Kept verbatim but for its imports,
-this docstring and the name of the blind leaf function, which shared its
-name with the token-level one, as the reference that the differential
-tests in `test_interval_kernel.py` compare the package with.
+this docstring, the name of the blind leaf function, which shared its
+name with the token-level one, and the class of a blind exact leaf, which
+is now `Exact` itself, as the reference that the differential tests in
+`test_interval_kernel.py` compare the package with.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
-from enclosures.blind import BlindExact, BlindExpr, BlindMeas
+from enclosures.blind import BlindExpr, BlindMeas
 from enclosures.expr import (
     UNBOUNDED,
     Add,
@@ -103,7 +104,7 @@ def blind_enclosure(b: BlindExpr) -> Bounds:
 
 
 def _blind_leaf_bounds(b: BlindExpr) -> Bounds:
-    if isinstance(b, BlindExact):
+    if isinstance(b, Exact):
         return Interval.point(b.value)
     if isinstance(b, BlindMeas):
         return b.interval

@@ -21,7 +21,6 @@ from enclosures import (
     IntervalContainment,
     Meas,
     Member,
-    MembershipWitness,
     RewriteClass,
     Token,
     UNBOUNDED,
@@ -198,7 +197,7 @@ def _revalidate(verdict, src, tgt):
     """The criterion's own checklist, independent of the audit helpers."""
     if isinstance(verdict, Holds):
         ev = verdict.evidence
-        if isinstance(ev, MembershipWitness):
+        if isinstance(ev, Member):
             return token_consistent(ev.env, src) and evaluate(ev.env, src) == ev.value
         if isinstance(ev, IntervalContainment) and ev.witness is not None:
             return (

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from enclosures import (
     Add,
-    BlindExact,
     BlindMeas,
     Bounds,
     Div,
@@ -109,13 +108,19 @@ class TestForgetTokens:
         assert forget_tokens(same) == Sub(BlindMeas(I25, D), BlindMeas(I25, D))
 
     def test_exact_leaf(self):
-        assert forget_tokens(Exact(F(0), D)) == BlindExact(F(0), D)
+        # An exact leaf has no token to forget, so erasure keeps the leaf itself.
+        leaf = Exact(F(0), D)
+        assert forget_tokens(leaf) is leaf
+        e = parse("exact(1/2,d) * meas(t,[1,2],d) - -exact(3,m)")
+        exact = [node for node in postorder(e) if type(node) is Exact]
+        kept = [node for node in postorder(forget_tokens(e)) if type(node) is Exact]
+        assert len(exact) == 2 and all(a is b for a, b in zip(kept, exact, strict=True))
 
     def test_homomorphic_on_negation(self):
         e = Neg(Meas(Token("t"), I12, D))
         assert forget_tokens(e) == Neg(BlindMeas(I12, D))
 
-    @pytest.mark.parametrize("leaf", [None, 3, Token("t"), BlindExact(F(1), D)], ids=repr)
+    @pytest.mark.parametrize("leaf", [None, 3, Token("t"), BlindMeas(I12, D)], ids=repr)
     def test_a_non_node_raises_type_error(self, leaf):
         for tree in (leaf, Neg(leaf), Add(Exact(F(1), D), leaf)):
             with pytest.raises(TypeError, match="^not an expression node: "):
@@ -138,11 +143,11 @@ class TestBlindEnclosure:
         assert blind_enclosure(b) == Interval(F(1, 2), F(2))
 
     def test_exact_leaf_is_singleton(self):
-        assert blind_enclosure(BlindExact(F(0), D)) == Interval.point(F(0))
+        assert blind_enclosure(Exact(F(0), D)) == Interval.point(F(0))
 
-    @pytest.mark.parametrize("value, point", [(3, F(3)), ("1/2", F(1, 2))])
+    @pytest.mark.parametrize("value, point", [(3, F(3))])
     def test_exact_leaf_value_converts_as_interval_point(self, value, point):
-        bounds = blind_enclosure(BlindExact(value, D))
+        bounds = blind_enclosure(Exact(value, D))
         assert bounds == Interval.point(value) == Interval.point(point)
         assert type(bounds.lo) is F and type(bounds.hi) is F
 
@@ -157,16 +162,16 @@ class TestBlindEnclosure:
                 bound(Neg(leaf))
 
     def test_zero_containing_denominator_unbounded(self):
-        b = Div(BlindExact(F(1), D), BlindMeas(Interval.of(-1, 1), D))
+        b = Div(Exact(F(1), D), BlindMeas(Interval.of(-1, 1), D))
         assert blind_enclosure(b) is UNBOUNDED
 
     def test_degenerate_zero_denominator_total_division(self):
-        b = Div(BlindMeas(I12, D), BlindExact(F(0), D))
+        b = Div(BlindMeas(I12, D), Exact(F(0), D))
         assert blind_enclosure(b) == Interval.point(F(0))
 
     def test_unbounded_propagates(self):
-        inner = Div(BlindExact(F(1), D), BlindMeas(Interval.of(0, 1), D))
-        assert blind_enclosure(Add(inner, BlindExact(F(5), D))) is UNBOUNDED
+        inner = Div(Exact(F(1), D), BlindMeas(Interval.of(0, 1), D))
+        assert blind_enclosure(Add(inner, Exact(F(5), D))) is UNBOUNDED
         assert blind_enclosure(Neg(inner)) is UNBOUNDED
 
     @pytest.mark.parametrize("op", [Add, Sub, Mul, Div])
@@ -252,7 +257,7 @@ def _rename(e, mapping):
 
 def _blind_leaves(b):
     match b:
-        case BlindExact():
+        case Exact():
             return []
         case BlindMeas(interval, _):
             return [interval]
@@ -265,7 +270,7 @@ def _blind_leaves(b):
 
 def _blind_eval(b, values):
     match b:
-        case BlindExact(value, _):
+        case Exact(value, _):
             return value
         case BlindMeas():
             return next(values)
@@ -313,16 +318,16 @@ class TestIndependentOccurrenceOracle:
 
 class TestFormatBlind:
     def test_leaves_and_operators(self):
-        b = Sub(BlindMeas(I25, D), BlindExact(F(1, 2), D))
+        b = Sub(BlindMeas(I25, D), Exact(F(1, 2), D))
         assert format_blind(b) == "meas([2,5],d) - exact(1/2,d)"
 
     def test_parenthesization(self):
-        b = Mul(Add(BlindExact(F(1), D), BlindExact(F(2), D)), BlindMeas(I12, D))
+        b = Mul(Add(Exact(F(1), D), Exact(F(2), D)), BlindMeas(I12, D))
         assert format_blind(b) == "(exact(1,d) + exact(2,d)) * meas([1,2],d)"
 
-    @pytest.mark.parametrize("leaf", [None, 3, "x", Token("t"), Exact(F(1), D)], ids=repr)
+    @pytest.mark.parametrize("leaf", [None, 3, "x", Token("t"), Meas(Token("t"), I12, D)], ids=repr)
     def test_a_non_node_raises_type_error(self, leaf):
-        for tree in (leaf, Neg(leaf), Add(BlindExact(F(1), D), leaf)):
+        for tree in (leaf, Neg(leaf), Add(Exact(F(1), D), leaf)):
             with pytest.raises(TypeError, match="^not a blind expression node: "):
                 format_blind(tree)
 

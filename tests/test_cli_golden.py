@@ -1,10 +1,11 @@
-"""Golden `--pretty` reports and `--help` texts, byte for byte.
+"""Golden `--pretty` reports, `--json` lines and `--help` texts, byte for byte.
 
 Each case pins one rendering branch that the other CLI tests reach only
 loosely or not at all: every enclosure outcome shape, each verdict line
 form, the empty environment, blind comparison against each other, two
-demos, the help text of the top level and of every subcommand, and the
-usage errors reported on stderr with exit code 2.
+demos, the `classify --json` line of every Holds evidence kind and every
+Fails certificate kind, the help text of the top level and of every
+subcommand, and the usage errors reported on stderr with exit code 2.
 """
 
 import pytest
@@ -19,6 +20,9 @@ EXPRS = {
     "UNDET_SRC": "meas(u1,[0,2],d) * meas(u2,[0,2],d)",
     "UNDET_TGT": "meas(u3,[1,2],d) * meas(u4,[1,2],d)",
     "POLE": "meas(t,[1,2],d) / meas(u,[-1,1],d)",
+    "ZERO": "exact(0,d)",
+    "FIVE": "exact(5,d)",
+    "UNIT": "meas(v,[0,1],d)",
 }
 
 # (id, argv with EXPRS keys standing for files, exit code, stdout)
@@ -240,6 +244,60 @@ audit: true
     ),
 ]
 
+# (id, argv as in PRETTY, exit code, stdout): one `classify --json` line for
+# each Holds evidence kind and each Fails certificate kind, and Undecided
+JSON = [
+    (
+        "same-expression",
+        ["classify", "--json", "SAME_DIFF", "SAME_DIFF"],
+        0,
+        '{"command": "classify", "source": "meas(t,[2,5],d) - meas(t,[2,5],d)", "target": "meas(t,[2,5],d) - meas(t,[2,5],d)", "grid": 5, "budget": 100000, "classification": {"class": "interchangeable", "forward": {"verdict": "holds", "evidence": {"kind": "same-expression"}}, "backward": {"verdict": "holds", "evidence": {"kind": "same-expression"}}}, "audit": true}'
+        "\n",
+    ),
+    (
+        "empty-target-and-fails-empty",
+        ["classify", "--json", "SAME_DIFF", "INFEASIBLE"],
+        0,
+        '{"command": "classify", "source": "meas(t,[2,5],d) - meas(t,[2,5],d)", "target": "meas(t,[0,1],d) + meas(t,[2,3],d)", "grid": 5, "budget": 100000, "classification": {"class": "one-way-only-forward", "forward": {"verdict": "holds", "evidence": {"kind": "empty-target", "infeasible_token": "t"}}, "backward": {"verdict": "fails", "env": {"t": "2"}, "value": "0", "certificate": {"kind": "empty", "bounds": null}}}, "audit": true}'
+        "\n",
+    ),
+    (
+        "membership-witness-and-fails-exact-interval",
+        ["classify", "--json", "SAME_DIFF", "UNDET_SRC"],
+        0,
+        '{"command": "classify", "source": "meas(t,[2,5],d) - meas(t,[2,5],d)", "target": "meas(u1,[0,2],d) * meas(u2,[0,2],d)", "grid": 5, "budget": 100000, "classification": {"class": "one-way-only-backward", "forward": {"verdict": "fails", "env": {"u1": "2", "u2": "2"}, "value": "4", "certificate": {"kind": "exact-interval", "bounds": ["0", "0"]}}, "backward": {"verdict": "holds", "evidence": {"kind": "membership-witness", "env": {"u1": "0", "u2": "0"}, "value": "0"}}}, "audit": true}'
+        "\n",
+    ),
+    (
+        "interval-containment-with-witness",
+        ["classify", "--json", "DIST_DIFF", "ZERO"],
+        0,
+        '{"command": "classify", "source": "meas(t1,[2,5],d) - meas(t2,[2,5],d)", "target": "exact(0,d)", "grid": 5, "budget": 100000, "classification": {"class": "one-way-only-forward", "forward": {"verdict": "holds", "evidence": {"kind": "interval-containment", "source": ["-3", "3"], "target": ["0", "0"], "target_kind": "exact-interval", "witness": {"t1": "7/2", "t2": "7/2"}, "witness_value": "0"}}, "backward": {"verdict": "fails", "env": {"t1": "5", "t2": "2"}, "value": "3", "certificate": {"kind": "exact-interval", "bounds": ["0", "0"]}}}, "audit": true}'
+        "\n",
+    ),
+    (
+        "interval-containment-without-witness",
+        ["classify", "--json", "DIST_DIFF", "UNIT"],
+        0,
+        '{"command": "classify", "source": "meas(t1,[2,5],d) - meas(t2,[2,5],d)", "target": "meas(v,[0,1],d)", "grid": 5, "budget": 100000, "classification": {"class": "one-way-only-forward", "forward": {"verdict": "holds", "evidence": {"kind": "interval-containment", "source": ["-3", "3"], "target": ["0", "1"], "target_kind": "exact-interval", "witness": null, "witness_value": null}}, "backward": {"verdict": "fails", "env": {"t1": "5", "t2": "2"}, "value": "3", "certificate": {"kind": "exact-interval", "bounds": ["0", "1"]}}}, "audit": true}'
+        "\n",
+    ),
+    (
+        "fails-over-approx",
+        ["classify", "--json", "UNDET_SRC", "FIVE"],
+        0,
+        '{"command": "classify", "source": "meas(u1,[0,2],d) * meas(u2,[0,2],d)", "target": "exact(5,d)", "grid": 5, "budget": 100000, "classification": {"class": "incomparable", "forward": {"verdict": "fails", "env": {}, "value": "5", "certificate": {"kind": "over-approx", "bounds": ["0", "4"]}}, "backward": {"verdict": "fails", "env": {"u1": "0", "u2": "0"}, "value": "0", "certificate": {"kind": "exact-interval", "bounds": ["5", "5"]}}}, "audit": true}'
+        "\n",
+    ),
+    (
+        "undecided",
+        ["classify", "--json", "UNDET_SRC", "UNDET_TGT"],
+        3,
+        '{"command": "classify", "source": "meas(u1,[0,2],d) * meas(u2,[0,2],d)", "target": "meas(u3,[1,2],d) * meas(u4,[1,2],d)", "grid": 5, "budget": 100000, "classification": {"class": "undetermined", "forward": {"verdict": "undecided", "source_outcome": {"outcome": "unknown", "over": ["0", "4"], "truncated": false, "under_count": 25}, "target_outcome": {"outcome": "unknown", "over": ["1", "4"], "truncated": false, "under_count": 25}}, "backward": {"verdict": "fails", "env": {"u1": "0", "u2": "0"}, "value": "0", "certificate": {"kind": "over-approx", "bounds": ["1", "4"]}}}, "audit": true}'
+        "\n",
+    ),
+]
+
 HELP = {
     "top": """\
 usage: enclosures [-h] {eval,enclosure,classify,blind,demo,oracle} ...
@@ -441,10 +499,21 @@ def call(capsys, argv):
     "argv, code, out", [case[1:] for case in PRETTY], ids=[case[0] for case in PRETTY]
 )
 def test_pretty_report(tmp_path, capsys, argv, code, out):
+    assert call_on_files(tmp_path, capsys, argv) == (code, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out", [case[1:] for case in JSON], ids=[case[0] for case in JSON]
+)
+def test_json_line(tmp_path, capsys, argv, code, out):
+    assert call_on_files(tmp_path, capsys, argv) == (code, out, "")
+
+
+def call_on_files(tmp_path, capsys, argv):
+    """`call` with each EXPRS key in argv replaced by a file holding its text."""
     for name, text in EXPRS.items():
         (tmp_path / name).write_text(text + "\n", encoding="utf-8")
-    resolved = [str(tmp_path / arg) if arg in EXPRS else arg for arg in argv]
-    assert call(capsys, resolved) == (code, out, "")
+    return call(capsys, [str(tmp_path / arg) if arg in EXPRS else arg for arg in argv])
 
 
 @pytest.mark.parametrize("command", list(HELP))

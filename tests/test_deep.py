@@ -264,7 +264,7 @@ def test_repr_text():
     assert repr(forget_tokens(e)) == (
         "Div(lhs=Neg(operand=BlindMeas(interval=Interval(lo=Fraction(1, 1),"
         " hi=Fraction(2, 1)), dim=Dim(tag='d'))),"
-        " rhs=BlindExact(value=Fraction(1, 2), dim=Dim(tag='d')))"
+        " rhs=Exact(value=Fraction(1, 2), dim=Dim(tag='d')))"
     )
 
 

@@ -1,14 +1,17 @@
 """Core types, the expression grammar, and the printer/parser pair."""
 
 import importlib
+import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from enclosures import (
+    EMPTY_ENV,
     Add,
     Dim,
     Div,
@@ -25,13 +28,16 @@ from enclosures import (
     Token,
     dims_of,
     effective_intervals,
+    evaluate,
     format_expr,
     is_exact,
     parse,
     parse_interval,
     parse_rational,
+    token_consistent,
     tokens_of,
 )
+from enclosures.semantics import compile_expr
 from exprgen import D, gen_any, token_boxes
 
 
@@ -262,6 +268,11 @@ class TestFormat:
         for tree in (leaf, Neg(leaf), Add(Exact(F(1), D), leaf)):
             with pytest.raises(TypeError, match="^not an expression node: "):
                 format_expr(tree)
+        # The program's builder refuses it too (`Compiled.leaf`), whichever reader builds it.
+        readers = (compile_expr, partial(evaluate, EMPTY_ENV), partial(token_consistent, EMPTY_ENV))
+        for read, tree in itertools.product(readers, (Neg(leaf), Add(Exact(F(1), D), leaf))):
+            with pytest.raises(TypeError, match="^not an expression node: "):
+                read(tree)
 
     def test_a_str_in_a_tree_reprs_as_a_record_would(self):
         # A str is a node like any other non-node, never text of the tree's own.

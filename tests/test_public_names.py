@@ -7,14 +7,13 @@ state it in CHANGES.md with what to use instead of any name removed.
 import enclosures
 
 PUBLIC = [
-    "Add", "AffineForm", "BlindExact", "BlindExpr", "BlindMeas", "Bounds",
-    "BudgetExceededError", "Classification", "ComparisonReport", "DEFAULT_ENV_BUDGET",
-    "DEFAULT_GRID_POINTS", "Dim", "Div", "EMPTY_ENV", "EmptySet", "EmptyTarget",
-    "EnclosureOutcome", "Exact", "ExactInterval", "ExclusionCertificate", "Expr",
-    "FAMILIES", "Fails", "FamilySpec", "FamilySpecError", "FrozenInstanceError",
-    "Holds", "HoldsEvidence", "Inconclusive", "InfeasibleTokenError", "Interval",
-    "IntervalContainment", "IntervalOrderError", "MODES", "Meas", "Member",
-    "MembershipResult", "MembershipWitness", "Mul", "Neg", "NonMember",
+    "Add", "AffineForm", "BlindExpr", "BlindMeas", "Bounds", "BudgetExceededError",
+    "Classification", "ComparisonReport", "DEFAULT_ENV_BUDGET", "DEFAULT_GRID_POINTS",
+    "Dim", "Div", "EMPTY_ENV", "EmptySet", "EnclosureOutcome", "Exact", "ExactInterval",
+    "ExclusionCertificate", "Expr", "FAMILIES", "Fails", "FamilySpec",
+    "FamilySpecError", "FrozenInstanceError", "Holds", "HoldsEvidence", "Inconclusive",
+    "InfeasibleTokenError", "Interval", "IntervalContainment", "IntervalOrderError",
+    "MODES", "Meas", "Member", "MembershipResult", "Mul", "Neg", "NonMember",
     "NotAffineError", "NotExactError", "ParseError", "RewriteClass", "SameExpression",
     "Sub", "Token", "TokenEnv", "UNBOUNDED", "Unbounded", "Undecided", "Unknown",
     "Verdict", "affine_witness", "audit_classification", "audit_verdict",

@@ -22,14 +22,12 @@ import pytest
 from enclosures import (
     Add,
     AffineForm,
-    BlindExact,
     BlindMeas,
     Classification,
     ComparisonReport,
     Dim,
     Div,
     EmptySet,
-    EmptyTarget,
     Exact,
     ExactInterval,
     ExclusionCertificate,
@@ -42,7 +40,6 @@ from enclosures import (
     IntervalContainment,
     Meas,
     Member,
-    MembershipWitness,
     Mul,
     Neg,
     NonMember,
@@ -68,7 +65,6 @@ def records() -> dict:
     unknown = Unknown(((env, F(5, 2)),), iv, True)
     same = Holds(SameExpression())
     cls = Classification(RewriteClass.INTERCHANGEABLE, same, same)
-    blind = BlindExact(F(3, 4), d)
     return {
         "Token": t,
         "Dim": d,
@@ -90,18 +86,15 @@ def records() -> dict:
         "NonMember": NonMember(ExclusionCertificate("empty")),
         "Inconclusive": Inconclusive(EmptySet(t)),
         "SameExpression": SameExpression(),
-        "EmptyTarget": EmptyTarget("t"),
         "IntervalContainment": IntervalContainment(iv, iv, "exact-interval", env, F(2)),
-        "MembershipWitness": MembershipWitness(env, F(2)),
-        "Holds": Holds(EmptyTarget("t")),
+        "Holds": Holds(EmptySet(t)),
         "Fails": Fails(env, F(2), cert),
         "Undecided": Undecided(EmptySet(t), ExactInterval(iv)),
         "Classification": cls,
         "FamilySpec": FamilySpec("cancellation", "same", iv),
-        "BlindExact": blind,
         "BlindMeas": BlindMeas(iv, d),
         "ComparisonReport": ComparisonReport(
-            x, Neg(x), None, blind, Neg(blind), False, one, minus_one, False, cls, cls
+            x, Neg(x), None, x, Neg(x), False, one, minus_one, False, cls, cls
         ),
     }
 
@@ -116,7 +109,6 @@ UNHASHABLE = {
     "Unknown",
     "Member",
     "IntervalContainment",
-    "MembershipWitness",
     "Fails",
 }
 
@@ -125,7 +117,7 @@ NAMES = list(records())
 
 def test_every_record_class_is_pinned():
     assert set(NAMES) == set(REPRS) == set(PICKLES) == set(MATCH_ARGS)
-    assert len(NAMES) == 31
+    assert len(NAMES) == 28
     assert all(type(r).__name__ == name for name, r in records().items())
 
 
@@ -229,9 +221,8 @@ def test_converting_post_init_keeps_the_field_order():
 
 def test_records_of_other_classes_with_equal_fields_differ():
     value, dim = F(3, 4), Dim("m")
-    assert Exact(value, dim) != BlindExact(value, dim)
     assert Add(Exact(value, dim), Exact(value, dim)) != Sub(Exact(value, dim), Exact(value, dim))
-    assert Holds(EmptyTarget("t")) != EmptyTarget("t")
+    assert Holds(EmptySet(Token("t"))) != EmptySet(Token("t"))
 
 
 def test_defaults_and_keywords():
@@ -381,18 +372,13 @@ REPRS = {
     ),
     "Inconclusive": "Inconclusive(outcome=EmptySet(token=Token(name='t')))",
     "SameExpression": 'SameExpression()',
-    "EmptyTarget": "EmptyTarget(token_name='t')",
     "IntervalContainment": (
         'IntervalContainment(source=Interval(lo=Fraction(1, 2), hi=Fraction(3, 1)), t'
         "arget=Interval(lo=Fraction(1, 2), hi=Fraction(3, 1)), target_kind='exact-int"
         "erval', witness=TokenEnv(bindings={Token(name='t'): Fraction(2, 1)}, default"
         '=Fraction(0, 1)), witness_value=Fraction(2, 1))'
     ),
-    "MembershipWitness": (
-        "MembershipWitness(env=TokenEnv(bindings={Token(name='t'): Fraction(2, 1)}, d"
-        'efault=Fraction(0, 1)), value=Fraction(2, 1))'
-    ),
-    "Holds": "Holds(evidence=EmptyTarget(token_name='t'))",
+    "Holds": "Holds(evidence=EmptySet(token=Token(name='t')))",
     "Fails": (
         "Fails(env=TokenEnv(bindings={Token(name='t'): Fraction(2, 1)}, default=Fract"
         "ion(0, 1)), value=Fraction(2, 1), certificate=ExclusionCertificate(kind='ove"
@@ -411,7 +397,6 @@ REPRS = {
         "FamilySpec(family='cancellation', mode='same', interval=Interval(lo=Fraction"
         "(1, 2), hi=Fraction(3, 1)), signal=None, background=None, dim=Dim(tag='d'))"
     ),
-    "BlindExact": "BlindExact(value=Fraction(3, 4), dim=Dim(tag='m'))",
     "BlindMeas": (
         'BlindMeas(interval=Interval(lo=Fraction(1, 2), hi=Fraction(3, 1)), dim=Dim(t'
         "ag='m'))"
@@ -419,15 +404,14 @@ REPRS = {
     "ComparisonReport": (
         "ComparisonReport(expr1=Exact(value=Fraction(3, 4), dim=Dim(tag='m')), expr2="
         "Neg(operand=Exact(value=Fraction(3, 4), dim=Dim(tag='m'))), target=None, bli"
-        "nd1=BlindExact(value=Fraction(3, 4), dim=Dim(tag='m')), blind2=Neg(operand=B"
-        "lindExact(value=Fraction(3, 4), dim=Dim(tag='m'))), erased_equal=False, boun"
-        'ds1=Interval(lo=Fraction(1, 1), hi=Fraction(1, 1)), bounds2=Interval(lo=Frac'
-        'tion(-1, 1), hi=Fraction(-1, 1)), bounds_equal=False, class1=Classification('
-        "kind=<RewriteClass.INTERCHANGEABLE: 'interchangeable'>, forward=Holds(eviden"
-        'ce=SameExpression()), backward=Holds(evidence=SameExpression())), class2=Cla'
-        "ssification(kind=<RewriteClass.INTERCHANGEABLE: 'interchangeable'>, forward="
-        'Holds(evidence=SameExpression()), backward=Holds(evidence=SameExpression()))'
-        ')'
+        "nd1=Exact(value=Fraction(3, 4), dim=Dim(tag='m')), blind2=Neg(operand=Exact("
+        "value=Fraction(3, 4), dim=Dim(tag='m'))), erased_equal=False, bounds1=Interv"
+        'al(lo=Fraction(1, 1), hi=Fraction(1, 1)), bounds2=Interval(lo=Fraction(-1, 1'
+        '), hi=Fraction(-1, 1)), bounds_equal=False, class1=Classification(kind=<Rewr'
+        "iteClass.INTERCHANGEABLE: 'interchangeable'>, forward=Holds(evidence=SameExp"
+        'ression()), backward=Holds(evidence=SameExpression())), class2=Classificatio'
+        "n(kind=<RewriteClass.INTERCHANGEABLE: 'interchangeable'>, forward=Holds(evid"
+        'ence=SameExpression()), backward=Holds(evidence=SameExpression())))'
     ),
 }
 
@@ -588,10 +572,6 @@ PICKLES = {
         b'\x80\x04\x95,\x00\x00\x00\x00\x00\x00\x00\x8c\x12enclosures.rewrite\x94\x8c'
         b'\x0eSameExpression\x94\x93\x94)\x81\x94.'
     ),
-    "EmptyTarget": (
-        b'\x80\x04\x95>\x00\x00\x00\x00\x00\x00\x00\x8c\x12enclosures.rewrite\x94\x8c'
-        b'\x0bEmptyTarget\x94\x93\x94)\x81\x94}\x94\x8c\ntoken_name\x94\x8c\x01t\x94sb.'
-    ),
     "IntervalContainment": (
         b'\x80\x04\x95_\x01\x00\x00\x00\x00\x00\x00\x8c\x12enclosures.rewrite\x94\x8c'
         b'\x13IntervalContainment\x94\x93\x94)\x81\x94}\x94(\x8c\x06source\x94\x8c\x0fe'
@@ -604,19 +584,12 @@ PICKLES = {
         b'\x0eK\x02K\x01\x86\x94R\x94s\x8c\x07default\x94h\x0eK\x00K\x01\x86\x94R\x94ub'
         b'\x8c\rwitness_value\x94h\x0eK\x02K\x01\x86\x94R\x94ub.'
     ),
-    "MembershipWitness": (
-        b'\x80\x04\x95\xe9\x00\x00\x00\x00\x00\x00\x00\x8c\x12enclosures.rewrite\x94'
-        b'\x8c\x11MembershipWitness\x94\x93\x94)\x81\x94}\x94(\x8c\x03env\x94\x8c\x14en'
-        b'closures.semantics\x94\x8c\x08TokenEnv\x94\x93\x94)\x81\x94}\x94(\x8c\x08bind'
-        b'ings\x94}\x94\x8c\x0fenclosures.expr\x94\x8c\x05Token\x94\x93\x94)\x81\x94}'
-        b'\x94\x8c\x04name\x94\x8c\x01t\x94sb\x8c\tfractions\x94\x8c\x08Fraction\x94'
-        b'\x93\x94K\x02K\x01\x86\x94R\x94s\x8c\x07default\x94h\x16K\x00K\x01\x86\x94R'
-        b'\x94ub\x8c\x05value\x94h\x16K\x02K\x01\x86\x94R\x94ub.'
-    ),
     "Holds": (
-        b'\x80\x04\x95\\\x00\x00\x00\x00\x00\x00\x00\x8c\x12enclosures.rewrite\x94\x8c'
-        b'\x05Holds\x94\x93\x94)\x81\x94}\x94\x8c\x08evidence\x94h\x00\x8c\x0bEmptyTarg'
-        b'et\x94\x93\x94)\x81\x94}\x94\x8c\ntoken_name\x94\x8c\x01t\x94sbsb.'
+        b'\x80\x04\x95\x93\x00\x00\x00\x00\x00\x00\x00\x8c\x12enclosures.rewrite\x94'
+        b'\x8c\x05Holds\x94\x93\x94)\x81\x94}\x94\x8c\x08evidence\x94\x8c\x14enclosures'
+        b'.enclosure\x94\x8c\x08EmptySet\x94\x93\x94)\x81\x94}\x94\x8c\x05token\x94\x8c'
+        b'\x0fenclosures.expr\x94\x8c\x05Token\x94\x93\x94)\x81\x94}\x94\x8c\x04name'
+        b'\x94\x8c\x01t\x94sbsbsb.'
     ),
     "Fails": (
         b'\x80\x04\x95v\x01\x00\x00\x00\x00\x00\x00\x8c\x12enclosures.rewrite\x94\x8c'
@@ -658,13 +631,6 @@ PICKLES = {
         b'dim\x94h\n\x8c\x03Dim\x94\x93\x94)\x81\x94}\x94\x8c\x03tag\x94\x8c\x01d\x94sb'
         b'ub.'
     ),
-    "BlindExact": (
-        b'\x80\x04\x95\x85\x00\x00\x00\x00\x00\x00\x00\x8c\x10enclosures.blind\x94\x8c'
-        b'\nBlindExact\x94\x93\x94)\x81\x94}\x94(\x8c\x05value\x94\x8c\tfractions\x94'
-        b'\x8c\x08Fraction\x94\x93\x94K\x03K\x04\x86\x94R\x94\x8c\x03dim\x94\x8c\x0fenc'
-        b'losures.expr\x94\x8c\x03Dim\x94\x93\x94)\x81\x94}\x94\x8c\x03tag\x94\x8c\x01m'
-        b'\x94sbub.'
-    ),
     "BlindMeas": (
         b'\x80\x04\x95\xb2\x00\x00\x00\x00\x00\x00\x00\x8c\x10enclosures.blind\x94\x8c'
         b'\tBlindMeas\x94\x93\x94)\x81\x94}\x94(\x8c\x08interval\x94\x8c\x0fenclosures.'
@@ -674,23 +640,22 @@ PICKLES = {
         b'}\x94\x8c\x03tag\x94\x8c\x01m\x94sbub.'
     ),
     "ComparisonReport": (
-        b'\x80\x04\x95d\x02\x00\x00\x00\x00\x00\x00\x8c\x10enclosures.blind\x94\x8c\x10'
+        b'\x80\x04\x95=\x02\x00\x00\x00\x00\x00\x00\x8c\x10enclosures.blind\x94\x8c\x10'
         b'ComparisonReport\x94\x93\x94)\x81\x94}\x94(\x8c\x05expr1\x94\x8c\x0fenclosure'
         b's.expr\x94\x8c\x05Exact\x94\x93\x94)\x81\x94}\x94(\x8c\x05value\x94\x8c\tfrac'
         b'tions\x94\x8c\x08Fraction\x94\x93\x94K\x03K\x04\x86\x94R\x94\x8c\x03dim\x94h'
         b'\x06\x8c\x03Dim\x94\x93\x94)\x81\x94}\x94\x8c\x03tag\x94\x8c\x01m\x94sbub\x8c'
         b'\x05expr2\x94h\x06\x8c\x08_rebuild\x94\x93\x94]\x94(h\th\x06\x8c\x03Neg\x94'
-        b'\x93\x94e\x85\x94R\x94\x8c\x06target\x94N\x8c\x06blind1\x94h\x00\x8c\nBlindEx'
-        b'act\x94\x93\x94)\x81\x94}\x94(h\x0bh\x0eK\x03K\x04\x86\x94R\x94h\x11h\x14ub'
-        b'\x8c\x06blind2\x94h\x1a]\x94(h$h\x1de\x85\x94R\x94\x8c\x0cerased_equal\x94'
-        b'\x89\x8c\x07bounds1\x94h\x06\x8c\x08Interval\x94\x93\x94)\x81\x94}\x94(\x8c'
-        b'\x02lo\x94h\x0eK\x01K\x01\x86\x94R\x94\x8c\x02hi\x94h4ub\x8c\x07bounds2\x94h/'
-        b')\x81\x94}\x94(h2h\x0eJ\xff\xff\xff\xffK\x01\x86\x94R\x94h5h:ub\x8c\x0cbounds'
-        b'_equal\x94\x89\x8c\x06class1\x94\x8c\x12enclosures.rewrite\x94\x8c\x0eClassif'
-        b'ication\x94\x93\x94)\x81\x94}\x94(\x8c\x04kind\x94h=\x8c\x0cRewriteClass\x94'
-        b'\x93\x94\x8c\x0finterchangeable\x94\x85\x94R\x94\x8c\x07forward\x94h=\x8c\x05'
-        b'Holds\x94\x93\x94)\x81\x94}\x94\x8c\x08evidence\x94h=\x8c\x0eSameExpression'
-        b'\x94\x93\x94)\x81\x94sb\x8c\x08backward\x94hKub\x8c\x06class2\x94h@ub.'
+        b'\x93\x94e\x85\x94R\x94\x8c\x06target\x94N\x8c\x06blind1\x94h\t\x8c\x06blind2'
+        b'\x94h\x1a]\x94(h\th\x1de\x85\x94R\x94\x8c\x0cerased_equal\x94\x89\x8c\x07boun'
+        b'ds1\x94h\x06\x8c\x08Interval\x94\x93\x94)\x81\x94}\x94(\x8c\x02lo\x94h\x0eK'
+        b'\x01K\x01\x86\x94R\x94\x8c\x02hi\x94h.ub\x8c\x07bounds2\x94h))\x81\x94}\x94(h'
+        b',h\x0eJ\xff\xff\xff\xffK\x01\x86\x94R\x94h/h4ub\x8c\x0cbounds_equal\x94\x89'
+        b'\x8c\x06class1\x94\x8c\x12enclosures.rewrite\x94\x8c\x0eClassification\x94'
+        b'\x93\x94)\x81\x94}\x94(\x8c\x04kind\x94h7\x8c\x0cRewriteClass\x94\x93\x94\x8c'
+        b'\x0finterchangeable\x94\x85\x94R\x94\x8c\x07forward\x94h7\x8c\x05Holds\x94'
+        b'\x93\x94)\x81\x94}\x94\x8c\x08evidence\x94h7\x8c\x0eSameExpression\x94\x93'
+        b'\x94)\x81\x94sb\x8c\x08backward\x94hEub\x8c\x06class2\x94h:ub.'
     ),
 }
 
@@ -715,17 +680,14 @@ MATCH_ARGS = {
     "NonMember": ("certificate",),
     "Inconclusive": ("outcome",),
     "SameExpression": (),
-    "EmptyTarget": ("token_name",),
     "IntervalContainment": (
         "source", "target", "target_kind", "witness", "witness_value",
     ),
-    "MembershipWitness": ("env", "value"),
     "Holds": ("evidence",),
     "Fails": ("env", "value", "certificate"),
     "Undecided": ("source_outcome", "target_outcome"),
     "Classification": ("kind", "forward", "backward"),
     "FamilySpec": ("family", "mode", "interval", "signal", "background", "dim"),
-    "BlindExact": ("value", "dim"),
     "BlindMeas": ("interval", "dim"),
     "ComparisonReport": (
         "expr1", "expr2", "target", "blind1", "blind2", "erased_equal", "bounds1",

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from enclosures import (
     Add,
     Classification,
-    EmptyTarget,
     ExactInterval,
     ExclusionCertificate,
     Exact,
@@ -27,7 +26,6 @@ from enclosures import (
     IntervalContainment,
     MODES,
     Meas,
-    MembershipWitness,
     Mul,
     NotAffineError,
     RewriteClass,
@@ -124,7 +122,8 @@ class TestLicensed:
     def test_empty_target_contained_in_anything(self):
         infeasible = parse("meas(t,[0,1],d) + meas(t,[2,3],d)")
         verdict = licensed(ZERO, infeasible)
-        assert verdict == Holds(EmptyTarget("t"))
+        assert verdict == Holds(EmptySet(Token("t")))
+        assert verdict.evidence is _fold_outcome(infeasible)  # the target's own outcome
 
     def test_empty_source_refuted_by_any_target_value(self):
         infeasible = parse("meas(t,[0,1],d) + meas(t,[2,3],d)")
@@ -137,7 +136,8 @@ class TestLicensed:
         # source is off the affine fragment, target is a single value
         verdict = licensed(UNDET_SRC, ONE)
         assert isinstance(verdict, Holds)
-        assert isinstance(verdict.evidence, MembershipWitness)
+        assert type(verdict.evidence) is Member
+        assert verdict.evidence == membership_in(UNDET_SRC, F(1), lazy_enclosure(UNDET_SRC))
         assert verdict.evidence.value == 1
         assert evaluate(verdict.evidence.env, UNDET_SRC) == 1
 
@@ -336,7 +336,7 @@ class TestAudit:
         assert not audit_verdict(Holds(SameExpression()), SAME_DIFF, ZERO)
 
     def test_empty_target_claim_on_inhabited_target(self):
-        assert not audit_verdict(Holds(EmptyTarget("t")), ZERO, SAME_DIFF)
+        assert not audit_verdict(Holds(EmptySet(Token("t"))), ZERO, SAME_DIFF)
 
     def test_tampered_failure_value(self):
         real = licensed(ZERO, DIST_DIFF)
@@ -356,7 +356,7 @@ class TestAudit:
 
     def test_tampered_membership_env(self):
         out_of_range = TokenEnv({Token("t"): F(99)})
-        fake = Holds(MembershipWitness(out_of_range, F(0)))
+        fake = Holds(Member(out_of_range, F(0)))
         assert not audit_verdict(fake, SAME_DIFF, ZERO)
 
     def test_tampered_containment_kind(self):
@@ -409,7 +409,7 @@ def _failure(src, tgt, certificate):
 
 
 def _membership_against(src, genuine_tgt, forged_tgt):
-    real = _genuine(src, genuine_tgt, MembershipWitness)
+    real = _genuine(src, genuine_tgt, Member)
     return real, src, forged_tgt
 
 
@@ -490,7 +490,7 @@ FORGERIES = {
         SEVEN, BIG, ExclusionCertificate("exact-interval", Interval.of(1, 128))
     ),
     "seven-fails-empty": lambda: _failure(SEVEN, BIG, ExclusionCertificate("empty")),
-    "seven-empty-target": lambda: (Holds(EmptyTarget("t0")), BIG, SEVEN),
+    "seven-empty-target": lambda: (Holds(EmptySet(Token("t0"))), BIG, SEVEN),
     "seven-undecided-exact-interval": lambda: (
         Undecided(ExactInterval(Interval.of(1, 128)), enclosure(BIG)),
         SEVEN,
@@ -981,8 +981,10 @@ class TestWarmFoldsChangeNothing:
 # --- reference ladder ---------------------------------------------------------
 #
 # The containment ladder as the package wrote it before every rung read the
-# sides' bounds through `certificate_of`, kept verbatim so the new ladder is
-# checked against an independent text rather than against itself.
+# sides' bounds through `certificate_of`, kept verbatim but for its Holds
+# evidence, now the target's `EmptySet` and the `Member` found themselves,
+# so the new ladder is checked against an independent text rather than
+# against itself.
 
 
 def _decide(
@@ -994,7 +996,7 @@ def _decide(
     a rung is decided; an Undecided verdict settles both outcomes in full.
     """
     if isinstance(enc_tgt, EmptySet):
-        return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
+        return Holds(enc_tgt)  # src is never enclosed
 
     if isinstance(enc_src, AffineForm) and isinstance(enc_tgt, AffineForm):
         si, ti = enc_src.interval, enc_tgt.interval
@@ -1016,7 +1018,7 @@ def _decide(
         q = enc_tgt.interval.lo
         found = membership_in(src, q, enc_src)
         if isinstance(found, Member):
-            return Holds(MembershipWitness(found.env, found.value))
+            return Holds(found)
         if isinstance(found, NonMember):
             env = _form_witness(enc_tgt, tgt, q)
             if env is not None:
@@ -1129,7 +1131,8 @@ class TestLadderMatchesReference:
 # The ladder as the package wrote it once every rung read the sides' bounds
 # through `certificate_of`, and before a point target was decided by
 # `membership_in`: four rungs, with an attain rung that scanned the source's
-# samples itself.  Kept verbatim but for the two function names, so the
+# samples itself.  Kept verbatim but for the two function names and the
+# Holds evidence, now the target's `EmptySet` and a `Member`, so the
 # membership route is checked repr for repr against an independent text.
 
 
@@ -1143,7 +1146,7 @@ def _certificate_decide(
     decided; an Undecided verdict settles both outcomes in full.
     """
     if isinstance(enc_tgt, EmptySet):
-        return Holds(EmptyTarget(enc_tgt.token.name))  # src is never enclosed
+        return Holds(enc_tgt)  # src is never enclosed
     cert, tgt_cert = certificate_of(enc_src), certificate_of(enc_tgt)
     exact_tgt = tgt_cert is not None and tgt_cert.kind == "exact-interval"
     point = tgt_cert.bounds.lo if exact_tgt and tgt_cert.bounds.is_point else None
@@ -1166,7 +1169,7 @@ def _certificate_decide(
     if point is not None and isinstance(enc_src, SampleStream):
         for env, value in enc_src:
             if value == point:
-                return Holds(MembershipWitness(env, value))
+                return Holds(Member(env, value))
 
     return Undecided(settle(enc_src), settle(enc_tgt))
 
@@ -1231,5 +1234,5 @@ class TestLadderMatchesCertificateReference:
         # are any), values outside the bound are refuted
         wanted = {"attained": {"IntervalContainment"}, "outside": {"Fails"}}.get(kind, set())
         if kind == "attained" and budget:
-            wanted.add("MembershipWitness")
+            wanted.add("Member")
         assert wanted <= kinds, kinds
